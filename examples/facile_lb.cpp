@@ -24,13 +24,14 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
+#include <limits>
 #include <semaphore.h>
 #include <string>
 #include <vector>
 
 #include "cluster/router.h"
+#include "support/cli.h"
 
 using namespace facile;
 
@@ -71,6 +72,18 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
+        // Numeric flags take a whole integer in range (support/cli.h);
+        // anything else exits 1 instead of silently becoming 0.
+        auto num = [&](int &dst, int lo, int hi) {
+            const char *v = next();
+            if (parseIntArg(v, dst, lo, hi))
+                return true;
+            std::fprintf(stderr, "%s: invalid value '%s' for %s\n",
+                         argv[0], v ? v : "", arg.c_str());
+            usage(argv[0]);
+            return false;
+        };
+        constexpr int kIntMax = std::numeric_limits<int>::max();
         if (arg == "--backend") {
             const char *v = next();
             if (!v)
@@ -82,30 +95,22 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             }
         } else if (arg == "--tcp") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.tcpPort = std::atoi(v);
+            if (!num(opts.tcpPort, 0, 65535))
+                return 1;
         } else if (arg == "--unix") {
             const char *v = next();
             if (!v)
                 return usage(argv[0]);
             opts.unixPath = v;
         } else if (arg == "--health-interval-ms") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.healthIntervalMs = std::atoi(v);
+            if (!num(opts.healthIntervalMs, 1, kIntMax))
+                return 1;
         } else if (arg == "--health-miss-limit") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.healthMissLimit = std::atoi(v);
+            if (!num(opts.healthMissLimit, 1, kIntMax))
+                return 1;
         } else if (arg == "--reconnect-backoff-ms") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.reconnectBackoffMs = std::atoi(v);
+            if (!num(opts.reconnectBackoffMs, 0, kIntMax))
+                return 1;
         } else {
             return usage(argv[0]);
         }

@@ -5,7 +5,7 @@
  *
  * Usage:
  *   facile_server [--tcp PORT] [--unix PATH] [--threads N]
- *                 [--io-threads N] [--window-us N] [--max-batch N]
+ *                 [--io-threads N] [--window-us MAX_US] [--max-batch N]
  *                 [--read-timeout-ms N] [--max-connections N]
  *                 [--max-pending N] [--max-inflight N]
  *                 [--snapshot-load FILE] [--snapshot-save FILE]
@@ -13,7 +13,11 @@
  *
  * --threads sizes the engine worker pool; --io-threads the epoll
  * reader loops (1 is right until the reader side itself saturates a
- * core — see ServerOptions::ioThreads).
+ * core — see ServerOptions::ioThreads). --window-us is the upper bound
+ * on the admission window: the collector submits a batch as soon as
+ * the burst has been read, and waits at most this long for it
+ * (ServerOptions::batchWindowUs). Numeric values must be whole
+ * integers in range; anything else prints the usage line and exits 1.
  *
  * With no listener flags it serves on --unix /tmp/facile.sock.
  *
@@ -52,14 +56,15 @@
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
+#include <limits>
 #include <semaphore.h>
 #include <string>
 #include <thread>
 
 #include "analysis/snapshot.h"
 #include "server/server.h"
+#include "support/cli.h"
 
 using namespace facile;
 
@@ -105,7 +110,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--tcp PORT] [--unix PATH] [--threads N] "
-                 "[--io-threads N] [--window-us N] [--max-batch N]\n"
+                 "[--io-threads N] [--window-us MAX_US] [--max-batch N]\n"
                  "       [--read-timeout-ms N] [--max-connections N] "
                  "[--max-pending N] [--max-inflight N]\n"
                  "       [--snapshot-load FILE] [--snapshot-save FILE] "
@@ -127,57 +132,52 @@ main(int argc, char **argv)
         auto next = [&]() -> const char * {
             return i + 1 < argc ? argv[++i] : nullptr;
         };
-        if (arg == "--tcp") {
+        // Numeric flags take a whole integer in range (support/cli.h);
+        // anything else exits 1 instead of becoming 0 or a wrapped size.
+        auto num = [&](auto &dst, auto lo, auto hi) {
             const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.tcpPort = std::atoi(v);
+            if (parseIntArg(v, dst, lo, hi))
+                return true;
+            std::fprintf(stderr, "%s: invalid value '%s' for %s\n",
+                         argv[0], v ? v : "", arg.c_str());
+            usage(argv[0]);
+            return false;
+        };
+        constexpr auto kIntMax = std::numeric_limits<int>::max();
+        constexpr auto kSizeMax = std::numeric_limits<std::size_t>::max();
+        if (arg == "--tcp") {
+            if (!num(opts.tcpPort, 0, 65535))
+                return 1;
         } else if (arg == "--unix") {
             const char *v = next();
             if (!v)
                 return usage(argv[0]);
             opts.unixPath = v;
         } else if (arg == "--threads") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            threads = std::atoi(v);
+            if (!num(threads, 0, 1024))
+                return 1;
         } else if (arg == "--io-threads") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.ioThreads = std::atoi(v);
+            if (!num(opts.ioThreads, 1, 1024))
+                return 1;
         } else if (arg == "--window-us") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.batchWindowUs = std::atoi(v);
+            if (!num(opts.batchWindowUs, 0, kIntMax))
+                return 1;
         } else if (arg == "--max-batch") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.maxBatch = static_cast<std::size_t>(std::atoll(v));
+            if (!num(opts.maxBatch, 0, kSizeMax))
+                return 1;
         } else if (arg == "--read-timeout-ms") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.readTimeoutMs = std::atoi(v);
+            if (!num(opts.readTimeoutMs, 0, kIntMax))
+                return 1;
         } else if (arg == "--max-connections") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.maxConnections = static_cast<std::size_t>(std::atoll(v));
+            if (!num(opts.maxConnections, 0, kSizeMax))
+                return 1;
         } else if (arg == "--max-pending") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.maxPending = static_cast<std::size_t>(std::atoll(v));
+            // Sizes the admission ring, so it is capped at 2^24 slots.
+            if (!num(opts.maxPending, 0, std::size_t{1} << 24))
+                return 1;
         } else if (arg == "--max-inflight") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            opts.maxInFlightPerConn =
-                static_cast<std::size_t>(std::atoll(v));
+            if (!num(opts.maxInFlightPerConn, 0, kSizeMax))
+                return 1;
         } else if (arg == "--snapshot-load") {
             const char *v = next();
             if (!v)
@@ -199,10 +199,8 @@ main(int argc, char **argv)
             else
                 return usage(argv[0]);
         } else if (arg == "--drain-grace-ms") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            drainGraceMs = std::atoi(v);
+            if (!num(drainGraceMs, 0, kIntMax))
+                return 1;
         } else {
             return usage(argv[0]);
         }
@@ -232,7 +230,8 @@ main(int argc, char **argv)
         std::printf("serving on %s:%d\n", opts.tcpHost.c_str(),
                     srv.tcpPort());
     std::printf("engine: %d worker thread(s), %d io loop(s), admission "
-                "window %d us, max batch %zu\n",
+                "window closes when a burst is read (at most %d us, "
+                "max batch %zu)\n",
                 eng.numThreads(), opts.ioThreads, opts.batchWindowUs,
                 opts.maxBatch);
     std::printf("limits: read deadline %d ms, %zu connections, "

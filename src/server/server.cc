@@ -130,6 +130,18 @@ struct PredictionServer::Impl
         /** Connections accepted on loop 0 awaiting registration here. */
         std::mutex inboxMu;
         std::vector<std::shared_ptr<Conn>> inbox;
+
+        /**
+         * True from the moment epoll_wait returns events until the
+         * loop finishes a pass in which no connection used up its
+         * read budget, i.e. while part of a burst may still sit
+         * unread in a socket. Written by the io thread only; the
+         * collector reads it to close its admission window early.
+         * Set before any request of the pass is pushed to the ring
+         * and cleared after the last one, so a collector that sees it
+         * clear and then finds the ring empty holds the whole burst.
+         */
+        alignas(64) std::atomic<bool> midBurst{false};
     };
 
     ServerOptions opts;
@@ -439,6 +451,11 @@ struct PredictionServer::Impl
                 : 1000;
         auto nextSweep = Clock::now() + std::chrono::milliseconds(sweepMs);
 
+        // Burst state (Loop::midBurst): the io thread's own copy, and
+        // whether any request was admitted since the burst began.
+        bool midBurst = false;
+        bool burstAdmitted = false;
+
         while (!stopping.load(std::memory_order_acquire)) {
             const int timeout =
                 msUntil(nextSweep, Clock::now(), sweepMs);
@@ -455,6 +472,12 @@ struct PredictionServer::Impl
                 break;
             if (stopping.load(std::memory_order_acquire))
                 break;
+            if (n > 0 && !midBurst) {
+                midBurst = true;
+                lp.midBurst.store(true, std::memory_order_release);
+            }
+            std::size_t passAdmitted = 0;
+            bool budgetSpent = false;
             for (int i = 0; i < std::max(n, 0); ++i) {
                 auto *src = static_cast<EvSource *>(evs[i].data.ptr);
                 switch (src->kind) {
@@ -478,9 +501,12 @@ struct PredictionServer::Impl
                     }
                     if (evs[i].events & EPOLLOUT)
                         resumeWrite(c);
-                    if (evs[i].events & EPOLLIN)
-                        handleReadable(c.shared_from_this(), chunk,
-                                       admitted, reply);
+                    if (evs[i].events & EPOLLIN) {
+                        const ReadOutcome r = handleReadable(
+                            c.shared_from_this(), chunk, admitted, reply);
+                        passAdmitted += r.admitted;
+                        budgetSpent |= r.budgetSpent;
+                    }
                     break;
                   }
                 }
@@ -490,6 +516,22 @@ struct PredictionServer::Impl
                 sweep(lp, now);
                 nextSweep = now + std::chrono::milliseconds(sweepMs);
             }
+            // An interrupted wait read nothing and says nothing about
+            // whether the burst is over.
+            if (n < 0)
+                continue;
+            // One collector wake per pass that admitted work, plus one
+            // when a burst that admitted work ends in a pass that
+            // admitted none, so the collector can close its window.
+            burstAdmitted |= passAdmitted > 0;
+            if (!budgetSpent && midBurst) {
+                midBurst = false;
+                lp.midBurst.store(false, std::memory_order_release);
+            }
+            if (passAdmitted > 0 || (!midBurst && burstAdmitted))
+                wakeCollector();
+            if (!midBurst)
+                burstAdmitted = false;
         }
     }
 
@@ -549,7 +591,14 @@ struct PredictionServer::Impl
         }
     }
 
-    void
+    /** What one handleReadable call did, for the loop's burst state. */
+    struct ReadOutcome
+    {
+        std::size_t admitted = 0; ///< requests pushed to the ring
+        bool budgetSpent = false; ///< stopped with data likely unread
+    };
+
+    ReadOutcome
     handleReadable(const std::shared_ptr<Conn> &conn,
                    std::vector<std::uint8_t> &chunk,
                    std::vector<Pending> &admitted,
@@ -561,12 +610,14 @@ struct PredictionServer::Impl
 
         admitted.clear();
         reply.clear();
+        ReadOutcome out;
         bool closed = false;
         bool abuse = false;
         std::size_t frames = 0;
         const int fd = conn->fd.load();
 
-        for (int budget = kReadBudget; budget > 0; --budget) {
+        int budget = kReadBudget;
+        for (; budget > 0; --budget) {
             ssize_t n;
             const auto fa = testing::faultPoint("server.recv", chunk.size());
             if (fa.err) {
@@ -604,6 +655,7 @@ struct PredictionServer::Impl
             if (static_cast<std::size_t>(n) < chunk.size())
                 break; // likely drained; epoll re-reports otherwise
         }
+        out.budgetSpent = budget == 0;
 
         // Read-deadline bookkeeping (see sweep()): the clock resets
         // only when a frame completes or the buffer drains clean, and
@@ -618,7 +670,7 @@ struct PredictionServer::Impl
         // appends its OVERLOADED responses to the same reply buffer,
         // so the whole answer goes out in one gather write.
         if (!admitted.empty())
-            admitRequests(*conn, admitted, reply);
+            out.admitted = admitRequests(*conn, admitted, reply);
         if (!reply.empty() && !abuse &&
             conn->open.load(std::memory_order_relaxed)) {
             const iovec iov{
@@ -627,15 +679,17 @@ struct PredictionServer::Impl
         }
         if (closed)
             dropConn(*conn);
+        return out;
     }
 
     /**
      * Push parsed PREDICT requests into the admission ring, bounded by
      * maxPending (and by the ring's own capacity); overflow is
      * answered OVERLOADED right here instead of buffered without
-     * limit.
+     * limit. Returns the number pushed; the io loop wakes the
+     * collector once per pass, not per connection.
      */
-    void
+    std::size_t
     admitRequests(Conn &conn, std::vector<Pending> &admitted,
                   std::vector<std::uint8_t> &reply)
     {
@@ -666,8 +720,7 @@ struct PredictionServer::Impl
                 conn.inflight.fetch_sub(1, std::memory_order_relaxed);
             }
         }
-        if (accepted > 0)
-            wakeCollector();
+        return accepted;
     }
 
     void
@@ -778,6 +831,15 @@ struct PredictionServer::Impl
         std::vector<iovec> iov;
     };
 
+    bool
+    anyLoopMidBurst() const
+    {
+        for (const auto &lp : loops)
+            if (lp->midBurst.load(std::memory_order_acquire))
+                return true;
+        return false;
+    }
+
     /** Pop everything available, up to @p room more entries. */
     std::size_t
     drainRing(std::vector<Pending> &batch, std::size_t room)
@@ -822,18 +884,25 @@ struct PredictionServer::Impl
                     ::poll(&pf, 1, -1);
                 drainWakeFd(collectorWakeFd);
             }
-            // Admission window: wait for stragglers of the burst;
-            // maxBatch pending closes the window early. ppoll keeps
-            // the sub-millisecond window of the old condition-variable
-            // collector.
+            // Admission window: gather the rest of the burst, and
+            // submit as soon as it has been read — the ring is drained
+            // and no io loop is mid-burst. maxBatch pending and the
+            // batchWindowUs deadline only bound the wait. ppoll keeps
+            // the sub-millisecond deadline.
             if (opts.batchWindowUs > 0) {
                 const auto deadline =
                     Clock::now() +
                     std::chrono::microseconds(opts.batchWindowUs);
                 while (batch.size() < cap &&
                        !stopping.load(std::memory_order_acquire)) {
+                    // Read the burst state before draining (see
+                    // Loop::midBurst): a loop that is idle here has
+                    // already pushed every request of its burst.
+                    const bool reading = anyLoopMidBurst();
                     if (drainRing(batch, cap - batch.size()) > 0)
                         continue;
+                    if (!reading)
+                        break;
                     const auto now = Clock::now();
                     if (now >= deadline)
                         break;

@@ -17,9 +17,10 @@
  *            |
  *            v
  *   admission ring  --  collector thread drains the ring, groups
- *                       requests for up to batchWindowUs or until
- *                       maxBatch are pending, orders them arch-major,
- *                       and submits ONE engine batch
+ *                       requests until the burst has been read (ring
+ *                       empty, no io loop mid-burst) -- batchWindowUs
+ *                       and maxBatch only bound the wait -- orders
+ *                       them arch-major, and submits ONE engine batch
  *            |
  *            v
  *   PredictionEngine (worker pool, sharded two-generation caches,
@@ -67,14 +68,19 @@ struct ServerOptions
     std::string tcpHost = "127.0.0.1";
 
     /**
-     * Admission window in microseconds: after the first request of a
-     * batch arrives, the collector waits up to this long for more
-     * before submitting, so bursts coalesce into one engine fan-out.
-     * 0 submits whatever is pending immediately.
+     * Upper bound on the admission window, in microseconds. After the
+     * first request of a batch arrives, the collector keeps gathering
+     * until the burst has been read: the ring is empty and no io loop
+     * is mid-burst, i.e. still reading a connection that used up its
+     * read budget in the last pass. So a burst coalesces into one
+     * engine fan-out, while a lone request is submitted at once
+     * instead of waiting out the window. The window never stays open
+     * longer than this. 0 submits whatever is pending immediately,
+     * without waiting for the rest of a burst.
      */
     int batchWindowUs = 200;
 
-    /** Admission batch size that closes the window early. */
+    /** Admission batch size that closes the window early (a bound). */
     std::size_t maxBatch = 1024;
 
     /**

@@ -14,8 +14,10 @@
 #include <sys/uio.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <numeric>
 #include <optional>
@@ -372,6 +374,81 @@ TEST_F(FaultTest, ServerSurvivesEintrOnAcceptEpollRecvAndCollectorPoll)
     expectBitIdentical(client.predictMany(reqs), expected);
     EXPECT_EQ(testing::faultsFired("server.accept"), 2u);
     EXPECT_GE(testing::faultsFired("server.recv"), reqs.size());
+}
+
+TEST_F(FaultTest, CollectorEintrNeitherSplitsABurstNorSpins)
+{
+    SKIP_WITHOUT_FAULT_INJECTION();
+    ServerOptions o;
+    o.batchWindowUs = 200000;
+    Loopback lb(o);
+    const auto reqs = smallBatch();
+    const auto expected = serialBatch(reqs);
+    auto control = Client::connectUnix(lb.opts.unixPath);
+    auto a = Client::connectUnix(lb.opts.unixPath);
+    auto b = Client::connectUnix(lb.opts.unixPath);
+    a.ping();
+    b.ping();
+
+    // Every collector poll fails with EINTR while armed, so the idle
+    // collector busy-retries and pops requests while the io loop is
+    // still admitting them. EINTR must neither end the window early
+    // nor stretch it to the 200 ms deadline.
+    testing::armFault("server.collector_poll",
+                      {.firstHit =
+                           testing::faultHits("server.collector_poll"),
+                       .count = UINT64_MAX, .err = EINTR});
+    auto best = std::chrono::steady_clock::duration::max();
+    for (int i = 0; i < 3; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        expectBitIdentical(control.predictMany({reqs.front()}),
+                           {expected.front()});
+        best = std::min(best, std::chrono::steady_clock::now() - t0);
+    }
+    EXPECT_LT(best, std::chrono::milliseconds(50));
+
+    // Two 64-frame bursts on two connections, read in ONE io-loop
+    // pass: an EINTR storm on epoll_wait keeps the loop from reading
+    // until both have been sent. The collector pops the first
+    // connection's requests while the second is still being read, and
+    // must still submit all 128 as one batch.
+    std::vector<engine::Request> burst;
+    std::vector<model::Prediction> burstExpected;
+    for (std::size_t i = 0; burst.size() < 64; ++i) {
+        burst.push_back(reqs[i % reqs.size()]);
+        burstExpected.push_back(expected[i % reqs.size()]);
+    }
+    const ServerStats before = control.stats();
+    testing::armFault("server.epoll",
+                      {.firstHit = testing::faultHits("server.epoll"),
+                       .count = UINT64_MAX, .err = EINTR});
+    // The ping ends the loop's current wait, so the storm starts now;
+    // it is answered before the storm or in the pass after it.
+    std::thread waker([&] { control.ping(); });
+    while (testing::faultsFired("server.epoll") == 0)
+        std::this_thread::yield();
+    std::thread ta([&] {
+        expectBitIdentical(a.predictMany(burst), burstExpected);
+    });
+    std::thread tb([&] {
+        expectBitIdentical(b.predictMany(burst), burstExpected);
+    });
+    std::this_thread::sleep_for(std::chrono::milliseconds(100));
+    testing::disarmFault("server.epoll");
+    waker.join();
+    ta.join();
+    tb.join();
+    const ServerStats after = control.stats();
+    EXPECT_EQ(after.batches - before.batches, 1u);
+    EXPECT_EQ(after.maxBatch, 128u);
+    EXPECT_GT(testing::faultsFired("server.collector_poll"), 0u);
+
+    // Once the faults stop, the idle collector blocks in poll again.
+    testing::disarmFault("server.collector_poll");
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const auto idleHits = testing::faultHits("server.collector_poll");
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    EXPECT_EQ(testing::faultHits("server.collector_poll"), idleHits);
 }
 
 TEST_F(FaultTest, ChaosEintrAndShortIoEverywhereStaysBitIdentical)

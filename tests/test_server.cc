@@ -12,6 +12,7 @@
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -400,7 +401,9 @@ TEST(ServerLimits, InFlightQuotaAnswersOverloadedAndRecovers)
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.maxInFlightPerConn = 2;
-    opts.batchWindowUs = 200000; // park admitted requests for 200ms
+    // A long bound on the window; the six frames arrive in one send
+    // and are parsed in one pass, before any of them is answered.
+    opts.batchWindowUs = 200000;
     engine::PredictionEngine eng({.numThreads = 1});
     opts.engine = &eng;
     PredictionServer server(opts);
@@ -410,8 +413,8 @@ TEST(ServerLimits, InFlightQuotaAnswersOverloadedAndRecovers)
     engine::Request req{b.bytesU, uarch::UArch::SKL, false, {}};
 
     // Six pipelined requests against a quota of two: the four beyond
-    // the quota are answered Overloaded while the admitted two park in
-    // the admission window; all six get a response on one connection.
+    // the quota are answered Overloaded while the admitted two are
+    // still in flight; all six get a response on one connection.
     int fd = rawConnectUnix(opts.unixPath);
     std::vector<std::uint8_t> frames;
     for (std::uint64_t id = 1; id <= 6; ++id)
@@ -453,7 +456,9 @@ TEST(ServerLimits, BoundedQueueShedsExcessAndServesTheRest)
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
     opts.maxPending = 3;
-    opts.batchWindowUs = 200000; // hold the queue full for 200ms
+    // A long bound on the window; the eight frames are admitted in one
+    // pass, so the queue is full before the collector submits any.
+    opts.batchWindowUs = 200000;
     engine::PredictionEngine eng({.numThreads = 1});
     opts.engine = &eng;
     PredictionServer server(opts);
@@ -592,9 +597,9 @@ TEST(ServerEventLoop, ByteAtATimeRequestsServeBitIdentical)
 TEST(ServerEventLoop, CoalescedFloodShedsExactlyAndSurvivorsBitIdentical)
 {
     // 40 frames coalesced into ONE send against an admission bound of
-    // 16 held open by a long window: the server must read the burst in
-    // as few recvs as the kernel delivers, admit exactly the bound
-    // through the ring, shed the rest with OVERLOADED, and the
+    // 16, all parsed in one io-loop pass: the server must read the
+    // burst in as few recvs as the kernel delivers, admit exactly the
+    // bound through the ring, shed the rest with OVERLOADED, and the
     // surviving predictions must be bit-identical to serial.
     ServerOptions opts;
     opts.unixPath = freshUnixPath();
@@ -718,6 +723,69 @@ TEST(ServerEventLoop, StatsCountersTravelTheWire)
     // the payload.
     EXPECT_GE(s.epollWakeups, 1u);
     EXPECT_EQ(s.ringFull, 0u);
+    server.stop();
+}
+
+// ---- admission window: closes once the burst has been read ---------------
+
+TEST(ServerWindow, LonePredictDoesNotWaitOutTheWindow)
+{
+    // A collector that waited out its deadline would hold each lone
+    // request for the whole 200 ms window. The window closes as soon
+    // as the io loop has read the burst, so a lone request costs one
+    // engine pass. Best of three, so that one scheduling stall on a
+    // loaded host cannot fail the test.
+    ServerOptions opts;
+    opts.unixPath = freshUnixPath();
+    opts.batchWindowUs = 200000;
+    engine::PredictionEngine eng({.numThreads = 1});
+    opts.engine = &eng;
+    PredictionServer server(opts);
+    server.start();
+
+    const auto &b = suite().front();
+    engine::Request req{b.bytesU, uarch::UArch::SKL, false, {}};
+    const Prediction expect = serialPredict(req);
+    auto client = Client::connectUnix(opts.unixPath);
+    auto best = std::chrono::steady_clock::duration::max();
+    for (int i = 0; i < 3; ++i) {
+        const auto t0 = std::chrono::steady_clock::now();
+        EXPECT_TRUE(bitIdentical(
+            client.predict(req.bytes, req.arch, req.loop), expect));
+        best = std::min(best, std::chrono::steady_clock::now() - t0);
+    }
+    EXPECT_LT(best, std::chrono::milliseconds(50));
+    server.stop();
+}
+
+TEST(ServerWindow, BurstInOneSendIsOneEngineBatch)
+{
+    // Closing the window early must not split a burst: predictMany
+    // writes its 64 frames in one send, the io loop reads them in one
+    // pass, and the collector submits them as exactly one batch.
+    ServerOptions opts;
+    opts.unixPath = freshUnixPath();
+    engine::PredictionEngine eng({.numThreads = 2});
+    opts.engine = &eng;
+    PredictionServer server(opts);
+    server.start();
+
+    std::vector<engine::Request> reqs;
+    for (std::size_t i = 0; reqs.size() < 64; ++i) {
+        const auto &b = suite()[i % suite().size()];
+        reqs.push_back({i % 2 ? b.bytesL : b.bytesU, uarch::UArch::SKL,
+                        i % 2 == 1, {}});
+    }
+    auto client = Client::connectUnix(opts.unixPath);
+    const ServerStats before = client.stats();
+    const auto out = client.predictMany(reqs);
+    const ServerStats after = client.stats();
+
+    ASSERT_EQ(out.size(), reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        EXPECT_TRUE(bitIdentical(out[i], serialPredict(reqs[i])));
+    EXPECT_EQ(after.batches - before.batches, 1u);
+    EXPECT_EQ(after.maxBatch, 64u);
     server.stop();
 }
 

@@ -1,7 +1,7 @@
 /**
  * @file
  * Unit tests for the support library: math helpers, accuracy metrics,
- * and the deterministic RNG.
+ * the deterministic RNG, and strict numeric command-line values.
  */
 #include <gtest/gtest.h>
 
@@ -11,6 +11,7 @@
 #include <limits>
 #include <numeric>
 
+#include "support/cli.h"
 #include "support/math_util.h"
 #include "support/rng.h"
 #include "support/stats.h"
@@ -280,6 +281,49 @@ TEST(Rng, UniformInUnitInterval)
         sum += u;
     }
     EXPECT_NEAR(sum / 1000.0, 0.5, 0.05);
+}
+
+TEST(Cli, ParseIntArgAcceptsWholeNumbersInRange)
+{
+    int i = -7;
+    EXPECT_TRUE(parseIntArg("200", i, 0));
+    EXPECT_EQ(i, 200);
+    EXPECT_TRUE(parseIntArg("0", i, 0, 10));
+    EXPECT_EQ(i, 0);
+    EXPECT_TRUE(parseIntArg("-3", i, -5, 5));
+    EXPECT_EQ(i, -3);
+    std::size_t z = 0;
+    EXPECT_TRUE(parseIntArg("18446744073709551615", z, 0));
+    EXPECT_EQ(z, std::numeric_limits<std::size_t>::max());
+}
+
+TEST(Cli, ParseIntArgRejectsGarbageAndLeavesTheValue)
+{
+    int i = 42;
+    for (const char *bad : {"abc", "x", "", " 5", "5 ", "+5", "5x", "0x10",
+                            "1e3", "1.5", "--1"})
+        EXPECT_FALSE(parseIntArg(bad, i, 0)) << "'" << bad << "'";
+    EXPECT_FALSE(parseIntArg(nullptr, i, 0));
+    EXPECT_EQ(i, 42);
+}
+
+TEST(Cli, ParseIntArgRejectsNegativesAndOutOfRange)
+{
+    // The atoll bugs this replaces: -1 wrapped to SIZE_MAX, and values
+    // past the type's range were silently truncated.
+    std::size_t z = 7;
+    EXPECT_FALSE(parseIntArg("-1", z, 0));
+    EXPECT_FALSE(parseIntArg("18446744073709551616", z, 0));
+    EXPECT_EQ(z, 7u);
+
+    int i = 7;
+    EXPECT_FALSE(parseIntArg("-1", i, 0));
+    EXPECT_FALSE(parseIntArg("2147483648", i, 0));
+    EXPECT_FALSE(parseIntArg("65536", i, 0, 65535));
+    EXPECT_FALSE(parseIntArg("0", i, 1, 1024));
+    EXPECT_EQ(i, 7);
+    EXPECT_TRUE(parseIntArg("65535", i, 0, 65535));
+    EXPECT_EQ(i, 65535);
 }
 
 } // namespace
