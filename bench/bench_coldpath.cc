@@ -102,23 +102,27 @@ startupProbe(const char *snapshotPath)
 }
 
 /**
- * Child mode (--startup-probe-loadonly SNAPSHOT): the load-cost half
- * of the v1-vs-v2 format comparison. Times only the snapshot load and
- * the first single-block prediction after it — the quantity the
- * mmap-native v2 format optimizes (O(pages touched) instead of
- * O(records)) — and prints the load mode the loader actually took
- * plus a bit-exact digest of that prediction.
+ * Child mode (--startup-probe-loadonly SNAPSHOT [eager]): the
+ * load-cost half of the mmap-vs-eager load comparison. Times only the
+ * snapshot load and the first single-block prediction after it — the
+ * quantity the mmap bind optimizes (O(pages touched) instead of the
+ * eager parse's O(records)) — and prints the load mode the loader
+ * actually took plus a bit-exact digest of that prediction. With
+ * `eager` the load forces SnapshotOptions::eagerLoad.
  */
 int
-startupProbeLoadOnly(const char *snapshotPath)
+startupProbeLoadOnly(const char *snapshotPath, bool eager)
 {
     engine::PredictionEngine::Options opts;
     opts.numThreads = 1;
     engine::PredictionEngine eng(opts);
 
+    analysis::SnapshotOptions so;
+    so.engine = &eng;
+    so.eagerLoad = eager;
     const auto t0 = std::chrono::steady_clock::now();
     const analysis::SnapshotStats ss =
-        analysis::loadSnapshot(snapshotPath, {&eng});
+        analysis::loadSnapshot(snapshotPath, so);
     const auto t1 = std::chrono::steady_clock::now();
     const double loadMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
@@ -164,12 +168,12 @@ runStartupProbe(const char *argv0, const std::string &snapshotArg,
 /** Run one --startup-probe-loadonly child and parse its LOADONLY line. */
 bool
 runLoadOnlyProbe(const char *argv0, const std::string &snapshotPath,
-                 double &loadMs, double &firstMs, int &loadMode,
-                 std::uint64_t &digest)
+                 bool eager, double &loadMs, double &firstMs,
+                 int &loadMode, std::uint64_t &digest)
 {
     const std::string cmd = std::string("'") + argv0 +
                             "' --startup-probe-loadonly '" +
-                            snapshotPath + "'";
+                            snapshotPath + "'" + (eager ? " eager" : "");
     std::FILE *p = ::popen(cmd.c_str(), "r");
     if (!p)
         return false;
@@ -195,7 +199,8 @@ main(int argc, char **argv)
         return startupProbe(argv[2]);
     if (argc >= 3 &&
         std::strcmp(argv[1], "--startup-probe-loadonly") == 0)
-        return startupProbeLoadOnly(argv[2]);
+        return startupProbeLoadOnly(
+            argv[2], argc >= 4 && std::strcmp(argv[3], "eager") == 0);
 
     const auto &suite = bench::evalSuite();
     const uarch::UArch arch = uarch::UArch::SKL;
@@ -459,38 +464,35 @@ main(int argc, char **argv)
     // describing the timed rounds above.
     const analysis::InternStats st = analysis::InstInterner::statsAllArchs();
 
-    // Snapshot v2 vs v1 load cost, in fresh child processes: v1 pays a
-    // record-by-record parse (O(records)); v2 mmaps the image and
-    // materializes records on first touch (O(pages touched)). Each
-    // format is probed best-of-3 with a load-only child that times the
-    // load plus the first single-block prediction, and the two
-    // children's first predictions must be bit-identical. A second
-    // pair of probes against a synthetically ~100x larger instruction
-    // universe (distinct MOV r32,imm32 encodings, SKL only; ~10x in
-    // quick mode) checks that the v2 load cost stays roughly flat
-    // while v1 scales with the record count.
-    double v1LoadMs = 0.0, v2LoadMs = 0.0, v2FirstMs = 0.0;
-    double v1Load100Ms = 0.0, v2Load100Ms = 0.0, universeScale = 0.0;
+    // Snapshot mmap vs eager load cost, in fresh child processes: the
+    // eager load parses every record (O(records)); the default load
+    // mmaps the image and materializes records on first touch
+    // (O(pages touched)). Each mode is probed best-of-3 with a
+    // load-only child that times the load plus the first single-block
+    // prediction, and the two children's first predictions must be
+    // bit-identical. A second pair of probes against a synthetically
+    // ~100x larger instruction universe (distinct MOV r32,imm32
+    // encodings, SKL only; ~10x in quick mode) checks that the mmap
+    // load cost stays roughly flat while the eager load scales with
+    // the record count.
+    double eagerLoadMs = 0.0, v2LoadMs = 0.0, v2FirstMs = 0.0;
+    double eagerLoad100Ms = 0.0, v2Load100Ms = 0.0, universeScale = 0.0;
     double v2LoadSpeedup = 0.0;
     bool v2Measured = false, v2Measured100 = false;
     bool v2Sublinear = false, v2FirstIdentical = false;
     {
-        const std::string pid = std::to_string(::getpid());
-        const std::string pathV1 = "facile_loadprobe_v1_" + pid + ".snap";
-        const std::string pathV2 = "facile_loadprobe_v2_" + pid + ".snap";
+        const std::string pathV2 =
+            "facile_loadprobe_v2_" + std::to_string(::getpid()) + ".snap";
         // generations=1: plain atomic replace, nothing rotated to clean.
-        const analysis::SnapshotOptions v1Opts{
-            nullptr, 1, analysis::SnapshotFormat::V1};
-        const analysis::SnapshotOptions v2Opts{
-            nullptr, 1, analysis::SnapshotFormat::V2};
-        auto bestOf = [&](const std::string &snap, double &loadMs,
-                          double &firstMs, int &mode,
-                          std::uint64_t &digest) {
+        const analysis::SnapshotOptions v2Opts{nullptr, 1};
+        auto bestOf = [&](bool eager, double &loadMs, double &firstMs,
+                          int &mode, std::uint64_t &digest) {
             loadMs = firstMs = 1e300;
             bool ok = false;
             for (int i = 0; i < 3; ++i) {
                 double l = 0.0, f = 0.0;
-                if (runLoadOnlyProbe(argv[0], snap, l, f, mode, digest)) {
+                if (runLoadOnlyProbe(argv[0], pathV2, eager, l, f, mode,
+                                     digest)) {
                     ok = true;
                     loadMs = std::min(loadMs, l);
                     firstMs = std::min(firstMs, f);
@@ -506,31 +508,30 @@ main(int argc, char **argv)
             return n;
         };
         try {
-            analysis::saveSnapshot(pathV1, v1Opts);
             analysis::saveSnapshot(pathV2, v2Opts);
-            int v1Mode = 0, v2Mode = 0;
-            std::uint64_t v1Digest = 0, v2Digest = 1;
-            double v1FirstMs = 0.0;
-            v2Measured = bestOf(pathV1, v1LoadMs, v1FirstMs, v1Mode,
-                                v1Digest) &&
-                         bestOf(pathV2, v2LoadMs, v2FirstMs, v2Mode,
+            int eagerMode = 0, v2Mode = 0;
+            std::uint64_t eagerDigest = 0, v2Digest = 1;
+            double eagerFirstMs = 0.0;
+            v2Measured = bestOf(true, eagerLoadMs, eagerFirstMs,
+                                eagerMode, eagerDigest) &&
+                         bestOf(false, v2LoadMs, v2FirstMs, v2Mode,
                                 v2Digest);
             if (v2Measured) {
-                v2FirstIdentical = v1Digest == v2Digest;
-                v2LoadSpeedup = v1LoadMs / std::max(v2LoadMs, 1e-3);
+                v2FirstIdentical = eagerDigest == v2Digest;
+                v2LoadSpeedup = eagerLoadMs / std::max(v2LoadMs, 1e-3);
                 std::printf(
-                    "snapshot load (fresh process): v1 parse %.3f ms vs "
+                    "snapshot load (fresh process): v2 eager %.3f ms vs "
                     "v2 mmap %.3f ms + first predict %.3f ms = %.2fx "
                     "load speedup\n",
-                    v1LoadMs, v2LoadMs, v2FirstMs, v2LoadSpeedup);
+                    eagerLoadMs, v2LoadMs, v2FirstMs, v2LoadSpeedup);
                 if (v2Mode !=
                     static_cast<int>(analysis::SnapshotLoadMode::MmapV2))
                     std::printf("note: v2 probe took load mode %d, not "
                                 "the mmap path\n",
                                 v2Mode);
                 if (!v2FirstIdentical) {
-                    std::printf("first-predict bit identity (v1 vs v2 "
-                                "children): NO\n");
+                    std::printf("first-predict bit identity (eager vs "
+                                "mmap children): NO\n");
                     identical = false;
                 }
             }
@@ -558,39 +559,39 @@ main(int argc, char **argv)
                            static_cast<double>(base)
                      : 0.0;
 
-            analysis::saveSnapshot(pathV1, v1Opts);
             analysis::saveSnapshot(pathV2, v2Opts);
             int m1 = 0, m2 = 0;
             std::uint64_t d1 = 0, d2 = 0;
             double f1 = 0.0, f2 = 0.0;
-            v2Measured100 = bestOf(pathV1, v1Load100Ms, f1, m1, d1) &&
-                            bestOf(pathV2, v2Load100Ms, f2, m2, d2);
+            v2Measured100 = bestOf(true, eagerLoad100Ms, f1, m1, d1) &&
+                            bestOf(false, v2Load100Ms, f2, m2, d2);
             if (v2Measured && v2Measured100) {
-                const double v1Growth =
-                    v1Load100Ms / std::max(v1LoadMs, 1e-3);
+                const double eagerGrowth =
+                    eagerLoad100Ms / std::max(eagerLoadMs, 1e-3);
                 const double v2Growth =
                     v2Load100Ms / std::max(v2LoadMs, 1e-3);
                 // Sublinear gate: scaling the universe ~100x must grow
-                // the v2 load cost by well under half of v1's growth
-                // factor on the same machine in the same run.
-                v2Sublinear = v2Growth < v1Growth / 2.0;
+                // the mmap load cost by well under half of the eager
+                // load's growth factor on the same machine in the same
+                // run.
+                v2Sublinear = v2Growth < eagerGrowth / 2.0;
                 std::printf(
-                    "synthetic %.0fx universe: v1 parse %.3f ms (%.1fx "
-                    "growth) vs v2 mmap %.3f ms (%.1fx growth) -> v2 "
+                    "synthetic %.0fx universe: v2 eager %.3f ms (%.1fx "
+                    "growth) vs v2 mmap %.3f ms (%.1fx growth) -> mmap "
                     "load scaling %s\n",
-                    universeScale, v1Load100Ms, v1Growth, v2Load100Ms,
-                    v2Growth,
+                    universeScale, eagerLoad100Ms, eagerGrowth,
+                    v2Load100Ms, v2Growth,
                     v2Sublinear ? "sublinear" : "NOT sublinear");
             }
             if (!v2Measured || !v2Measured100)
                 std::printf("note: load-only probe children failed; "
-                            "skipping the rest of the v1-vs-v2 load "
-                            "round\n");
+                            "skipping the rest of the mmap-vs-eager "
+                            "load round\n");
         } catch (const analysis::SnapshotError &e) {
-            std::printf("note: %s; skipping the v1-vs-v2 load round\n",
+            std::printf("note: %s; skipping the mmap-vs-eager load "
+                        "round\n",
                         e.what());
         }
-        std::remove(pathV1.c_str());
         std::remove(pathV2.c_str());
     }
     const double hitRate = st.hitRate();
@@ -649,7 +650,7 @@ main(int argc, char **argv)
         report.boolean("warm_bit_identical", warmIdentical);
     }
     if (v2Measured) {
-        report.scalar("snapshot_v1_parse_load_ms", v1LoadMs);
+        report.scalar("snapshot_v2_eager_load_ms", eagerLoadMs);
         report.scalar("snapshot_v2_mmap_load_ms", v2LoadMs);
         report.scalar("snapshot_v2_first_predict_ms", v2FirstMs);
         report.scalar("v2_load_speedup", v2LoadSpeedup);
@@ -658,11 +659,11 @@ main(int argc, char **argv)
     }
     if (v2Measured && v2Measured100) {
         report.scalar("universe_scale", universeScale);
-        report.scalar("snapshot_v1_load_100x_ms", v1Load100Ms);
+        report.scalar("snapshot_v2_eager_load_100x_ms", eagerLoad100Ms);
         report.scalar("snapshot_v2_load_100x_ms", v2Load100Ms);
         report.boolean("v2_load_sublinear", v2Sublinear);
         report.row("snapshot_load_100x");
-        report.metric("v1_parse_ms", v1Load100Ms);
+        report.metric("v2_eager_ms", eagerLoad100Ms);
         report.metric("v2_mmap_ms", v2Load100Ms);
     }
     report.boolean("bit_identical", identical);

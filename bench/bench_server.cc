@@ -495,8 +495,7 @@ main()
             cl.predictMany(batch);
             const std::vector<std::uint8_t> wire = cl.fetchSnapshot();
             const std::vector<std::uint8_t> local =
-                analysis::saveSnapshotToMemory(
-                    {&bootEngine, 1, analysis::SnapshotFormat::V2});
+                analysis::saveSnapshotToMemory({&bootEngine, 1});
             if (wire != local) {
                 std::fprintf(stderr, "wire snapshot differs from local "
                                      "save (%zu vs %zu bytes)\n",

@@ -9,7 +9,7 @@
  *                 [--read-timeout-ms N] [--max-connections N]
  *                 [--max-pending N] [--max-inflight N]
  *                 [--snapshot-load FILE] [--snapshot-save FILE]
- *                 [--snapshot-format v1|v2] [--drain-grace-ms N]
+ *                 [--drain-grace-ms N]
  *
  * --threads sizes the engine worker pool; --io-threads the epoll
  * reader loops (1 is right until the reader side itself saturates a
@@ -46,11 +46,8 @@
  * admin frame (server::Client::snapshot()), and once more on clean
  * shutdown. Saves are atomic (temp + fsync + rename), so a crash
  * never leaves the destination unloadable. Point both flags at the
- * same file for crash-restart round trips. --snapshot-format picks
- * the image written by saves: v2 (default) is the mmap-native
- * sectioned image restarts bind in O(pages touched); v1 is the
- * legacy streaming format for rollback to older binaries (loads
- * accept both, whatever the flag says).
+ * same file for crash-restart round trips. Saves write the mmap-native
+ * sectioned image, which restarts bind in O(pages touched).
  */
 #include <atomic>
 #include <chrono>
@@ -114,7 +111,7 @@ usage(const char *argv0)
                  "       [--read-timeout-ms N] [--max-connections N] "
                  "[--max-pending N] [--max-inflight N]\n"
                  "       [--snapshot-load FILE] [--snapshot-save FILE] "
-                 "[--snapshot-format v1|v2] [--drain-grace-ms N]\n",
+                 "[--drain-grace-ms N]\n",
                  argv0);
     return 2;
 }
@@ -188,16 +185,6 @@ main(int argc, char **argv)
             if (!v)
                 return usage(argv[0]);
             opts.snapshotPath = v;
-        } else if (arg == "--snapshot-format") {
-            const char *v = next();
-            if (!v)
-                return usage(argv[0]);
-            if (std::string(v) == "v1")
-                opts.snapshotFormat = analysis::SnapshotFormat::V1;
-            else if (std::string(v) == "v2")
-                opts.snapshotFormat = analysis::SnapshotFormat::V2;
-            else
-                return usage(argv[0]);
         } else if (arg == "--drain-grace-ms") {
             if (!num(drainGraceMs, 0, kIntMax))
                 return 1;

@@ -92,33 +92,18 @@ main(int argc, char **argv)
         writeSeed(out / "protocol", "snapshot_bytewise", tiny);
     }
 
-    // ---- snapshot: real saved images, both formats -------------------------
-    // The same seeds feed the snaptool harness (model parse + rebuild).
+    // ---- snapshot: a real saved image --------------------------------------
+    // The same seed feeds the snaptool harness (model parse + rebuild).
     {
         // Populate the intern arenas so the snapshot has sections.
         for (const auto &b : suite) {
             bb::analyze(b.bytesU, uarch::UArch::SKL);
             bb::analyze(b.bytesL, uarch::UArch::HSW);
         }
-        const fs::path tmp = out / "snapshot.tmp";
-        auto save = [&](analysis::SnapshotFormat fmt) {
-            analysis::saveSnapshot(tmp.string(), {.format = fmt});
-            std::ifstream in(tmp, std::ios::binary);
-            std::vector<std::uint8_t> img(
-                (std::istreambuf_iterator<char>(in)),
-                std::istreambuf_iterator<char>());
-            return img;
-        };
-        const std::vector<std::uint8_t> v1 =
-            save(analysis::SnapshotFormat::V1);
-        const std::vector<std::uint8_t> v2 =
-            save(analysis::SnapshotFormat::V2);
-        fs::remove(tmp);
-        fs::remove(tmp.string() + ".g1"); // second save rotated the first
-        writeSeed(out / "snapshot", "two_arch_image", v1);
-        writeSeed(out / "snapshot", "two_arch_image_v2", v2);
-        writeSeed(out / "snaptool", "two_arch_image_v1", v1);
-        writeSeed(out / "snaptool", "two_arch_image_v2", v2);
+        const std::vector<std::uint8_t> img =
+            analysis::saveSnapshotToMemory();
+        writeSeed(out / "snapshot", "two_arch_image_v2", img);
+        writeSeed(out / "snaptool", "two_arch_image_v2", img);
     }
 
     // ---- corpus: a closed two-record file ----------------------------------

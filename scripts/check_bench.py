@@ -63,10 +63,10 @@ REFERENCE_ROW = {
 # (serial_interned vs serial_fresh) instead. The two snapshot-v2 load
 # gates are the exception that proves the rule: they compare
 # order-of-magnitude structural effects measured in the same run on
-# the same machine (v2 mmap bind vs v1 record parse must stay >= 5x,
-# and scaling the record universe ~100x must grow the v2 load cost by
-# well under half of v1's growth), so a flip means the mmap path
-# broke, not that the runner was busy.
+# the same machine (v2 mmap bind vs the eager v2 record parse must
+# stay >= 5x, and scaling the record universe ~100x must grow the mmap
+# load cost by well under half of the eager load's growth), so a flip
+# means the mmap path broke, not that the runner was busy.
 BOOLEAN_GATES = [
     "bit_identical",
     "warm_bit_identical",

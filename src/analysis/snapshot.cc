@@ -25,10 +25,8 @@ namespace facile::analysis {
 
 namespace {
 
-constexpr char kMagic[8] = {'F', 'A', 'C', 'S', 'N', 'A', 'P', '\n'};
 constexpr char kMagicV2[8] = {'F', 'A', 'C', 'S', 'N', 'P', '2', '\n'};
-constexpr std::size_t kHeaderSize = 32;   // v1
-constexpr std::size_t kHeaderSizeV2 = 64; // v2
+constexpr std::size_t kHeaderSizeV2 = 64;
 
 enum class SectionType : std::uint32_t {
     Records = 1,
@@ -39,20 +37,6 @@ enum class SectionType : std::uint32_t {
 // ---- append helpers (little-endian; the host is asserted little-
 // endian by the server protocol, and the snapshot shares that
 // assumption via memcpy codecs) ---------------------------------------------
-
-void
-putU8(std::vector<std::uint8_t> &out, std::uint8_t v)
-{
-    out.push_back(v);
-}
-
-void
-putU16(std::vector<std::uint8_t> &out, std::uint16_t v)
-{
-    const std::size_t n = out.size();
-    out.resize(n + 2);
-    std::memcpy(out.data() + n, &v, 2);
-}
 
 void
 putU32(std::vector<std::uint8_t> &out, std::uint32_t v)
@@ -70,26 +54,6 @@ putU64(std::vector<std::uint8_t> &out, std::uint64_t v)
     std::memcpy(out.data() + n, &v, 8);
 }
 
-void
-putI32(std::vector<std::uint8_t> &out, std::int32_t v)
-{
-    putU32(out, static_cast<std::uint32_t>(v));
-}
-
-void
-putI64(std::vector<std::uint8_t> &out, std::int64_t v)
-{
-    putU64(out, static_cast<std::uint64_t>(v));
-}
-
-void
-putF64(std::vector<std::uint8_t> &out, double v)
-{
-    std::uint64_t bits;
-    std::memcpy(&bits, &v, 8);
-    putU64(out, bits);
-}
-
 /** Bounds-checked sequential reader; every overrun is a SnapshotError. */
 struct Reader
 {
@@ -102,23 +66,6 @@ struct Reader
     {
         if (size - pos < n)
             throw SnapshotError("truncated data");
-    }
-
-    std::uint8_t
-    u8()
-    {
-        need(1);
-        return data[pos++];
-    }
-
-    std::uint16_t
-    u16()
-    {
-        need(2);
-        std::uint16_t v;
-        std::memcpy(&v, data + pos, 2);
-        pos += 2;
-        return v;
     }
 
     std::uint32_t
@@ -141,18 +88,6 @@ struct Reader
         return v;
     }
 
-    std::int32_t i32() { return static_cast<std::int32_t>(u32()); }
-    std::int64_t i64() { return static_cast<std::int64_t>(u64()); }
-
-    double
-    f64()
-    {
-        const std::uint64_t bits = u64();
-        double v;
-        std::memcpy(&v, &bits, 8);
-        return v;
-    }
-
     const std::uint8_t *
     bytes(std::size_t n)
     {
@@ -162,80 +97,6 @@ struct Reader
         return p;
     }
 };
-
-// ---- isa/uops sub-codecs ---------------------------------------------------
-
-void
-encodeReg(std::vector<std::uint8_t> &out, const isa::Reg &r)
-{
-    putU8(out, static_cast<std::uint8_t>(r.cls));
-    putU8(out, r.idx);
-}
-
-isa::Reg
-decodeReg(Reader &rd)
-{
-    isa::Reg r;
-    const std::uint8_t cls = rd.u8();
-    if (cls > static_cast<std::uint8_t>(isa::RegClass::Ymm))
-        throw SnapshotError("bad register class");
-    r.cls = static_cast<isa::RegClass>(cls);
-    r.idx = rd.u8();
-    return r;
-}
-
-void
-encodeOperand(std::vector<std::uint8_t> &out, const isa::Operand &op)
-{
-    putU8(out, static_cast<std::uint8_t>(op.kind));
-    switch (op.kind) {
-      case isa::Operand::Kind::Reg:
-        encodeReg(out, op.reg);
-        break;
-      case isa::Operand::Kind::Mem:
-        encodeReg(out, op.mem.base);
-        encodeReg(out, op.mem.index);
-        putU8(out, op.mem.scale);
-        putI32(out, op.mem.disp);
-        putU8(out, op.mem.width);
-        break;
-      case isa::Operand::Kind::Imm:
-        putI64(out, op.imm);
-        putU8(out, op.immWidth);
-        break;
-      case isa::Operand::Kind::None:
-        break;
-    }
-}
-
-isa::Operand
-decodeOperand(Reader &rd)
-{
-    isa::Operand op;
-    const std::uint8_t kind = rd.u8();
-    if (kind > static_cast<std::uint8_t>(isa::Operand::Kind::Imm))
-        throw SnapshotError("bad operand kind");
-    op.kind = static_cast<isa::Operand::Kind>(kind);
-    switch (op.kind) {
-      case isa::Operand::Kind::Reg:
-        op.reg = decodeReg(rd);
-        break;
-      case isa::Operand::Kind::Mem:
-        op.mem.base = decodeReg(rd);
-        op.mem.index = decodeReg(rd);
-        op.mem.scale = rd.u8();
-        op.mem.disp = rd.i32();
-        op.mem.width = rd.u8();
-        break;
-      case isa::Operand::Kind::Imm:
-        op.imm = rd.i64();
-        op.immWidth = rd.u8();
-        break;
-      case isa::Operand::Kind::None:
-        break;
-    }
-    return op;
-}
 
 // ---- Prediction codec (prediction-cache section) ---------------------------
 //
@@ -292,25 +153,6 @@ readFile(const std::string &path)
     return buf;
 }
 
-/**
- * Format sniff: read just the 8 magic bytes so the v2 path never
- * read()s the whole image (that would defeat the O(pages-touched)
- * warm start). Deliberately NOT behind the "snapshot.read" fault
- * site: v1 loads keep exactly one site consultation per generation
- * attempt, as the existing fault matrices pin.
- * @return 1 magic read, 0 file shorter than 8 bytes, -1 cannot open.
- */
-int
-readMagic8(const std::string &path, std::uint8_t out[8])
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return -1;
-    const bool ok = std::fread(out, 1, 8, f) == 8;
-    std::fclose(f);
-    return ok ? 1 : 0;
-}
-
 } // namespace
 
 std::string
@@ -328,180 +170,6 @@ fnv1a64(const std::uint8_t *data, std::size_t len, std::uint64_t seed)
         h *= 0x100000001b3ULL;
     }
     return h;
-}
-
-void
-InstRecordSnapshotCodec::encode(std::vector<std::uint8_t> &out,
-                                const InstRecord &rec)
-{
-    // DecodedInst.
-    putU16(out, static_cast<std::uint16_t>(rec.dec.inst.mnem));
-    putU8(out, static_cast<std::uint8_t>(rec.dec.inst.cc));
-    putU8(out, rec.dec.inst.nopLen);
-    putU8(out, static_cast<std::uint8_t>(rec.dec.inst.ops.size()));
-    for (const isa::Operand &op : rec.dec.inst.ops)
-        encodeOperand(out, op);
-    putU8(out, rec.dec.length);
-    putU8(out, rec.dec.opcodeOffset);
-    putU8(out, rec.dec.lcp ? 1 : 0);
-
-    // InstrInfo.
-    putI32(out, rec.info.fusedUops);
-    putI32(out, rec.info.issueUops);
-    putI32(out, rec.info.latency);
-    putI32(out, rec.info.nAvailableSimpleDecoders);
-    putU8(out, rec.info.needsComplexDecoder ? 1 : 0);
-    putU8(out, rec.info.macroFusible ? 1 : 0);
-    putU8(out, rec.info.eliminated ? 1 : 0);
-    putU16(out, static_cast<std::uint16_t>(rec.info.portUops.size()));
-    for (const uops::Uop &u : rec.info.portUops) {
-        putU16(out, u.ports);
-        putU8(out, static_cast<std::uint8_t>(u.kind));
-    }
-
-    // RwSets (value ids fit a byte: 0..33).
-    putU8(out, static_cast<std::uint8_t>(rec.rw.reads.size()));
-    for (int v : rec.rw.reads)
-        putU8(out, static_cast<std::uint8_t>(v));
-    putU8(out, static_cast<std::uint8_t>(rec.rw.writes.size()));
-    for (int v : rec.rw.writes)
-        putU8(out, static_cast<std::uint8_t>(v));
-    putU8(out, rec.rw.depBreaking ? 1 : 0);
-
-    // Dependence templates and port masks.
-    putU16(out, static_cast<std::uint16_t>(rec.depReads.size()));
-    for (const DepRead &d : rec.depReads) {
-        putI32(out, d.value);
-        putF64(out, d.latency);
-    }
-    putU16(out, static_cast<std::uint16_t>(rec.portMasks.size()));
-    for (uarch::PortMask m : rec.portMasks)
-        putU16(out, m);
-
-    // Scalars and inline dependence data (only the valid prefixes —
-    // slots past the counts are uninitialized by construction).
-    putU8(out, rec.stackOp ? 1 : 0);
-    putU8(out, rec.depBreaking ? 1 : 0);
-    putU8(out, rec.nWritesInl);
-    if (rec.nWritesInl != InstRecord::kSpilled)
-        for (std::uint8_t i = 0; i < rec.nWritesInl; ++i)
-            putU8(out, rec.writesInl[i]);
-    putU8(out, rec.nDepInl);
-    if (rec.nDepInl != InstRecord::kSpilled)
-        for (std::uint8_t i = 0; i < rec.nDepInl; ++i) {
-            putI32(out, rec.depInl[i].value);
-            putF64(out, rec.depInl[i].latency);
-        }
-
-    // Macro-fusion pair class.
-    putU8(out, static_cast<std::uint8_t>(rec.fuseClass));
-    putU8(out, rec.isJcc ? 1 : 0);
-    putU8(out, rec.jccReadsCf ? 1 : 0);
-    putU8(out, rec.jccTestsSOP ? 1 : 0);
-}
-
-InstRecord
-InstRecordSnapshotCodec::decode(const std::uint8_t *data, std::size_t size,
-                                std::size_t &pos)
-{
-    Reader rd{data, size, pos};
-    InstRecord rec;
-
-    // DecodedInst.
-    const std::uint16_t mnem = rd.u16();
-    if (mnem >= static_cast<std::uint16_t>(isa::Mnemonic::kNumMnemonics))
-        throw SnapshotError("bad mnemonic");
-    rec.dec.inst.mnem = static_cast<isa::Mnemonic>(mnem);
-    const std::uint8_t cc = rd.u8();
-    if (cc > static_cast<std::uint8_t>(isa::Cond::NLE) &&
-        cc != static_cast<std::uint8_t>(isa::Cond::None))
-        throw SnapshotError("bad condition code");
-    rec.dec.inst.cc = static_cast<isa::Cond>(cc);
-    rec.dec.inst.nopLen = rd.u8();
-    const std::size_t nOps = rd.u8();
-    rec.dec.inst.ops.reserve(nOps);
-    for (std::size_t i = 0; i < nOps; ++i)
-        rec.dec.inst.ops.push_back(decodeOperand(rd));
-    rec.dec.length = rd.u8();
-    rec.dec.opcodeOffset = rd.u8();
-    rec.dec.lcp = rd.u8() != 0;
-
-    // InstrInfo.
-    rec.info.fusedUops = rd.i32();
-    rec.info.issueUops = rd.i32();
-    rec.info.latency = rd.i32();
-    rec.info.nAvailableSimpleDecoders = rd.i32();
-    rec.info.needsComplexDecoder = rd.u8() != 0;
-    rec.info.macroFusible = rd.u8() != 0;
-    rec.info.eliminated = rd.u8() != 0;
-    const std::size_t nUops = rd.u16();
-    rec.info.portUops.reserve(nUops);
-    for (std::size_t i = 0; i < nUops; ++i) {
-        uops::Uop u;
-        u.ports = rd.u16();
-        const std::uint8_t kind = rd.u8();
-        if (kind > static_cast<std::uint8_t>(uops::UopKind::StoreData))
-            throw SnapshotError("bad uop kind");
-        u.kind = static_cast<uops::UopKind>(kind);
-        rec.info.portUops.push_back(u);
-    }
-
-    // RwSets.
-    const std::size_t nReads = rd.u8();
-    rec.rw.reads.reserve(nReads);
-    for (std::size_t i = 0; i < nReads; ++i)
-        rec.rw.reads.push_back(rd.u8());
-    const std::size_t nWrites = rd.u8();
-    rec.rw.writes.reserve(nWrites);
-    for (std::size_t i = 0; i < nWrites; ++i)
-        rec.rw.writes.push_back(rd.u8());
-    rec.rw.depBreaking = rd.u8() != 0;
-
-    // Dependence templates and port masks.
-    const std::size_t nDeps = rd.u16();
-    rec.depReads.reserve(nDeps);
-    for (std::size_t i = 0; i < nDeps; ++i) {
-        DepRead d;
-        d.value = rd.i32();
-        d.latency = rd.f64();
-        rec.depReads.push_back(d);
-    }
-    const std::size_t nMasks = rd.u16();
-    rec.portMasks.reserve(nMasks);
-    for (std::size_t i = 0; i < nMasks; ++i)
-        rec.portMasks.push_back(rd.u16());
-
-    // Scalars and inline dependence data.
-    rec.stackOp = rd.u8() != 0;
-    rec.depBreaking = rd.u8() != 0;
-    rec.nWritesInl = rd.u8();
-    if (rec.nWritesInl != InstRecord::kSpilled) {
-        if (rec.nWritesInl > InstRecord::kInlineDeps)
-            throw SnapshotError("bad inline write count");
-        for (std::uint8_t i = 0; i < rec.nWritesInl; ++i)
-            rec.writesInl[i] = rd.u8();
-    }
-    rec.nDepInl = rd.u8();
-    if (rec.nDepInl != InstRecord::kSpilled) {
-        if (rec.nDepInl > InstRecord::kInlineDeps)
-            throw SnapshotError("bad inline dep count");
-        for (std::uint8_t i = 0; i < rec.nDepInl; ++i) {
-            rec.depInl[i].value = rd.i32();
-            rec.depInl[i].latency = rd.f64();
-        }
-    }
-
-    // Macro-fusion pair class.
-    const std::uint8_t fuse = rd.u8();
-    if (fuse > static_cast<std::uint8_t>(FuseClass::NoCarryNoSOP))
-        throw SnapshotError("bad fuse class");
-    rec.fuseClass = static_cast<FuseClass>(fuse);
-    rec.isJcc = rd.u8() != 0;
-    rec.jccReadsCf = rd.u8() != 0;
-    rec.jccTestsSOP = rd.u8() != 0;
-
-    pos = rd.pos;
-    return rec;
 }
 
 // ---- v2 flat record layout -------------------------------------------------
@@ -532,7 +200,7 @@ constexpr std::uint8_t kFlagAll = 31;
  * The inline dependence mirrors (InstRecord::writesInl/depInl) are
  * NOT stored: they are rebuilt from the arrays on materialize, which
  * is exactly how the cold path builds them. The spilled flags record
- * the one piece of state that is not derivable — a v1 image may carry
+ * the one piece of state that is not derivable — a record may carry
  * kSpilled with small vectors, and that (valid) state must round-trip
  * without changing prediction behavior.
  */
@@ -642,6 +310,17 @@ packKey16(const std::uint8_t *bytes, std::size_t len,
     out[15] = static_cast<std::uint8_t>(len);
 }
 
+/** packKey16 of a SnapshotModel record key, length-checked. */
+std::array<std::uint8_t, 16>
+modelKey16(const std::vector<std::uint8_t> &key)
+{
+    if (key.empty() || key.size() > 15)
+        throw SnapshotError("bad key length");
+    std::array<std::uint8_t, 16> k;
+    packKey16(key.data(), key.size(), k.data());
+    return k;
+}
+
 /** Flat-encoded size of @p rec. @throws SnapshotError on overflow. */
 std::uint64_t
 flatRecordSize(const InstRecord &rec)
@@ -672,8 +351,8 @@ doubleBits(double v)
  * flatRecordSize(rec) bytes. @throws SnapshotError when the record is
  * not representable: oversized counts, or inline dependence mirrors
  * that do not match the vectors they claim to mirror (possible only
- * in a forged v1 image; refusing to encode beats silently changing
- * what precedence() would stream after a convert).
+ * in a hand-built SnapshotModel; refusing to encode beats silently
+ * changing what precedence() would stream after a rebuild).
  */
 void
 encodeFlatRecord(std::vector<std::uint8_t> &out,
@@ -804,9 +483,9 @@ flatReg(std::uint8_t cls, std::uint8_t idx)
 /**
  * Decode the flat record at @p off of section @p sec (records area
  * bounded by @p limit = indexOffset), filling @p rec and the packed
- * key @p keyOut. Every field is validated exactly as hard as the v1
- * codec — a hit through the lazy source must be just as trustworthy
- * as an eager parse. @return the record's totalBytes.
+ * key @p keyOut. Every field is validated — a hit through the lazy
+ * source must be just as trustworthy as an eager parse. @return the
+ * record's totalBytes.
  * @throws SnapshotError; @p rec may be partially filled then (callers
  * materialize into a scratch record, never directly into a caller's
  * out-param).
@@ -1178,10 +857,9 @@ parseV2HeaderAndTable(const std::uint8_t *data, std::size_t size,
 }
 
 /**
- * Parse the shared (v1-codec) tail payloads. Pairs: u32 count + index
- * pairs, bounds-checked against @p recordCount. @p expect is the
- * table's itemCount (v1 passes the count again; the check is a no-op
- * there).
+ * Parse the sequential tail payloads. Pairs: u32 count + index pairs,
+ * bounds-checked against @p recordCount. @p expect is the table's
+ * itemCount.
  */
 void
 parsePairsPayload(
@@ -1230,118 +908,6 @@ parsePredictionsPayload(
 }
 
 /**
- * Deep-parse a v1 image into a SnapshotModel: header, checksum, and
- * every section fully validated; nothing committed anywhere.
- */
-SnapshotModel
-parseV1Model(const std::uint8_t *data, std::size_t size,
-             const std::string &name)
-{
-    if (size < kHeaderSize)
-        throw SnapshotError("truncated header in " + name);
-    if (std::memcmp(data, kMagic, sizeof kMagic) != 0)
-        throw SnapshotError("bad magic in " + name);
-
-    Reader hd{data, size, sizeof kMagic};
-    const std::uint32_t version = hd.u32();
-    if (version != kSnapshotVersion)
-        throw SnapshotError("unsupported version " +
-                            std::to_string(version) + " in " + name);
-    const std::uint32_t sections = hd.u32();
-    const std::uint64_t payloadLen = hd.u64();
-    const std::uint64_t checksum = hd.u64();
-    if (size - kHeaderSize != payloadLen)
-        throw SnapshotError("payload length mismatch in " + name);
-    if (fnv1a64(data + kHeaderSize, payloadLen) != checksum)
-        throw SnapshotError("checksum mismatch in " + name);
-
-    SnapshotModel model;
-    model.sourceVersion = kSnapshotVersion;
-    std::unordered_map<std::uint32_t, std::size_t> archIndex;
-    Reader rd{data + kHeaderSize, static_cast<std::size_t>(payloadLen),
-              0};
-
-    for (std::uint32_t s = 0; s < sections; ++s) {
-        const std::uint32_t type = rd.u32();
-        const std::uint32_t archWord = rd.u32();
-        const std::uint64_t len = rd.u64();
-        rd.need(len);
-        const std::size_t sectionEnd = rd.pos + len;
-
-        switch (static_cast<SectionType>(type)) {
-          case SectionType::Records: {
-            if (archWord >= uarch::allUArchs().size())
-                throw SnapshotError("bad arch in " + name);
-            const std::uint32_t count = rd.u32();
-            auto [it, fresh] =
-                archIndex.emplace(archWord, model.arches.size());
-            if (fresh) {
-                model.arches.emplace_back();
-                model.arches.back().arch = archWord;
-            }
-            auto &records = model.arches[it->second].records;
-            // Clamp the hint: `count` comes from the file, and each
-            // record costs at least 8 section bytes, so a forged count
-            // cannot reserve more memory than the section could hold.
-            records.reserve(
-                records.size() +
-                std::min<std::size_t>(count,
-                                      (sectionEnd - rd.pos) / 8 + 1));
-            for (std::uint32_t i = 0; i < count; ++i) {
-                const std::uint8_t keyLen = rd.u8();
-                if (keyLen == 0 || keyLen > 15)
-                    throw SnapshotError("bad key length in " + name);
-                const std::uint8_t *key = rd.bytes(keyLen);
-                std::size_t pos = rd.pos;
-                InstRecord rec = InstRecordSnapshotCodec::decode(
-                    rd.data, sectionEnd, pos);
-                rd.pos = pos;
-                records.emplace_back(
-                    std::vector<std::uint8_t>(key, key + keyLen),
-                    std::move(rec));
-            }
-            break;
-          }
-          case SectionType::FusedPairs: {
-            if (archWord >= uarch::allUArchs().size())
-                throw SnapshotError("bad arch in " + name);
-            const auto it = archIndex.find(archWord);
-            const std::uint32_t count = rd.u32();
-            rd.pos -= 4; // parsePairsPayload re-reads the count
-            if (it == archIndex.end()) {
-                if (count > 0)
-                    throw SnapshotError("bad fused pair index in " +
-                                        name);
-                rd.pos += 4; // empty section for an absent arch: v1
-                break;       // tolerated this; nothing to record
-            }
-            auto &arch = model.arches[it->second];
-            parsePairsPayload(rd, sectionEnd, count,
-                              arch.records.size(), name,
-                              arch.fusedPairs);
-            break;
-          }
-          case SectionType::Predictions: {
-            model.hasPredictions = true;
-            const std::uint32_t count = rd.u32();
-            rd.pos -= 4;
-            parsePredictionsPayload(rd, sectionEnd, count, name,
-                                    model.predictions);
-            break;
-          }
-          default:
-            throw SnapshotError("unknown section type " +
-                                std::to_string(type) + " in " + name);
-        }
-        if (rd.pos != sectionEnd)
-            throw SnapshotError("section length mismatch in " + name);
-    }
-    if (rd.pos != payloadLen)
-        throw SnapshotError("trailing garbage in " + name);
-    return model;
-}
-
-/**
  * Deep-parse a v2 image into a SnapshotModel: header, table, every
  * section hash, every record, full index-consistency probing.
  */
@@ -1353,7 +919,6 @@ parseV2Model(const std::uint8_t *data, std::size_t size,
         parseV2HeaderAndTable(data, size, name);
 
     SnapshotModel model;
-    model.sourceVersion = kSnapshotVersionV2;
     std::unordered_map<std::uint32_t, std::size_t> archIndex;
 
     for (const corpus::SectionEntry &e : entries) {
@@ -1445,24 +1010,6 @@ commitModel(SnapshotModel &&m, const SnapshotOptions &opts,
                 decodePrediction(payload.data(), payload.size()));
 }
 
-/** The v1 load path: deep parse, then commit unless validating. */
-SnapshotStats
-loadImageV1(const std::uint8_t *data, std::size_t size,
-            const SnapshotOptions &opts, bool commit,
-            const std::string &name)
-{
-    SnapshotModel m = parseV1Model(data, size, name);
-    SnapshotStats st;
-    st.bytes = size;
-    st.formatVersion = kSnapshotVersion;
-    countsOf(m, st);
-    if (commit) {
-        commitModel(std::move(m), opts, st);
-        st.loadMode = SnapshotLoadMode::ParseV1;
-    }
-    return st;
-}
-
 /** The eager v2 load path (unaligned / mmap failed / forced / wire). */
 SnapshotStats
 loadImageV2Eager(const std::uint8_t *data, std::size_t size,
@@ -1472,7 +1019,6 @@ loadImageV2Eager(const std::uint8_t *data, std::size_t size,
     SnapshotModel m = parseV2Model(data, size, name);
     SnapshotStats st;
     st.bytes = size;
-    st.formatVersion = kSnapshotVersionV2;
     countsOf(m, st);
     if (commit) {
         commitModel(std::move(m), opts, st);
@@ -1566,13 +1112,8 @@ planFromModel(const SnapshotModel &model)
         PlanArch pa;
         pa.archWord = arch.arch;
         pa.recs.reserve(arch.records.size());
-        for (const auto &[key, rec] : arch.records) {
-            if (key.empty() || key.size() > 15)
-                throw SnapshotError("bad key length");
-            std::array<std::uint8_t, 16> k;
-            packKey16(key.data(), key.size(), k.data());
-            pa.recs.emplace_back(k, &rec);
-        }
+        for (const auto &[key, rec] : arch.records)
+            pa.recs.emplace_back(modelKey16(key), &rec);
         pa.pairs = arch.fusedPairs;
         for (const auto &[fi, si] : pa.pairs)
             if (fi >= pa.recs.size() || si >= pa.recs.size())
@@ -1598,10 +1139,10 @@ statsOfPlan(const WritePlan &plan, SnapshotStats &st)
 }
 
 /**
- * Byte destination of a writer: an in-memory vector
+ * Byte destination of the writer: an in-memory vector
  * (buildSnapshotImage) or the durable temp file (saveSnapshot). The
- * writeAt hole-patching is what lets both formats stream: headers and
- * tables whose contents depend on the payload are zero-filled first
+ * writeAt hole-patching is what lets the writer stream: the header and
+ * table, whose contents depend on the payload, are zero-filled first
  * and patched once the payload has gone out.
  */
 class Sink
@@ -1673,85 +1214,6 @@ class FileSink final : public Sink
   private:
     corpus::AtomicFileWriter &w_;
 };
-
-/**
- * Stream a v1 image: zero header, sections one at a time (one
- * section's bytes is the peak buffered memory — the old writer
- * materialized the whole payload), running FNV-1a over the payload as
- * it goes out, 32-byte header patched at the end. Byte-identical to
- * the historical in-memory builder.
- */
-void
-writeV1(Sink &sink, const WritePlan &plan)
-{
-    const std::uint8_t zeros[kHeaderSize] = {};
-    sink.write(zeros, kHeaderSize);
-    std::uint64_t fnv = 0xcbf29ce484222325ULL;
-    std::uint32_t sections = 0;
-    auto emit = [&](const std::vector<std::uint8_t> &v) {
-        fnv = fnv1a64(v.data(), v.size(), fnv);
-        sink.write(v.data(), v.size());
-    };
-    auto emitSection = [&](SectionType type, std::uint32_t arch,
-                           std::uint32_t count,
-                           const std::vector<std::uint8_t> &body) {
-        std::vector<std::uint8_t> hdr;
-        putU32(hdr, static_cast<std::uint32_t>(type));
-        putU32(hdr, arch);
-        putU64(hdr, body.size() + 4);
-        putU32(hdr, count);
-        emit(hdr);
-        emit(body);
-        ++sections;
-    };
-
-    for (const PlanArch &pa : plan.arches) {
-        {
-            std::vector<std::uint8_t> recSec;
-            for (const auto &[key, rec] : pa.recs) {
-                const std::uint8_t keyLen = key[15];
-                putU8(recSec, keyLen);
-                recSec.insert(recSec.end(), key.data(),
-                              key.data() + keyLen);
-                InstRecordSnapshotCodec::encode(recSec, *rec);
-            }
-            emitSection(SectionType::Records, pa.archWord,
-                        static_cast<std::uint32_t>(pa.recs.size()),
-                        recSec);
-        }
-        std::vector<std::uint8_t> pairSec;
-        for (const auto &[fi, si] : pa.pairs) {
-            putU32(pairSec, fi);
-            putU32(pairSec, si);
-        }
-        emitSection(SectionType::FusedPairs, pa.archWord,
-                    static_cast<std::uint32_t>(pa.pairs.size()),
-                    pairSec);
-    }
-    if (plan.hasPredictions) {
-        std::vector<std::uint8_t> predSec;
-        for (const auto &[key, enc] : plan.predictions) {
-            putU32(predSec, static_cast<std::uint32_t>(key.size()));
-            const auto *kp =
-                reinterpret_cast<const std::uint8_t *>(key.data());
-            predSec.insert(predSec.end(), kp, kp + key.size());
-            putU32(predSec, static_cast<std::uint32_t>(enc.size()));
-            predSec.insert(predSec.end(), enc.begin(), enc.end());
-        }
-        emitSection(SectionType::Predictions, 0,
-                    static_cast<std::uint32_t>(plan.predictions.size()),
-                    predSec);
-    }
-
-    std::vector<std::uint8_t> head;
-    const auto *magic = reinterpret_cast<const std::uint8_t *>(kMagic);
-    head.insert(head.end(), magic, magic + sizeof kMagic);
-    putU32(head, kSnapshotVersion);
-    putU32(head, sections);
-    putU64(head, sink.offset() - kHeaderSize);
-    putU64(head, fnv);
-    sink.writeAt(0, head.data(), head.size());
-}
 
 /**
  * Stream a v2 image: zero header + table holes, then per arch a
@@ -1841,7 +1303,7 @@ writeV2(Sink &sink, const WritePlan &plan)
         e.hash = hash.digest();
         entries.push_back(e);
 
-        // FusedPairs tail (v1 payload codec).
+        // FusedPairs tail.
         corpus::SectionEntry pe = beginSection(
             SectionType::FusedPairs, pa.archWord, pa.pairs.size());
         std::vector<std::uint8_t> pairSec;
@@ -2113,7 +1575,6 @@ loadV2File(const std::string &path, const SnapshotOptions &opts)
 
     SnapshotStats st;
     st.bytes = size;
-    st.formatVersion = kSnapshotVersionV2;
 
     // Eagerly verify + parse the small tails; stage, don't import yet.
     std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
@@ -2198,9 +1659,6 @@ loadV2File(const std::string &path, const SnapshotOptions &opts)
 SnapshotStats
 saveSnapshot(const std::string &path, const SnapshotOptions &opts)
 {
-    if (opts.format != SnapshotFormat::V1 &&
-        opts.format != SnapshotFormat::V2)
-        throw SnapshotError("unknown snapshot format");
     const WritePlan plan = planFromLive(opts.engine);
     SnapshotStats st;
     statsOfPlan(plan, st);
@@ -2208,10 +1666,7 @@ saveSnapshot(const std::string &path, const SnapshotOptions &opts)
         corpus::AtomicFileWriter writer(path, "snapshot",
                                         std::max(1, opts.generations));
         FileSink sink(writer);
-        if (opts.format == SnapshotFormat::V1)
-            writeV1(sink, plan);
-        else
-            writeV2(sink, plan);
+        writeV2(sink, plan);
         st.bytes = sink.offset();
         writer.commit();
     } catch (const corpus::SectionError &e) {
@@ -2219,23 +1674,16 @@ saveSnapshot(const std::string &path, const SnapshotOptions &opts)
         // matrices) catch SnapshotError for every failed save.
         throw SnapshotError(e.what());
     }
-    st.formatVersion = static_cast<std::uint32_t>(opts.format);
     return st;
 }
 
 std::vector<std::uint8_t>
 saveSnapshotToMemory(const SnapshotOptions &opts)
 {
-    if (opts.format != SnapshotFormat::V1 &&
-        opts.format != SnapshotFormat::V2)
-        throw SnapshotError("unknown snapshot format");
     const WritePlan plan = planFromLive(opts.engine);
     std::vector<std::uint8_t> out;
     VecSink sink(out);
-    if (opts.format == SnapshotFormat::V1)
-        writeV1(sink, plan);
-    else
-        writeV2(sink, plan);
+    writeV2(sink, plan);
     return out;
 }
 
@@ -2251,19 +1699,7 @@ loadSnapshot(const std::string &path, const SnapshotOptions &opts)
     for (int g = 0; g < gens; ++g) {
         const std::string cand = snapshotGenerationPath(path, g);
         try {
-            std::uint8_t magic[8];
-            const int sniff = readMagic8(cand, magic);
-            if (sniff < 0)
-                throw SnapshotError("cannot open " + cand);
-            SnapshotStats st;
-            if (sniff > 0 &&
-                std::memcmp(magic, kMagicV2, sizeof kMagicV2) == 0) {
-                st = loadV2File(cand, opts);
-            } else {
-                const std::vector<std::uint8_t> file = readFile(cand);
-                st = loadImageV1(file.data(), file.size(), opts,
-                                 /*commit=*/true, cand);
-            }
+            SnapshotStats st = loadV2File(cand, opts);
             st.generation = static_cast<std::size_t>(g);
             return st;
         } catch (const SnapshotError &e) {
@@ -2279,33 +1715,14 @@ SnapshotStats
 loadSnapshotFromMemory(const std::uint8_t *data, std::size_t size,
                        const SnapshotOptions &opts)
 {
-    if (size >= sizeof kMagicV2 &&
-        std::memcmp(data, kMagicV2, sizeof kMagicV2) == 0)
-        return loadImageV2Eager(data, size, opts, /*commit=*/true,
-                                "<memory>");
-    return loadImageV1(data, size, opts, /*commit=*/true, "<memory>");
+    return loadImageV2Eager(data, size, opts, /*commit=*/true,
+                            "<memory>");
 }
 
 SnapshotStats
 validateSnapshot(const std::uint8_t *data, std::size_t size)
 {
-    if (size >= sizeof kMagicV2 &&
-        std::memcmp(data, kMagicV2, sizeof kMagicV2) == 0)
-        return loadImageV2Eager(data, size, {}, /*commit=*/false,
-                                "<memory>");
-    return loadImageV1(data, size, {}, /*commit=*/false, "<memory>");
-}
-
-SnapshotFormat
-snapshotImageFormat(const std::uint8_t *data, std::size_t size)
-{
-    if (size >= sizeof kMagic &&
-        std::memcmp(data, kMagic, sizeof kMagic) == 0)
-        return SnapshotFormat::V1;
-    if (size >= sizeof kMagicV2 &&
-        std::memcmp(data, kMagicV2, sizeof kMagicV2) == 0)
-        return SnapshotFormat::V2;
-    throw SnapshotError("unrecognized snapshot magic");
+    return loadImageV2Eager(data, size, {}, /*commit=*/false, "<memory>");
 }
 
 SnapshotSourceStats
@@ -2324,24 +1741,16 @@ snapshotSourceStats()
 SnapshotModel
 parseSnapshotModel(const std::uint8_t *data, std::size_t size)
 {
-    if (size >= sizeof kMagicV2 &&
-        std::memcmp(data, kMagicV2, sizeof kMagicV2) == 0)
-        return parseV2Model(data, size, "<memory>");
-    return parseV1Model(data, size, "<memory>");
+    return parseV2Model(data, size, "<memory>");
 }
 
 std::vector<std::uint8_t>
-buildSnapshotImage(const SnapshotModel &model, SnapshotFormat format)
+buildSnapshotImage(const SnapshotModel &model)
 {
     const WritePlan plan = planFromModel(model);
     std::vector<std::uint8_t> out;
     VecSink sink(out);
-    if (format == SnapshotFormat::V1)
-        writeV1(sink, plan);
-    else if (format == SnapshotFormat::V2)
-        writeV2(sink, plan);
-    else
-        throw SnapshotError("unknown snapshot format");
+    writeV2(sink, plan);
     return out;
 }
 
@@ -2353,7 +1762,7 @@ SnapshotModelSet::accumulate(const SnapshotModel &m,
         ArchSet &dst = arches[a.arch];
         for (const auto &[key, rec] : a.records) {
             std::vector<std::uint8_t> enc;
-            InstRecordSnapshotCodec::encode(enc, rec);
+            encodeFlatRecord(enc, modelKey16(key).data(), rec);
             auto [it, inserted] = dst.records.try_emplace(key, enc, rec);
             if (!inserted && it->second.first != enc)
                 throw SnapshotError(
@@ -2379,7 +1788,6 @@ SnapshotModel
 SnapshotModelSet::canonical() const
 {
     SnapshotModel m;
-    m.sourceVersion = 2;
     for (const auto &[archWord, as] : arches) {
         if (as.records.empty())
             continue;

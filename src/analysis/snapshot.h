@@ -7,41 +7,10 @@
  * paying the decode + uops::lookup + read/write-set cold path per
  * first sighting.
  *
- * Two on-disk formats, both little-endian, both crash-safe (temp file
- * → fsync → generation rotation → atomic rename):
- *
- * Format v1 — sequential parse-and-copy, magic "FACSNAP\n":
- *
- *   offset 0   char[8]  magic     "FACSNAP\n"
- *   offset 8   u32      version   1
- *   offset 12  u32      sections  number of sections
- *   offset 16  u64      payload   total section bytes after the header
- *   offset 24  u64      checksum  FNV-1a 64 over the payload bytes
- *   offset 32  sections, back to back:
- *       u32 type   1 = intern records   2 = fused pairs
- *                  3 = prediction cache
- *       u32 arch   uarch::UArch value (types 1/2); 0 for type 3
- *       u64 len    section payload bytes
- *       len bytes  section payload
- *
- *   Section payloads:
- *     records:     u32 count, then per record: u8 keyLen, the exact
- *                  encoded instruction bytes, and the serialized
- *                  InstRecord (full analysis results — nothing is
- *                  recomputed on load).
- *     fused pairs: u32 count, then u32 (firstIdx, secondIdx) pairs
- *                  indexing the same arch's record section in file
- *                  order. The derived records are re-derived on load
- *                  via InstInterner::internFused, bit-for-bit.
- *     predictions: u32 count, then per entry: u32 keyLen + opaque
- *                  engine cache key, u32 predLen + serialized
- *                  Prediction (raw IEEE-754 bit patterns).
- *
- *   Loading v1 is O(records): every record is decoded through the
- *   codec and copied into the arenas.
- *
- * Format v2 — relocatable, page-aligned, mmap-able, magic "FACSNP2\n"
- * (full layout diagram in src/analysis/README.md):
+ * One on-disk format, little-endian, crash-safe (temp file → fsync →
+ * generation rotation → atomic rename): a relocatable, page-aligned,
+ * mmap-able image with magic "FACSNP2\n" (full layout diagram in
+ * src/analysis/README.md):
  *
  *   offset 0   char[8]  magic       "FACSNP2\n"
  *   offset 8   u32      version     2
@@ -57,7 +26,8 @@
  *   offset 56  u64      reserved    0
  *   offset 64  section table: corpus::SectionEntry × sectionCount,
  *              each carrying a per-section xxh64 and a 4 KiB-aligned
- *              payload offset (section types as in v1)
+ *              payload offset. Section types: 1 = intern records,
+ *              2 = fused pairs, 3 = prediction cache.
  *
  *   Records sections hold a flat, position-independent arena: a
  *   64-byte section head, fixed-layout records (POD head + trailing
@@ -65,9 +35,12 @@
  *   open-addressed key index (keyLo/keyHi/recOffset slots, linear
  *   probing on xxh64 of the 16-byte packed instruction key — the same
  *   packing the interner's canonical maps use). Fused-pair and
- *   prediction sections keep the small v1 tail codecs.
+ *   prediction sections are small sequential tails: u32 count, then
+ *   u32 (firstIdx, secondIdx) pairs indexing the same arch's records
+ *   in file order, or (u32 keyLen + opaque engine cache key, u32
+ *   predLen + serialized Prediction) entries.
  *
- *   Loading v2 is O(pages touched): open + mmap + header/table
+ *   A load is O(pages touched): open + mmap + header/table
  *   verification + madvise(MADV_WILLNEED) on the record sections +
  *   binding each section into its InstInterner as a RecordSource.
  *   Records materialize lazily on first canonical-map miss; section
@@ -79,15 +52,19 @@
  *   on demand, bit-identically. The prediction tail is parsed eagerly
  *   (it is the small parsed tail by design).
  *
- *   Graceful degradation, outermost first: a v2 image that is
- *   foreign-endian, version-mismatched, or fails header/table/
- *   structural validation throws and the generation walk falls back
- *   to older generations (which may be v1 — both formats stay fully
- *   readable); an image whose sections are unaligned, or whose mmap
- *   fails, is parsed eagerly through the same validated path instead
- *   of being mapped; a section that fails its lazy hash check merely
- *   poisons that section. SnapshotStats::loadMode reports which path
- *   actually served the load.
+ *   Graceful degradation, outermost first (SnapshotLoadMode reports
+ *   which rung served the load):
+ *     1. mmap bind (MmapV2);
+ *     2. eager parse (EagerV2) — an image whose sections are
+ *        unaligned, or whose mmap fails, is parsed eagerly through
+ *        the fully validated path instead of being mapped;
+ *     3. previous generation — an image that is not a v2 image (any
+ *        other magic), foreign-endian, version-mismatched, or fails
+ *        header/table/tail validation throws, and the generation walk
+ *        moves on to the next older file;
+ *     4. cold — no generation loads; the caller starts cold.
+ *   A records section that fails its lazy hash check merely poisons
+ *   that section.
  *
  * Loading is append-only in every mode: records land in the same
  * arenas internAt fills, an already-interned key keeps its live
@@ -99,16 +76,15 @@
  * SnapshotError; nothing is imported from a file that fails
  * validation.
  *
- * Crash safety (PR 8): saves of BOTH formats are atomic and durable —
- * streamed to a pid-suffixed temp file (incremental checksumming;
- * peak save memory is one section, not the whole image),
+ * Crash safety: saves are atomic and durable — streamed to a
+ * pid-suffixed temp file (incremental checksumming; peak save memory
+ * is one record plus the index, not the whole image),
  * fflush+fsync'd, then rename(2)'d over the target with the parent
  * directory fsync'd after. Saves keep a bounded history of rotated
  * *generations* (`path` → `path.g1` → ... per
  * SnapshotOptions::generations); loadSnapshot walks that chain
- * newest-first and warm-starts from the first image that validates,
- * whichever format it is. SnapshotStats::generation reports which one
- * loaded.
+ * newest-first and warm-starts from the first image that validates.
+ * SnapshotStats::generation reports which one loaded.
  */
 #ifndef FACILE_ANALYSIS_SNAPSHOT_H
 #define FACILE_ANALYSIS_SNAPSHOT_H
@@ -130,19 +106,14 @@ class PredictionEngine;
 
 namespace facile::analysis {
 
-inline constexpr std::uint32_t kSnapshotVersion = 1;
 inline constexpr std::uint32_t kSnapshotVersionV2 = 2;
 
-/** On-disk image format (see the file comment for both layouts). */
-enum class SnapshotFormat : std::uint32_t {
-    V1 = 1, ///< sequential parse-and-copy codec
-    V2 = 2, ///< page-aligned, sectioned, mmap-able flat arenas
-};
-
-/** Which code path actually served a load. */
+/**
+ * Which code path actually served a load. The values are reported on
+ * the wire (STATS field 22); 1 is retired and never reused.
+ */
 enum class SnapshotLoadMode : std::uint8_t {
     None = 0,    ///< nothing loaded (saves, or validation-only)
-    ParseV1 = 1, ///< v1 image, record-by-record parse
     EagerV2 = 2, ///< v2 image, fully parsed (unaligned / mmap failed
                  ///< / SnapshotOptions::eagerLoad / wire image)
     MmapV2 = 3,  ///< v2 image mapped; records materialize lazily
@@ -181,8 +152,6 @@ struct SnapshotStats
     std::size_t generation = 0;
     /** How the image was consumed (None for saves). */
     SnapshotLoadMode loadMode = SnapshotLoadMode::None;
-    /** Image format version written or read (0 when nothing loaded). */
-    std::uint32_t formatVersion = 0;
 };
 
 struct SnapshotOptions
@@ -201,15 +170,11 @@ struct SnapshotOptions
      */
     int generations = kSnapshotGenerations;
 
-    /** Format written by save (loads auto-detect from the magic). */
-    SnapshotFormat format = SnapshotFormat::V2;
-
     /**
-     * Load-side: force a v2 image through the fully-validated eager
+     * Load-side: force the image through the fully-validated eager
      * parse (every section hash checked, every record decoded and
-     * committed) instead of the lazy mmap bind. v1 images are always
-     * parsed eagerly; this flag is how operators trade startup time
-     * for up-front corruption detection.
+     * committed) instead of the lazy mmap bind. This flag is how
+     * operators trade startup time for up-front corruption detection.
      */
     bool eagerLoad = false;
 };
@@ -220,10 +185,9 @@ std::string snapshotGenerationPath(const std::string &path, int gen);
 /**
  * Serialize the intern arenas (all nine arches) to @p path, atomically
  * and durably (temp file + fsync + rename), rotating prior generations
- * per SnapshotOptions::generations. SnapshotOptions::format selects
- * the image format; sections stream to the temp file with incremental
- * checksumming, so peak save memory is one section (v1) or one record
- * plus the index (v2), not the whole image.
+ * per SnapshotOptions::generations. Sections stream to the temp file
+ * with incremental checksumming, so peak save memory is one record
+ * plus the index, not the whole image.
  */
 SnapshotStats saveSnapshot(const std::string &path,
                            const SnapshotOptions &opts = {});
@@ -241,12 +205,11 @@ saveSnapshotToMemory(const SnapshotOptions &opts = {});
 
 /**
  * Validate and load @p path, appending to the process-wide arenas.
- * The format is detected from the magic: v1 images take the record-by-
- * record parse; v2 images are mmap'd and bound lazily (or parsed
- * eagerly — see SnapshotLoadMode for the fallback ladder). Falls back
- * through rotated generations (`path.g1`, ...) when newer files are
- * missing or fail validation; SnapshotStats::generation records which
- * one was used.
+ * The image is mmap'd and bound lazily (or parsed eagerly — see
+ * SnapshotLoadMode for the fallback ladder). Falls back through
+ * rotated generations (`path.g1`, ...) when newer files are missing,
+ * are not v2 images, or fail validation; SnapshotStats::generation
+ * records which one was used.
  * @throws SnapshotError when no generation validates (nothing
  * imported).
  */
@@ -255,9 +218,8 @@ SnapshotStats loadSnapshot(const std::string &path,
 
 /**
  * As loadSnapshot, but from an in-memory image — the entry point for
- * snapshots that arrive over a wire rather than from disk. Both
- * formats accepted; v2 images take the eager parse (there is no
- * backing file to map).
+ * snapshots that arrive over a wire rather than from disk. Always the
+ * eager parse (there is no backing file to map).
  */
 SnapshotStats loadSnapshotFromMemory(const std::uint8_t *data,
                                      std::size_t size,
@@ -265,24 +227,17 @@ SnapshotStats loadSnapshotFromMemory(const std::uint8_t *data,
 
 /**
  * Run the full parse-and-validate staging phase on an in-memory image
- * of either format and commit NOTHING: no records are interned, no
- * predictions imported, whatever the outcome. For v2 images this is
- * the deep eager walk — header, table, every section hash, every
- * record, full index-consistency probing — i.e. strictly stronger
- * than what the lazy mmap path checks at load time. Returns what a
+ * and commit NOTHING: no records are interned, no predictions
+ * imported, whatever the outcome. This is the deep eager walk —
+ * header, table, every section hash, every record, full
+ * index-consistency probing — i.e. strictly stronger than what the
+ * lazy mmap path checks at load time. Returns what a
  * load would have reported (with newRecords = 0); throws SnapshotError
  * exactly when an eager load would. This is the path the
  * fuzz_snapshot harness and `facile_snaptool verify` drive.
  */
 SnapshotStats validateSnapshot(const std::uint8_t *data,
                                std::size_t size);
-
-/**
- * Classify an image by magic. @throws SnapshotError when the bytes
- * start with neither snapshot magic.
- */
-SnapshotFormat snapshotImageFormat(const std::uint8_t *data,
-                                   std::size_t size);
 
 /** Counters of the lazy (mmap-bound) record sources, process-wide. */
 struct SnapshotSourceStats
@@ -294,14 +249,13 @@ struct SnapshotSourceStats
 
 SnapshotSourceStats snapshotSourceStats();
 
-// ---- snapshot-as-data (facile_snaptool, convert/merge/diff) ----------------
+// ---- snapshot-as-data (facile_snaptool: diff/merge/compact) ----------------
 
 /**
- * A fully-parsed, format-independent view of one snapshot image: the
- * operand facile_snaptool's convert/diff/merge/compact subcommands
- * work on. File order is preserved exactly, so
- * buildSnapshotImage(parseSnapshotModel(img), sameFormat) reproduces
- * a canonically-written image byte for byte.
+ * A fully-parsed view of one snapshot image: the operand
+ * facile_snaptool's diff/merge/compact subcommands work on. File order
+ * is preserved exactly, so buildSnapshotImage(parseSnapshotModel(img))
+ * reproduces a canonically-written image byte for byte.
  */
 struct SnapshotModel
 {
@@ -318,29 +272,25 @@ struct SnapshotModel
 
     /** Present even when empty iff the image carried the section. */
     bool hasPredictions = false;
-    /** (opaque engine cache key, v1-codec prediction payload). */
+    /** (opaque engine cache key, serialized prediction payload). */
     std::vector<std::pair<std::string, std::vector<std::uint8_t>>>
         predictions;
-
-    std::uint32_t sourceVersion = 0; ///< 1 or 2
 };
 
 /**
- * Deep-parse an image of either format into a SnapshotModel,
- * validating everything validateSnapshot validates. @throws
- * SnapshotError.
+ * Deep-parse an image into a SnapshotModel, validating everything
+ * validateSnapshot validates. @throws SnapshotError.
  */
 SnapshotModel parseSnapshotModel(const std::uint8_t *data,
                                  std::size_t size);
 
 /**
- * Serialize @p model as @p format. Deterministic: equal models yield
+ * Serialize @p model as an image. Deterministic: equal models yield
  * equal bytes. @throws SnapshotError on unrepresentable models (e.g.
  * duplicate record keys, or forged inline dependence data that does
  * not mirror the record's vectors).
  */
-std::vector<std::uint8_t> buildSnapshotImage(const SnapshotModel &model,
-                                             SnapshotFormat format);
+std::vector<std::uint8_t> buildSnapshotImage(const SnapshotModel &model);
 
 /**
  * Order-independent set view over one or more SnapshotModels — the
@@ -359,7 +309,7 @@ class SnapshotModelSet
     /** One arch's contents keyed for order-independent set ops. */
     struct ArchSet
     {
-        /** key → (encoded record bytes, record). */
+        /** key → (flat-encoded record bytes, record). */
         std::map<Key, std::pair<std::vector<std::uint8_t>, InstRecord>>
             records;
         /** Macro-fused pairs as (key, key) — index-free. */
@@ -383,7 +333,6 @@ class SnapshotModelSet
     /**
      * Rebuild a SnapshotModel in canonical order: arches ascending,
      * records sorted by key bytes, pairs sorted, predictions sorted.
-     * sourceVersion is 2 (the canonical on-disk format).
      */
     SnapshotModel canonical() const;
 };
@@ -401,21 +350,6 @@ mergeSnapshotModels(const std::vector<SnapshotModel> &models);
 /** FNV-1a 64-bit over @p len bytes. */
 std::uint64_t fnv1a64(const std::uint8_t *data, std::size_t len,
                       std::uint64_t seed = 0xcbf29ce484222325ULL);
-
-struct InstRecordSnapshotCodec
-{
-    /** Append the serialized form of @p rec to @p out. */
-    static void encode(std::vector<std::uint8_t> &out,
-                       const InstRecord &rec);
-
-    /**
-     * Decode one record from @p data at @p pos (bounds-checked against
-     * @p size), advancing @p pos. @throws SnapshotError on truncation
-     * or out-of-range enum values.
-     */
-    static InstRecord decode(const std::uint8_t *data, std::size_t size,
-                             std::size_t &pos);
-};
 
 } // namespace facile::analysis
 

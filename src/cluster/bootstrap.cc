@@ -55,8 +55,7 @@ convergeWithImage(const std::uint8_t *data, std::size_t size,
         const analysis::SnapshotModel peer =
             analysis::parseSnapshotModel(data, size);
         const std::vector<std::uint8_t> localImg =
-            analysis::saveSnapshotToMemory(
-                {engine, 1, analysis::SnapshotFormat::V2});
+            analysis::saveSnapshotToMemory({engine, 1});
         const analysis::SnapshotModel local =
             analysis::parseSnapshotModel(localImg.data(),
                                          localImg.size());
@@ -64,8 +63,7 @@ convergeWithImage(const std::uint8_t *data, std::size_t size,
         set.accumulate(local, "local");
         set.accumulate(peer, "peer");
         const std::vector<std::uint8_t> merged =
-            analysis::buildSnapshotImage(set.canonical(),
-                                         analysis::SnapshotFormat::V2);
+            analysis::buildSnapshotImage(set.canonical());
         // Append-only fold: keys we already hold keep their live
         // records, the peer's novelty is interned, its cached
         // predictions land in the engine's cache.

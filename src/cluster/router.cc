@@ -36,18 +36,6 @@ using namespace facile::server;
 /** Router-generated HEALTH probe ids live above every forwarded id. */
 constexpr std::uint64_t kProbeIdBit = 1ULL << 63;
 
-int
-msUntil(Clock::time_point t, Clock::time_point now, int cap)
-{
-    if (t <= now)
-        return 0;
-    const auto us =
-        std::chrono::duration_cast<std::chrono::microseconds>(t - now)
-            .count();
-    const long long ms = (us + 999) / 1000;
-    return static_cast<int>(std::min<long long>(ms, cap));
-}
-
 } // namespace
 
 struct Router::Impl
@@ -67,7 +55,7 @@ struct Router::Impl
     };
 
     /** One downstream client connection. Io-thread-owned. */
-    struct ClientConn : EvSource
+    struct ClientConn : EvSource, std::enable_shared_from_this<ClientConn>
     {
         ClientConn() : EvSource(Kind::Client) {}
         int fd = -1;
@@ -166,67 +154,6 @@ struct Router::Impl
             b->backoffMs = opts.reconnectBackoffMs;
             backends.push_back(std::move(b));
         }
-    }
-
-    // ---- listeners (same setup as PredictionServer) ------------------------
-
-    int
-    listenTcp()
-    {
-        const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK |
-                                             SOCK_CLOEXEC,
-                                0);
-        if (fd < 0)
-            throwErrno("socket(AF_INET)");
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port = htons(static_cast<std::uint16_t>(opts.tcpPort));
-        if (::inet_pton(AF_INET, opts.tcpHost.c_str(), &addr.sin_addr) !=
-            1) {
-            ::close(fd);
-            throw std::runtime_error("bad tcp host " + opts.tcpHost);
-        }
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) < 0 ||
-            ::listen(fd, 512) < 0) {
-            const int e = errno;
-            ::close(fd);
-            errno = e;
-            throwErrno("bind/listen tcp");
-        }
-        sockaddr_in bound{};
-        socklen_t blen = sizeof bound;
-        ::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &blen);
-        boundTcpPort = ntohs(bound.sin_port);
-        return fd;
-    }
-
-    int
-    listenUnix()
-    {
-        sockaddr_un addr{};
-        if (opts.unixPath.size() >= sizeof addr.sun_path)
-            throw std::runtime_error("unix path too long");
-        const int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK |
-                                             SOCK_CLOEXEC,
-                                0);
-        if (fd < 0)
-            throwErrno("socket(AF_UNIX)");
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, opts.unixPath.c_str(),
-                     sizeof addr.sun_path - 1);
-        ::unlink(opts.unixPath.c_str());
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr),
-                   sizeof addr) < 0 ||
-            ::listen(fd, 512) < 0) {
-            const int e = errno;
-            ::close(fd);
-            errno = e;
-            throwErrno("bind/listen unix " + opts.unixPath);
-        }
-        return fd;
     }
 
     // ---- backend lifecycle -------------------------------------------------
@@ -868,7 +795,7 @@ struct Router::Impl
                         }
                     }
                     if (c.open && (evs[i].events & EPOLLIN))
-                        clientReadable(clientPtr(c), chunk);
+                        clientReadable(c.shared_from_this(), chunk);
                     break;
                   }
                   case EvSource::Kind::Backend: {
@@ -960,15 +887,6 @@ struct Router::Impl
                       clients.end());
     }
 
-    const std::shared_ptr<ClientConn> &
-    clientPtr(ClientConn &c) const
-    {
-        for (const auto &p : clients)
-            if (p.get() == &c)
-                return p;
-        throw std::logic_error("client not registered");
-    }
-
     // ---- lifecycle ---------------------------------------------------------
 
     void
@@ -989,12 +907,12 @@ struct Router::Impl
         ev.data.ptr = &wakeTag;
         ::epoll_ctl(epfd, EPOLL_CTL_ADD, wakeFd, &ev);
         if (opts.tcpPort >= 0) {
-            tcpFd = listenTcp();
+            tcpFd = listenTcp(opts.tcpHost, opts.tcpPort, boundTcpPort);
             ev.data.ptr = &tcpTag;
             ::epoll_ctl(epfd, EPOLL_CTL_ADD, tcpFd, &ev);
         }
         if (!opts.unixPath.empty()) {
-            unixFd = listenUnix();
+            unixFd = listenUnix(opts.unixPath);
             ev.data.ptr = &unixTag;
             ::epoll_ctl(epfd, EPOLL_CTL_ADD, unixFd, &ev);
         }

@@ -281,8 +281,8 @@ struct ServerStats
     // Appended in PR 9 (mmap-native snapshot v2).
     /**
      * How the warm-start snapshot was brought in, as the numeric
-     * value of analysis::SnapshotLoadMode: 0 none/cold, 1 v1 parse,
-     * 2 eager v2 parse, 3 v2 mmap bind (O(pages-touched) start).
+     * value of analysis::SnapshotLoadMode: 0 none/cold, 2 eager v2
+     * parse, 3 v2 mmap bind (O(pages-touched) start). 1 is retired.
      */
     std::uint64_t snapshotLoadMode = 0;
 

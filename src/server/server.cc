@@ -1,13 +1,11 @@
 #include "server/server.h"
 
-#include <arpa/inet.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -35,19 +33,6 @@ namespace facile::server {
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-/** Milliseconds until @p t, rounded up and clamped to [0, cap]. */
-int
-msUntil(Clock::time_point t, Clock::time_point now, int cap)
-{
-    if (t <= now)
-        return 0;
-    const auto us = std::chrono::duration_cast<std::chrono::microseconds>(
-                        t - now)
-                        .count();
-    const long long ms = (us + 999) / 1000;
-    return static_cast<int>(std::min<long long>(ms, cap));
-}
 
 } // namespace
 
@@ -204,66 +189,6 @@ struct PredictionServer::Impl
     {}
 
     ~Impl() { stop(); }
-
-    // ---- listeners --------------------------------------------------------
-
-    int
-    listenTcp()
-    {
-        int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
-        if (fd < 0)
-            throwErrno("socket(AF_INET)");
-        int one = 1;
-        ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-        sockaddr_in addr{};
-        addr.sin_family = AF_INET;
-        addr.sin_port =
-            htons(static_cast<std::uint16_t>(opts.tcpPort));
-        if (::inet_pton(AF_INET, opts.tcpHost.c_str(), &addr.sin_addr) !=
-            1) {
-            ::close(fd);
-            throw std::runtime_error("bad tcpHost: " + opts.tcpHost);
-        }
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) <
-                0 ||
-            ::listen(fd, 512) < 0) {
-            int e = errno;
-            ::close(fd);
-            errno = e;
-            throwErrno("bind/listen tcp " + opts.tcpHost);
-        }
-        sockaddr_in bound{};
-        socklen_t blen = sizeof bound;
-        if (::getsockname(fd, reinterpret_cast<sockaddr *>(&bound),
-                          &blen) == 0)
-            boundTcpPort = ntohs(bound.sin_port);
-        return fd;
-    }
-
-    int
-    listenUnix()
-    {
-        sockaddr_un addr{};
-        if (opts.unixPath.size() >= sizeof addr.sun_path)
-            throw std::runtime_error("unix path too long: " +
-                                     opts.unixPath);
-        int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK, 0);
-        if (fd < 0)
-            throwErrno("socket(AF_UNIX)");
-        addr.sun_family = AF_UNIX;
-        std::strncpy(addr.sun_path, opts.unixPath.c_str(),
-                     sizeof addr.sun_path - 1);
-        ::unlink(opts.unixPath.c_str()); // stale socket from a crash
-        if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) <
-                0 ||
-            ::listen(fd, 512) < 0) {
-            int e = errno;
-            ::close(fd);
-            errno = e;
-            throwErrno("bind/listen unix " + opts.unixPath);
-        }
-        return fd;
-    }
 
     // ---- connection lifecycle ---------------------------------------------
 
@@ -1067,18 +992,15 @@ struct PredictionServer::Impl
                 opts.snapshotLoadPath, {engine, opts.snapshotGenerations});
             snapshotFallbacks.fetch_add(st.generation,
                                         std::memory_order_relaxed);
-            // A v2 image that could not be mmap-bound (failed mmap,
+            // An image that could not be mmap-bound (failed mmap,
             // unaligned foreign image) still warm-starts via the
             // eager parse — count the lost O(pages-touched) start as
             // a degradation alongside generation fallbacks.
-            if (st.formatVersion == 2 &&
-                st.loadMode == analysis::SnapshotLoadMode::EagerV2)
+            if (st.loadMode == analysis::SnapshotLoadMode::EagerV2)
                 snapshotFallbacks.fetch_add(1, std::memory_order_relaxed);
             snapshotLoadMode.store(
                 static_cast<std::uint64_t>(st.loadMode),
                 std::memory_order_relaxed);
-            static const char *kModes[] = {"cold", "v1 parse",
-                                           "v2 eager parse", "v2 mmap"};
             std::fprintf(
                 stderr,
                 "warm start: %zu records, %zu predictions from %s"
@@ -1088,9 +1010,9 @@ struct PredictionServer::Impl
                     opts.snapshotLoadPath, static_cast<int>(st.generation))
                     .c_str(),
                 st.generation,
-                kModes[static_cast<std::size_t>(st.loadMode) < 4
-                           ? static_cast<std::size_t>(st.loadMode)
-                           : 0]);
+                st.loadMode == analysis::SnapshotLoadMode::MmapV2
+                    ? "v2 mmap"
+                    : "v2 eager parse");
         } catch (const std::exception &e) {
             snapshotFallbacks.fetch_add(
                 static_cast<std::uint64_t>(
@@ -1109,8 +1031,7 @@ struct PredictionServer::Impl
         std::lock_guard<std::mutex> lock(snapshotMu);
         try {
             analysis::saveSnapshot(opts.snapshotPath,
-                                   {engine, opts.snapshotGenerations,
-                                    opts.snapshotFormat});
+                                   {engine, opts.snapshotGenerations});
             return true;
         } catch (const std::exception &e) {
             std::fprintf(stderr, "snapshot save failed: %s\n", e.what());
@@ -1119,12 +1040,10 @@ struct PredictionServer::Impl
     }
 
     /**
-     * SNAPSHOT-fetch subop: serialize the live universe to a v2 image
-     * in memory and stream it back as chunk frames. Always v2
-     * regardless of the configured on-disk format — the requester is
-     * a bootstrapping replica that wants the mmap-native image, and
-     * v2 is byte-deterministic, so a wire fetch digests identically
-     * to a local save of the same state.
+     * SNAPSHOT-fetch subop: serialize the live universe to an image in
+     * memory and stream it back as chunk frames. The image is
+     * byte-deterministic, so a wire fetch digests identically to a
+     * local save of the same state.
      */
     void
     serveSnapshotFetch(std::uint64_t id, std::vector<std::uint8_t> &reply)
@@ -1133,8 +1052,7 @@ struct PredictionServer::Impl
         {
             std::lock_guard<std::mutex> lock(snapshotMu);
             try {
-                img = analysis::saveSnapshotToMemory(
-                    {engine, 1, analysis::SnapshotFormat::V2});
+                img = analysis::saveSnapshotToMemory({engine, 1});
             } catch (const std::exception &e) {
                 std::fprintf(stderr, "snapshot fetch failed: %s\n",
                              e.what());
@@ -1208,10 +1126,10 @@ struct PredictionServer::Impl
         stopping.store(false);
         draining.store(false);
         if (!opts.unixPath.empty())
-            unixFd = listenUnix();
+            unixFd = listenUnix(opts.unixPath);
         if (opts.tcpPort >= 0) {
             try {
-                tcpFd = listenTcp();
+                tcpFd = listenTcp(opts.tcpHost, opts.tcpPort, boundTcpPort);
             } catch (...) {
                 if (unixFd >= 0) {
                     ::close(unixFd);

@@ -166,15 +166,6 @@ struct ServerOptions
 
     /** Snapshot generations kept/scanned (SnapshotOptions::generations). */
     int snapshotGenerations = analysis::kSnapshotGenerations;
-
-    /**
-     * Image format written by SNAPSHOT saves. V2 (the default) is the
-     * mmap-native sectioned image: restarts warm-start in
-     * O(pages touched) by binding the file instead of parsing it.
-     * V1 keeps the legacy streaming format for rollback to older
-     * binaries (any build reads both; see snapshot.h "Format v2").
-     */
-    analysis::SnapshotFormat snapshotFormat = analysis::SnapshotFormat::V2;
 };
 
 class PredictionServer

@@ -2,19 +2,15 @@
  * @file
  * facile_snaptool — offline snapshot surgery (src/tools/README.md).
  *
- * Works on both snapshot formats through the format-independent
- * SnapshotModel (analysis/snapshot.h): the v1 streaming image and the
- * mmap-native sectioned v2 image are parsed to the same logical model,
- * and every mutating subcommand rebuilds a deterministic image from
- * that model, so convert round trips are bit-identical by
- * construction.
+ * Works on the parsed SnapshotModel (analysis/snapshot.h): every
+ * mutating subcommand rebuilds a deterministic image from that model,
+ * so an unchanged model rebuilds to the same bytes.
  *
  * Subcommands:
  *   dump <file> [--hex]                    layout + per-arch stats
  *   verify <file>...                       deep validation, CI-friendly
  *   diff <a> <b>                           logical comparison
- *   convert <in> --to v1|v2 [--out P] [--dry-run]
- *   merge <out> <in>... [--to v1|v2] [--dry-run]
+ *   merge <out> <in>... [--dry-run]
  *   compact <in> [--out P] [--drop-predictions] [--dry-run]
  *
  * Exit codes: 0 success (verify: all valid; diff: identical),
@@ -42,7 +38,6 @@
 namespace {
 
 using facile::analysis::SnapshotError;
-using facile::analysis::SnapshotFormat;
 using facile::analysis::SnapshotModel;
 
 /** Command-line misuse (bad flags, missing operands): exit 2. */
@@ -102,22 +97,6 @@ archName(std::uint32_t archWord)
     return facile::uarch::config(all[archWord]).abbrev;
 }
 
-const char *
-formatName(SnapshotFormat f)
-{
-    return f == SnapshotFormat::V2 ? "v2" : "v1";
-}
-
-SnapshotFormat
-parseFormat(const std::string &s)
-{
-    if (s == "v1" || s == "1")
-        return SnapshotFormat::V1;
-    if (s == "v2" || s == "2")
-        return SnapshotFormat::V2;
-    throw UsageError("unknown format '" + s + "' (expected v1 or v2)");
-}
-
 // ---- canonical model (merge / compact) -------------------------------------
 //
 // The set/union layer itself lives in the library
@@ -147,13 +126,10 @@ cmdDump(const std::vector<std::string> &args)
         throw UsageError("dump: missing file operand");
 
     const std::vector<std::uint8_t> img = slurp(path);
-    const SnapshotFormat fmt =
-        facile::analysis::snapshotImageFormat(img.data(), img.size());
     const facile::analysis::SnapshotStats st =
         facile::analysis::validateSnapshot(img.data(), img.size());
     std::printf("file:        %s\n", path.c_str());
-    std::printf("format:      %s (version %u)\n", formatName(fmt),
-                st.formatVersion);
+    std::printf("format:      v2\n");
     std::printf("bytes:       %zu\n", img.size());
     std::printf("records:     %zu\n", st.records);
     std::printf("fused pairs: %zu\n", st.fusedPairs);
@@ -166,29 +142,26 @@ cmdDump(const std::vector<std::string> &args)
                     archName(a.arch), a.records.size(),
                     a.fusedPairs.size());
 
-    if (fmt == SnapshotFormat::V2) {
-        std::uint32_t count = 0;
-        std::memcpy(&count, img.data() + 20, 4);
-        const auto table = facile::corpus::decodeSectionTable(
-            img.data() + 64, img.size() - 64, count, img.size());
-        std::printf("sections:    %u\n", count);
-        for (const facile::corpus::SectionEntry &e : table) {
-            static const char *kTypes[] = {"?", "records", "pairs",
-                                           "predictions"};
-            std::printf("  %-11s tag %-4s offset %-10llu length %-10llu "
-                        "items %-6llu hash %016llx\n",
-                        e.type < 4 ? kTypes[e.type] : "?",
-                        e.type == 3 ? "-" : archName(e.tag),
-                        static_cast<unsigned long long>(e.offset),
-                        static_cast<unsigned long long>(e.length),
-                        static_cast<unsigned long long>(e.itemCount),
-                        static_cast<unsigned long long>(e.hash));
-        }
+    std::uint32_t count = 0;
+    std::memcpy(&count, img.data() + 20, 4);
+    const auto table = facile::corpus::decodeSectionTable(
+        img.data() + 64, img.size() - 64, count, img.size());
+    std::printf("sections:    %u\n", count);
+    for (const facile::corpus::SectionEntry &e : table) {
+        static const char *kTypes[] = {"?", "records", "pairs",
+                                       "predictions"};
+        std::printf("  %-11s tag %-4s offset %-10llu length %-10llu "
+                    "items %-6llu hash %016llx\n",
+                    e.type < 4 ? kTypes[e.type] : "?",
+                    e.type == 3 ? "-" : archName(e.tag),
+                    static_cast<unsigned long long>(e.offset),
+                    static_cast<unsigned long long>(e.length),
+                    static_cast<unsigned long long>(e.itemCount),
+                    static_cast<unsigned long long>(e.hash));
     }
 
     if (hex) {
-        const std::size_t n = std::min<std::size_t>(
-            img.size(), fmt == SnapshotFormat::V2 ? 64 : 32);
+        const std::size_t n = std::min<std::size_t>(img.size(), 64);
         std::printf("header hex:\n");
         for (std::size_t i = 0; i < n; i += 16) {
             std::printf("  %04zx ", i);
@@ -212,12 +185,10 @@ cmdVerify(const std::vector<std::string> &args)
             const facile::analysis::SnapshotStats st =
                 facile::analysis::validateSnapshot(img.data(),
                                                    img.size());
-            std::printf("OK   %s  %s, %zu records, %zu pairs, "
+            std::printf("OK   %s  v2, %zu records, %zu pairs, "
                         "%zu predictions\n",
-                        path.c_str(),
-                        formatName(facile::analysis::snapshotImageFormat(
-                            img.data(), img.size())),
-                        st.records, st.fusedPairs, st.predictions);
+                        path.c_str(), st.records, st.fusedPairs,
+                        st.predictions);
         } catch (const std::exception &e) {
             std::printf("FAIL %s  %s\n", path.c_str(), e.what());
             ++bad;
@@ -313,63 +284,30 @@ cmdDiff(const std::vector<std::string> &args)
     return 1;
 }
 
-/** Shared tail of convert/merge/compact: stats line + guarded write. */
+/** Shared tail of merge/compact: stats line + guarded write. */
 int
 emitImage(const std::vector<std::uint8_t> &img, const std::string &out,
-          SnapshotFormat fmt, bool dryRun)
+          bool dryRun)
 {
     const facile::analysis::SnapshotStats st =
         facile::analysis::validateSnapshot(img.data(), img.size());
-    std::printf("%s%s: %s, %zu bytes, %zu records, %zu pairs, "
+    std::printf("%s%s: %zu bytes, %zu records, %zu pairs, "
                 "%zu predictions\n",
                 dryRun ? "would write " : "wrote ", out.c_str(),
-                formatName(fmt), img.size(), st.records, st.fusedPairs,
-                st.predictions);
+                img.size(), st.records, st.fusedPairs, st.predictions);
     if (!dryRun)
         writeAtomic(out, img);
     return 0;
 }
 
 int
-cmdConvert(const std::vector<std::string> &args)
-{
-    std::string in, out, to;
-    bool dryRun = false;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--to" && i + 1 < args.size())
-            to = args[++i];
-        else if (args[i] == "--out" && i + 1 < args.size())
-            out = args[++i];
-        else if (args[i] == "--dry-run")
-            dryRun = true;
-        else if (!in.empty())
-            throw UsageError("convert takes one input file");
-        else
-            in = args[i];
-    }
-    if (in.empty() || to.empty())
-        throw UsageError("convert <in> --to v1|v2 [--out P] [--dry-run]");
-    const SnapshotFormat fmt = parseFormat(to);
-    if (out.empty())
-        out = in + "." + formatName(fmt);
-
-    const std::vector<std::uint8_t> img = slurp(in);
-    const SnapshotModel m =
-        facile::analysis::parseSnapshotModel(img.data(), img.size());
-    return emitImage(facile::analysis::buildSnapshotImage(m, fmt), out,
-                     fmt, dryRun);
-}
-
-int
 cmdMerge(const std::vector<std::string> &args)
 {
-    std::string out, to = "v2";
+    std::string out;
     std::vector<std::string> inputs;
     bool dryRun = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
-        if (args[i] == "--to" && i + 1 < args.size())
-            to = args[++i];
-        else if (args[i] == "--dry-run")
+        if (args[i] == "--dry-run")
             dryRun = true;
         else if (out.empty())
             out = args[i];
@@ -377,7 +315,7 @@ cmdMerge(const std::vector<std::string> &args)
             inputs.push_back(args[i]);
     }
     if (out.empty() || inputs.empty())
-        throw UsageError("merge <out> <in>... [--to v1|v2] [--dry-run]");
+        throw UsageError("merge <out> <in>... [--dry-run]");
 
     ModelSet set;
     for (const std::string &in : inputs) {
@@ -386,10 +324,8 @@ cmdMerge(const std::vector<std::string> &args)
                                                             img.size()),
                        in);
     }
-    const SnapshotFormat fmt = parseFormat(to);
-    return emitImage(
-        facile::analysis::buildSnapshotImage(set.canonical(), fmt), out,
-        fmt, dryRun);
+    return emitImage(facile::analysis::buildSnapshotImage(set.canonical()),
+                     out, dryRun);
 }
 
 int
@@ -416,8 +352,6 @@ cmdCompact(const std::vector<std::string> &args)
         out = in;
 
     const std::vector<std::uint8_t> img = slurp(in);
-    const SnapshotFormat fmt =
-        facile::analysis::snapshotImageFormat(img.data(), img.size());
     ModelSet set;
     set.accumulate(facile::analysis::parseSnapshotModel(img.data(),
                                                         img.size()),
@@ -427,10 +361,10 @@ cmdCompact(const std::vector<std::string> &args)
         set.predictions.clear();
     }
     const std::vector<std::uint8_t> rebuilt =
-        facile::analysis::buildSnapshotImage(set.canonical(), fmt);
+        facile::analysis::buildSnapshotImage(set.canonical());
     std::printf("compact %s: %zu -> %zu bytes\n", in.c_str(), img.size(),
                 rebuilt.size());
-    return emitImage(rebuilt, out, fmt, dryRun);
+    return emitImage(rebuilt, out, dryRun);
 }
 
 int
@@ -442,8 +376,7 @@ usage(std::FILE *to)
         "  dump <file> [--hex]            show layout and stats\n"
         "  verify <file>...               validate deeply; exit 0/1\n"
         "  diff <a> <b>                   compare contents; exit 0/1\n"
-        "  convert <in> --to v1|v2 [--out P] [--dry-run]\n"
-        "  merge <out> <in>... [--to v1|v2] [--dry-run]\n"
+        "  merge <out> <in>... [--dry-run]\n"
         "  compact <in> [--out P] [--drop-predictions] [--dry-run]\n");
     return to == stdout ? 0 : 2;
 }
@@ -464,8 +397,6 @@ main(int argc, char **argv)
             return cmdVerify(args);
         if (cmd == "diff")
             return cmdDiff(args);
-        if (cmd == "convert")
-            return cmdConvert(args);
         if (cmd == "merge")
             return cmdMerge(args);
         if (cmd == "compact")

@@ -9,7 +9,9 @@
  */
 #include <gtest/gtest.h>
 
+#include <fcntl.h>
 #include <sys/socket.h>
+#include <sys/stat.h>
 #include <sys/un.h>
 #include <unistd.h>
 
@@ -17,7 +19,9 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -227,6 +231,71 @@ TEST(Router, BitIdenticalThroughTwoBackends)
     router.stop();
 }
 
+/** The socket fds this process currently holds. */
+std::set<int>
+openSockets()
+{
+    std::set<int> fds;
+    for (const auto &entry :
+         std::filesystem::directory_iterator("/proc/self/fd")) {
+        const int fd = std::stoi(entry.path().filename().string());
+        struct ::stat sb;
+        if (::fstat(fd, &sb) == 0 && S_ISSOCK(sb.st_mode))
+            fds.insert(fd);
+    }
+    return fds;
+}
+
+/**
+ * Every socket opened since @p before has FD_CLOEXEC set, so no
+ * exec'd child inherits a listener (and keeps its port bound) or a
+ * connection. Sockets the process inherited are not ours to judge.
+ * Fails when no new socket exists.
+ */
+::testing::AssertionResult
+newSocketsCloseOnExec(const std::set<int> &before)
+{
+    std::size_t checked = 0;
+    for (const int fd : openSockets()) {
+        if (before.count(fd))
+            continue;
+        ++checked;
+        const int flags = ::fcntl(fd, F_GETFD);
+        if (flags < 0 || !(flags & FD_CLOEXEC))
+            return ::testing::AssertionFailure()
+                   << "socket fd " << fd << " lacks FD_CLOEXEC";
+    }
+    if (checked == 0)
+        return ::testing::AssertionFailure() << "no new sockets";
+    return ::testing::AssertionSuccess() << checked << " sockets";
+}
+
+TEST(Router, ServerAndRouterSocketsAreCloseOnExec)
+{
+    // Each check runs while only the calling thread creates sockets:
+    // no client connects to the server, and the router's one backend
+    // refuses the start() dial and is not re-dialed during the check.
+    const std::set<int> inherited = openSockets();
+    server::ServerOptions so;
+    so.unixPath = freshUnixPath();
+    so.tcpPort = 0;
+    server::PredictionServer srv(so);
+    srv.start();
+    EXPECT_TRUE(newSocketsCloseOnExec(inherited))
+        << "after PredictionServer::start";
+    srv.stop();
+
+    RouterOptions ro;
+    ro.unixPath = freshUnixPath();
+    ro.tcpPort = 0;
+    ro.backends = {parseEndpoint("unix:" + freshUnixPath())};
+    ro.reconnectBackoffMs = ro.reconnectBackoffMaxMs = 60000;
+    Router router(ro);
+    router.start();
+    EXPECT_TRUE(newSocketsCloseOnExec(inherited)) << "after Router::start";
+    router.stop();
+}
+
 TEST(Router, ControlOpsAnsweredLocally)
 {
     Fleet fleet(1);
@@ -396,13 +465,10 @@ TEST(Bootstrap, WireFetchBitIdenticalToLocalSave)
 
     const std::vector<std::uint8_t> wire = client.fetchSnapshot();
     const std::vector<std::uint8_t> local =
-        analysis::saveSnapshotToMemory(
-            {fleet.engines[0].get(), 1, analysis::SnapshotFormat::V2});
+        analysis::saveSnapshotToMemory({fleet.engines[0].get(), 1});
     ASSERT_EQ(wire.size(), local.size());
     EXPECT_EQ(std::memcmp(wire.data(), local.data(), wire.size()), 0)
         << "wire image is not bit-identical to a local save";
-    EXPECT_EQ(analysis::snapshotImageFormat(wire.data(), wire.size()),
-              analysis::SnapshotFormat::V2);
     EXPECT_GT(client.stats().snapshotFetchesServed, 0u);
 
     // Staging writes it through the atomic path and the ordinary
@@ -412,7 +478,7 @@ TEST(Bootstrap, WireFetchBitIdenticalToLocalSave)
     engine::PredictionEngine fresh({.numThreads = 1});
     const analysis::SnapshotStats st =
         analysis::loadSnapshot(path, {&fresh});
-    EXPECT_EQ(st.formatVersion, 2u);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2);
     EXPECT_GT(st.predictions, 0u);
     std::remove(path.c_str());
 }

@@ -2,8 +2,9 @@
  * @file
  * Tests for the warm-start snapshot (src/analysis/snapshot.h).
  *
- * The core contracts: (1) the InstRecord codec round-trips every field
- * bit-for-bit; (2) save → load in the same process is an append-only
+ * The core contracts: (1) a saved image round-trips every InstRecord
+ * field bit-for-bit on all nine arches; (2) save → load in the same
+ * process is an append-only
  * no-op (existing records win; predictions stay bit-identical); (3) a
  * *fresh process* started from a snapshot produces bit-identical
  * predictions to a cold process over the full suite on all nine
@@ -15,11 +16,14 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "analysis/intern.h"
@@ -145,55 +149,6 @@ sameRecord(const analysis::InstRecord &a, const analysis::InstRecord &b)
            a.jccTestsSOP == b.jccTestsSOP;
 }
 
-TEST(SnapshotCodec, RecordRoundTripAllArches)
-{
-    populateInterners();
-    std::size_t checked = 0;
-    for (uarch::UArch arch : uarch::allUArchs()) {
-        const analysis::InstInterner &in =
-            analysis::InstInterner::forArch(arch);
-        in.exportRecords([&](const std::uint8_t *, std::size_t,
-                             const analysis::InstRecord &rec) {
-            std::vector<std::uint8_t> buf;
-            analysis::InstRecordSnapshotCodec::encode(buf, rec);
-            std::size_t pos = 0;
-            const analysis::InstRecord back =
-                analysis::InstRecordSnapshotCodec::decode(
-                    buf.data(), buf.size(), pos);
-            EXPECT_EQ(pos, buf.size());
-            EXPECT_TRUE(sameRecord(rec, back));
-            ++checked;
-        });
-    }
-    // Each arch saw a few hundred distinct instructions.
-    EXPECT_GT(checked, 1000u);
-}
-
-TEST(SnapshotCodec, DecodeRejectsTruncation)
-{
-    populateInterners();
-    const analysis::InstInterner &in =
-        analysis::InstInterner::forArch(uarch::UArch::SKL);
-    std::vector<std::uint8_t> buf;
-    bool first = true;
-    in.exportRecords([&](const std::uint8_t *, std::size_t,
-                         const analysis::InstRecord &rec) {
-        if (!first)
-            return;
-        first = false;
-        analysis::InstRecordSnapshotCodec::encode(buf, rec);
-    });
-    ASSERT_FALSE(buf.empty());
-    // Every proper prefix must throw, never crash or return garbage.
-    for (std::size_t cut = 0; cut < buf.size(); ++cut) {
-        std::size_t pos = 0;
-        EXPECT_THROW(analysis::InstRecordSnapshotCodec::decode(
-                         buf.data(), cut, pos),
-                     analysis::SnapshotError)
-            << "prefix length " << cut;
-    }
-}
-
 TEST(Snapshot, SaveLoadSameProcessIsAppendOnlyNoOp)
 {
     populateInterners();
@@ -249,96 +204,6 @@ TEST(Snapshot, EnginePredictionCacheRoundTrip)
     std::remove(path.c_str());
 }
 
-TEST(Snapshot, RejectsCorruptionTruncationAndVersionMismatch)
-{
-    populateInterners();
-    const std::string path = tmpPath("corrupt");
-    // This matrix pokes v1 byte offsets (version at 8, checksum at 24,
-    // FNV over everything past 32) — write the v1 format explicitly.
-    // The v2 corruption matrix lives in SnapshotV2.*.
-    analysis::saveSnapshot(path,
-                           {.format = analysis::SnapshotFormat::V1});
-
-    std::vector<std::uint8_t> file;
-    {
-        std::FILE *f = std::fopen(path.c_str(), "rb");
-        ASSERT_NE(f, nullptr);
-        std::fseek(f, 0, SEEK_END);
-        file.resize(static_cast<std::size_t>(std::ftell(f)));
-        std::fseek(f, 0, SEEK_SET);
-        ASSERT_EQ(std::fread(file.data(), 1, file.size(), f),
-                  file.size());
-        std::fclose(f);
-    }
-    ASSERT_GT(file.size(), 64u);
-
-    auto writeVariant = [&](const std::vector<std::uint8_t> &bytes) {
-        std::FILE *f = std::fopen(path.c_str(), "wb");
-        ASSERT_NE(f, nullptr);
-        if (!bytes.empty()) {
-            ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                      bytes.size());
-        }
-        std::fclose(f);
-    };
-
-    // Truncations: header, mid-payload, one byte short.
-    for (std::size_t cut :
-         {std::size_t{0}, std::size_t{7}, std::size_t{31},
-          std::size_t{40}, file.size() / 2, file.size() - 1}) {
-        std::vector<std::uint8_t> t(file.begin(),
-                                    file.begin() +
-                                        static_cast<std::ptrdiff_t>(cut));
-        writeVariant(t);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "truncated to " << cut;
-    }
-
-    // Bad magic.
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad[0] ^= 0xff;
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError);
-    }
-
-    // Unsupported version.
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad[8] = static_cast<std::uint8_t>(analysis::kSnapshotVersion + 1);
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError);
-    }
-
-    // Payload corruption must fail the checksum — try several offsets.
-    for (std::size_t off = 32; off < file.size();
-         off += file.size() / 7) {
-        std::vector<std::uint8_t> bad = file;
-        bad[off] ^= 0x5a;
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "flip at " << off;
-    }
-
-    // Corrupted checksum field itself.
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad[24] ^= 0x01;
-        writeVariant(bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError);
-    }
-
-    // The pristine bytes still load (the harness above is not lossy).
-    writeVariant(file);
-    EXPECT_NO_THROW(analysis::loadSnapshot(path));
-    std::remove(path.c_str());
-}
-
 /** Read the whole file (for the in-memory entry-point tests). */
 std::vector<std::uint8_t>
 slurpFile(const std::string &path)
@@ -352,6 +217,45 @@ slurpFile(const std::string &path)
     EXPECT_EQ(std::fread(buf.data(), 1, buf.size(), f), buf.size());
     std::fclose(f);
     return buf;
+}
+
+/** Decode the section table of a v2 image (validated, file order). */
+std::vector<corpus::SectionEntry>
+v2Table(const std::vector<std::uint8_t> &img)
+{
+    EXPECT_GE(img.size(), 64u);
+    std::uint32_t count = 0;
+    std::memcpy(&count, img.data() + 20, 4);
+    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
+                                      count, img.size());
+}
+
+/** Re-stamp the header hash after forging header bytes [0, 48). */
+void
+restampHeader(std::vector<std::uint8_t> &img)
+{
+    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
+    std::memcpy(img.data() + 48, &headerHash, 8);
+}
+
+/**
+ * Write @p entries as the section table of @p img and re-stamp the
+ * file size, table hash and header hash, so the forged image passes
+ * every header check.
+ */
+void
+restampTable(std::vector<std::uint8_t> &img,
+             const std::vector<corpus::SectionEntry> &entries)
+{
+    const std::vector<std::uint8_t> tbl =
+        corpus::encodeSectionTable(entries);
+    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
+    const std::uint64_t fileBytes = img.size();
+    std::memcpy(img.data() + 24, &fileBytes, 8);
+    const std::uint64_t tableHash =
+        corpus::xxh64(img.data() + 64, tbl.size());
+    std::memcpy(img.data() + 40, &tableHash, 8);
+    restampHeader(img);
 }
 
 /** Count canonical records currently interned for @p arch. */
@@ -385,29 +289,20 @@ TEST(Snapshot, MemoryLoadMatchesFileLoad)
 TEST(Snapshot, ValidateStagesEverythingAndCommitsNothing)
 {
     populateInterners();
-    const std::string path = tmpPath("validate");
-    // Forging a key below assumes the v1 record layout at fixed
-    // offsets; save that format explicitly.
-    analysis::saveSnapshot(path,
-                           {.format = analysis::SnapshotFormat::V1});
-    std::vector<std::uint8_t> img = slurpFile(path);
-    std::remove(path.c_str());
+    analysis::SnapshotModel m = [] {
+        const std::vector<std::uint8_t> img =
+            analysis::saveSnapshotToMemory();
+        return analysis::parseSnapshotModel(img.data(), img.size());
+    }();
 
     // Forge a never-seen intern key: flip the first key byte of the
-    // first record (the key is opaque to validation) and re-stamp the
-    // checksum, so a committing load WOULD append a record.
-    ASSERT_GT(img.size(), 54u);
-    std::uint32_t sectionType;
-    std::memcpy(&sectionType, img.data() + 32, 4);
-    ASSERT_EQ(sectionType, 1u); // records section first
-    img[53] ^= 0xFF;            // first key byte (keyLen at 52)
-    const std::uint64_t sum =
-        analysis::fnv1a64(img.data() + 32, img.size() - 32);
-    std::memcpy(img.data() + 24, &sum, 8);
-
-    std::uint32_t archWord;
-    std::memcpy(&archWord, img.data() + 36, 4);
-    const auto arch = static_cast<uarch::UArch>(archWord);
+    // first record (the key is opaque to validation), so a committing
+    // load WOULD append a record.
+    ASSERT_FALSE(m.arches.empty());
+    ASSERT_FALSE(m.arches.front().records.empty());
+    m.arches.front().records.front().first[0] ^= 0xFF;
+    const auto arch = static_cast<uarch::UArch>(m.arches.front().arch);
+    const std::vector<std::uint8_t> img = analysis::buildSnapshotImage(m);
 
     // validateSnapshot: full staging pass, zero commitment.
     const std::size_t before = recordCount(arch);
@@ -426,37 +321,18 @@ TEST(Snapshot, ValidateStagesEverythingAndCommitsNothing)
 
 TEST(Snapshot, ForgedRecordCountCannotBloatMemory)
 {
-    // A section claiming 2^32-1 records in a 4-byte payload must be
-    // rejected as truncation — and, with the clamped reserve, without
-    // first attempting a count-sized allocation (the checksum is
-    // FNV-1a, so an attacker can stamp any count they like).
-    std::vector<std::uint8_t> img(32);
-    std::memcpy(img.data(), "FACSNAP\n", 8);
-    const std::uint32_t version = analysis::kSnapshotVersion;
-    std::memcpy(img.data() + 8, &version, 4);
-    const std::uint32_t sections = 1;
-    std::memcpy(img.data() + 12, &sections, 4);
-
-    auto put32 = [&](std::uint32_t v) {
-        const std::size_t n = img.size();
-        img.resize(n + 4);
-        std::memcpy(img.data() + n, &v, 4);
-    };
-    auto put64 = [&](std::uint64_t v) {
-        const std::size_t n = img.size();
-        img.resize(n + 8);
-        std::memcpy(img.data() + n, &v, 8);
-    };
-    put32(1); // SectionType::Records
-    put32(0); // arch
-    put64(4); // section len: just the count field
-    put32(0xFFFFFFFFu);
-
-    const std::uint64_t payloadLen = img.size() - 32;
-    std::memcpy(img.data() + 16, &payloadLen, 8);
-    const std::uint64_t sum =
-        analysis::fnv1a64(img.data() + 32, payloadLen);
-    std::memcpy(img.data() + 24, &sum, 8);
+    // A records section whose table entry claims 2^48 records must be
+    // rejected — and, with the clamped reserve, without first
+    // attempting a count-sized allocation (the hashes are plain
+    // xxh64, so an attacker can re-stamp them after forging any
+    // count).
+    populateInterners();
+    std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
+    std::vector<corpus::SectionEntry> table = v2Table(img);
+    ASSERT_FALSE(table.empty());
+    ASSERT_EQ(table.front().type, 1u); // records section first
+    table.front().itemCount = std::uint64_t{1} << 48;
+    restampTable(img, table);
 
     EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
                  analysis::SnapshotError);
@@ -778,17 +654,6 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
 
 // ---- snapshot v2: mmap-native sectioned image ------------------------------
 
-/** Decode the section table of a v2 image (validated, file order). */
-std::vector<corpus::SectionEntry>
-v2Table(const std::vector<std::uint8_t> &img)
-{
-    EXPECT_GE(img.size(), 64u);
-    std::uint32_t count = 0;
-    std::memcpy(&count, img.data() + 20, 4);
-    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
-                                      count, img.size());
-}
-
 /** Overwrite @p path with @p bytes. */
 void
 writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
@@ -810,14 +675,12 @@ TEST(SnapshotV2, RoundTripLoadModes)
     removeGenerations(path);
 
     const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    EXPECT_EQ(saved.formatVersion, 2u) << "V2 is the default format";
     EXPECT_GT(saved.records, 1000u);
 
     // Default load: mmap + lazy bind — no records parsed, none appended.
     const auto binds = analysis::snapshotSourceStats().imagesBound;
     const analysis::SnapshotStats mm = analysis::loadSnapshot(path);
     EXPECT_EQ(mm.loadMode, analysis::SnapshotLoadMode::MmapV2);
-    EXPECT_EQ(mm.formatVersion, 2u);
     EXPECT_EQ(mm.records, saved.records);
     EXPECT_EQ(mm.fusedPairs, saved.fusedPairs);
     EXPECT_EQ(mm.newRecords, 0u);
@@ -832,8 +695,6 @@ TEST(SnapshotV2, RoundTripLoadModes)
 
     // Wire images have no file behind them: always eager.
     const std::vector<std::uint8_t> img = slurpFile(path);
-    EXPECT_EQ(analysis::snapshotImageFormat(img.data(), img.size()),
-              analysis::SnapshotFormat::V2);
     const analysis::SnapshotStats mem =
         analysis::loadSnapshotFromMemory(img.data(), img.size());
     EXPECT_EQ(mem.loadMode, analysis::SnapshotLoadMode::EagerV2);
@@ -888,6 +749,26 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
         EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
                      analysis::SnapshotError)
             << "header flip at " << off;
+    }
+
+    // Forged header fields behind a re-stamped header hash: the field
+    // checks themselves must reject an older or newer version, a
+    // foreign endian tag and a foreign page size.
+    for (const auto &[off, value] :
+         {std::pair<std::size_t, std::uint32_t>{8, 1},
+          std::pair<std::size_t, std::uint32_t>{8, 3},
+          std::pair<std::size_t, std::uint32_t>{12, 0x04030201},
+          std::pair<std::size_t, std::uint32_t>{16, 8192}}) {
+        std::vector<std::uint8_t> bad = file;
+        std::memcpy(bad.data() + off, &value, 4);
+        restampHeader(bad);
+        writeFile(path, bad);
+        EXPECT_THROW(analysis::loadSnapshot(path),
+                     analysis::SnapshotError)
+            << "forged field at " << off << " = " << value;
+        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
+                     analysis::SnapshotError)
+            << "forged field at " << off << " = " << value;
     }
 
     // Table damage is caught by the table hash wherever it lands.
@@ -974,21 +855,11 @@ TEST(SnapshotV2, MisalignedImageFallsBackToEagerParse)
                                       table[i].offset + table[i].length));
     }
     ASSERT_LT(img.size(), file.size()) << "padding actually removed";
-    const std::vector<std::uint8_t> tbl =
-        corpus::encodeSectionTable(packed);
-    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
-    const std::uint64_t fileBytes = img.size();
-    std::memcpy(img.data() + 24, &fileBytes, 8);
-    const std::uint64_t tableHash =
-        corpus::xxh64(img.data() + 64, tbl.size());
-    std::memcpy(img.data() + 40, &tableHash, 8);
-    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
-    std::memcpy(img.data() + 48, &headerHash, 8);
+    restampTable(img, packed);
 
     writeFile(path, img);
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
     EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2);
-    EXPECT_EQ(st.formatVersion, 2u);
     EXPECT_EQ(st.records, saved.records);
     EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
     removeGenerations(path);
@@ -1015,26 +886,40 @@ TEST(SnapshotV2, MmapFaultFallsBackToEagerParse)
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, FallsBackThroughGenerationsToV1)
+TEST(SnapshotV2, V1ImageIsRejectedAndWalkFallsBack)
 {
-    populateInterners();
-    const std::string path = tmpPath("v2_to_v1");
-    removeGenerations(path);
+    // The retired v1 format ("FACSNAP\n", u32 version 1, u32 sections,
+    // u64 payload bytes, u64 FNV-1a checksum): this header describes
+    // a well-formed empty v1 image. It is not a v2 image, so every
+    // entry point rejects it, and the generation walk moves past it.
+    std::vector<std::uint8_t> v1(32, 0);
+    std::memcpy(v1.data(), "FACSNAP\n", 8);
+    const std::uint32_t version = 1;
+    std::memcpy(v1.data() + 8, &version, 4);
+    const std::uint64_t emptyFnv = analysis::fnv1a64(nullptr, 0);
+    std::memcpy(v1.data() + 24, &emptyFnv, 8);
 
-    // History: a v1 save (old binary), then a v2 save rotates it to
-    // .g1, then the primary is damaged.
-    const analysis::SnapshotStats v1 = analysis::saveSnapshot(
-        path, {.format = analysis::SnapshotFormat::V1});
-    analysis::saveSnapshot(path);
-    std::vector<std::uint8_t> bad = slurpFile(path);
-    bad[48] ^= 0xff; // header hash
-    writeFile(path, bad);
+    EXPECT_THROW(analysis::loadSnapshotFromMemory(v1.data(), v1.size()),
+                 analysis::SnapshotError);
+    EXPECT_THROW(analysis::validateSnapshot(v1.data(), v1.size()),
+                 analysis::SnapshotError);
+    EXPECT_THROW(analysis::parseSnapshotModel(v1.data(), v1.size()),
+                 analysis::SnapshotError);
+
+    populateInterners();
+    const std::string path = tmpPath("v1_primary");
+    removeGenerations(path);
+    const analysis::SnapshotStats first = analysis::saveSnapshot(path);
+    analysis::saveSnapshot(path); // rotates the first image to .g1
+    writeFile(path, v1);          // a v1 primary in front of a v2 .g1
 
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
     EXPECT_EQ(st.generation, 1u);
-    EXPECT_EQ(st.formatVersion, 1u);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::ParseV1);
-    EXPECT_EQ(st.records, v1.records);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2);
+    EXPECT_EQ(st.records, first.records);
+
+    std::remove((path + ".g1").c_str());
+    EXPECT_THROW(analysis::loadSnapshot(path), analysis::SnapshotError);
     removeGenerations(path);
 }
 
@@ -1110,7 +995,6 @@ TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
     removeGenerations(snap);
     std::remove(resaved.c_str());
     const analysis::SnapshotStats saved = analysis::saveSnapshot(snap);
-    ASSERT_EQ(saved.formatVersion, 2u);
 
     char self[4096];
     const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
@@ -1144,65 +1028,41 @@ TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
     removeGenerations(snap);
 }
 
-TEST(SnapshotV2, ConvertRoundTripIsByteIdentical)
+TEST(SnapshotV2, ModelRoundTripIsByteIdentical)
 {
-    // The contract snaptool convert relies on:
-    // buildSnapshotImage(parseSnapshotModel(img), sameFormat) == img,
-    // bit for bit, in both formats — and cross-format conversion
-    // preserves the model exactly.
+    // The contract snaptool merge/compact rely on:
+    // buildSnapshotImage(parseSnapshotModel(img)) == img, bit for bit,
+    // and the parsed model carries every record of every arch exactly
+    // as the live interner holds it.
     populateInterners();
-    const std::string path = tmpPath("v2_convert");
-    removeGenerations(path);
+    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
+    const analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(img.data(), img.size());
+    EXPECT_EQ(analysis::buildSnapshotImage(m), img);
 
-    analysis::saveSnapshot(path);
-    const std::vector<std::uint8_t> v2 = slurpFile(path);
-    analysis::saveSnapshot(path,
-                           {.format = analysis::SnapshotFormat::V1});
-    const std::vector<std::uint8_t> v1 = slurpFile(path);
-    removeGenerations(path);
-
-    const analysis::SnapshotModel mv2 =
-        analysis::parseSnapshotModel(v2.data(), v2.size());
-    const analysis::SnapshotModel mv1 =
-        analysis::parseSnapshotModel(v1.data(), v1.size());
-    EXPECT_EQ(mv2.sourceVersion, 2u);
-    EXPECT_EQ(mv1.sourceVersion, 1u);
-
-    // Same-format rebuilds are byte-identical.
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  mv2, analysis::SnapshotFormat::V2),
-              v2);
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  mv1, analysis::SnapshotFormat::V1),
-              v1);
-
-    // Cross-format round trips land back on the original bytes.
-    const std::vector<std::uint8_t> v2FromV1 =
-        analysis::buildSnapshotImage(mv1,
-                                     analysis::SnapshotFormat::V2);
-    const analysis::SnapshotModel back1 = analysis::parseSnapshotModel(
-        v2FromV1.data(), v2FromV1.size());
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  back1, analysis::SnapshotFormat::V1),
-              v1);
-
-    const std::vector<std::uint8_t> v1FromV2 =
-        analysis::buildSnapshotImage(mv2,
-                                     analysis::SnapshotFormat::V1);
-    const analysis::SnapshotModel back2 = analysis::parseSnapshotModel(
-        v1FromV2.data(), v1FromV2.size());
-    EXPECT_EQ(analysis::buildSnapshotImage(
-                  back2, analysis::SnapshotFormat::V2),
-              v2);
-
-    // Both representations validate to the same logical contents.
-    const analysis::SnapshotStats s1 =
-        analysis::validateSnapshot(v1.data(), v1.size());
-    const analysis::SnapshotStats s2 =
-        analysis::validateSnapshot(v2.data(), v2.size());
-    EXPECT_EQ(s1.records, s2.records);
-    EXPECT_EQ(s1.fusedPairs, s2.fusedPairs);
-    EXPECT_EQ(s1.predictions, s2.predictions);
+    // The save materialized every bound record, so the canonical
+    // arenas now hold exactly what the image holds.
+    ASSERT_EQ(m.arches.size(), uarch::allUArchs().size());
+    std::size_t checked = 0;
+    for (const analysis::SnapshotModel::Arch &a : m.arches) {
+        std::map<std::vector<std::uint8_t>, const analysis::InstRecord *>
+            live;
+        analysis::InstInterner::forArch(static_cast<uarch::UArch>(a.arch))
+            .exportRecords([&](const std::uint8_t *bytes, std::size_t len,
+                               const analysis::InstRecord &rec) {
+                live.emplace(std::vector<std::uint8_t>(bytes, bytes + len),
+                             &rec);
+            });
+        EXPECT_EQ(a.records.size(), live.size()) << "arch " << a.arch;
+        for (const auto &[key, rec] : a.records) {
+            const auto it = live.find(key);
+            ASSERT_NE(it, live.end()) << "arch " << a.arch;
+            EXPECT_TRUE(sameRecord(*it->second, rec)) << "arch " << a.arch;
+            ++checked;
+        }
+    }
+    // Each arch saw a few hundred distinct instructions.
+    EXPECT_GT(checked, 1000u);
 }
 
 } // namespace

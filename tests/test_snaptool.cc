@@ -2,10 +2,10 @@
  * @file
  * End-to-end tests for facile_snaptool (src/tools/facile_snaptool.cc),
  * driving the real binary (FACILE_SNAPTOOL_PATH, injected by CMake)
- * through popen. The contracts: verify is exit-code-truthful on both
- * formats and every corruption class; convert round trips are
- * bit-identical; merge is a commutative union that rejects content
- * conflicts; compact/convert honour --dry-run by writing nothing.
+ * through popen. The contracts: verify is exit-code-truthful on every
+ * corruption class and on images of the retired v1 format; merge is a
+ * commutative union that rejects content conflicts; merge/compact
+ * honour --dry-run by writing nothing.
  */
 #include <gtest/gtest.h>
 
@@ -112,17 +112,15 @@ populateInterners()
     (void)done;
 }
 
-/** Path of a saved snapshot in @p fmt (cached per format). */
+/** Path of a saved snapshot (saved once, then cached). */
 std::string
-savedSnapshot(analysis::SnapshotFormat fmt)
+savedSnapshot()
 {
     populateInterners();
-    const bool v2 = fmt == analysis::SnapshotFormat::V2;
-    static std::string pathV1, pathV2;
-    std::string &path = v2 ? pathV2 : pathV1;
+    static std::string path;
     if (path.empty()) {
-        path = tmpPath(v2 ? "fixture_v2" : "fixture_v1");
-        analysis::saveSnapshot(path, {.format = fmt});
+        path = tmpPath("fixture");
+        analysis::saveSnapshot(path);
     }
     return path;
 }
@@ -131,26 +129,22 @@ TEST(Snaptool, UsageErrorsExitTwo)
 {
     EXPECT_EQ(snaptool("").status, 2);
     EXPECT_EQ(snaptool("frobnicate x").status, 2);
-    EXPECT_EQ(snaptool("convert missing-operand").status, 2);
+    EXPECT_EQ(snaptool("merge missing-inputs").status, 2);
     EXPECT_EQ(snaptool("help").status, 0);
 }
 
-TEST(Snaptool, VerifyBothFormatsAndCorruption)
+TEST(Snaptool, VerifyAndCorruption)
 {
-    const std::string v1 = savedSnapshot(analysis::SnapshotFormat::V1);
-    const std::string v2 = savedSnapshot(analysis::SnapshotFormat::V2);
+    const std::string v2 = savedSnapshot();
 
-    RunResult both = snaptool("verify " + v1 + " " + v2);
-    EXPECT_EQ(both.status, 0) << both.out;
-    EXPECT_NE(both.out.find("OK   " + v1), std::string::npos) << both.out;
-    EXPECT_NE(both.out.find("OK   " + v2), std::string::npos) << both.out;
-    EXPECT_NE(both.out.find("v1"), std::string::npos);
-    EXPECT_NE(both.out.find("v2"), std::string::npos);
+    const RunResult ok = snaptool("verify " + v2);
+    EXPECT_EQ(ok.status, 0) << ok.out;
+    EXPECT_NE(ok.out.find("OK   " + v2), std::string::npos) << ok.out;
 
     // Every corruption class must flip the exit code: truncation,
-    // header damage, table damage, payload bit flip — both formats.
-    for (const std::string &src : {v1, v2}) {
-        const std::vector<std::uint8_t> img = slurpFile(src);
+    // header damage, table damage, payload bit flip.
+    {
+        const std::vector<std::uint8_t> img = slurpFile(v2);
         const std::string bad = tmpPath("verify_bad");
         struct Case {
             const char *what;
@@ -174,11 +168,28 @@ TEST(Snaptool, VerifyBothFormatsAndCorruption)
                 mut[c.flip] ^= 0x40;
             writeFile(bad, mut);
             const RunResult r = snaptool("verify " + bad);
-            EXPECT_EQ(r.status, 1) << src << ": " << c.what << "\n"
-                                   << r.out;
+            EXPECT_EQ(r.status, 1) << c.what << "\n" << r.out;
             EXPECT_NE(r.out.find("FAIL"), std::string::npos) << c.what;
         }
         std::remove(bad.c_str());
+    }
+
+    // A well-formed empty image of the retired v1 format ("FACSNAP\n",
+    // version 1, no sections, FNV-1a of the empty payload) is a FAIL,
+    // and it fails the whole run even next to a good image.
+    {
+        std::vector<std::uint8_t> v1(32, 0);
+        std::memcpy(v1.data(), "FACSNAP\n", 8);
+        const std::uint32_t version = 1;
+        std::memcpy(v1.data() + 8, &version, 4);
+        const std::uint64_t emptyFnv = analysis::fnv1a64(nullptr, 0);
+        std::memcpy(v1.data() + 24, &emptyFnv, 8);
+        const std::string old = tmpPath("verify_v1");
+        writeFile(old, v1);
+        const RunResult r = snaptool("verify " + v2 + " " + old);
+        EXPECT_EQ(r.status, 1) << r.out;
+        EXPECT_NE(r.out.find("FAIL " + old), std::string::npos) << r.out;
+        std::remove(old.c_str());
     }
 
     // A missing file is a FAIL, not a crash.
@@ -187,7 +198,7 @@ TEST(Snaptool, VerifyBothFormatsAndCorruption)
 
 TEST(Snaptool, DumpShowsLayout)
 {
-    const std::string v2 = savedSnapshot(analysis::SnapshotFormat::V2);
+    const std::string v2 = savedSnapshot();
     const RunResult r = snaptool("dump " + v2);
     EXPECT_EQ(r.status, 0) << r.out;
     EXPECT_NE(r.out.find("format:      v2"), std::string::npos) << r.out;
@@ -199,50 +210,15 @@ TEST(Snaptool, DumpShowsLayout)
     const RunResult hex = snaptool("dump --hex " + v2);
     EXPECT_EQ(hex.status, 0);
     EXPECT_NE(hex.out.find("header hex:"), std::string::npos);
-
-    const std::string v1 = savedSnapshot(analysis::SnapshotFormat::V1);
-    const RunResult r1 = snaptool("dump " + v1);
-    EXPECT_EQ(r1.status, 0) << r1.out;
-    EXPECT_NE(r1.out.find("format:      v1"), std::string::npos);
-}
-
-TEST(Snaptool, ConvertRoundTripIsBitIdentical)
-{
-    const std::string v2 = savedSnapshot(analysis::SnapshotFormat::V2);
-    const std::vector<std::uint8_t> orig = slurpFile(v2);
-    const std::string asV1 = tmpPath("conv_v1");
-    const std::string back = tmpPath("conv_back");
-
-    // Same-format rebuild reproduces the input bit for bit.
-    const std::string same = tmpPath("conv_same");
-    EXPECT_EQ(snaptool("convert " + v2 + " --to v2 --out " + same).status,
-              0);
-    EXPECT_EQ(slurpFile(same), orig);
-
-    // v2 -> v1 -> v2 lands back on the original bytes.
-    EXPECT_EQ(snaptool("convert " + v2 + " --to v1 --out " + asV1).status,
-              0);
-    EXPECT_EQ(snaptool("verify " + asV1).status, 0);
-    EXPECT_EQ(
-        snaptool("convert " + asV1 + " --to v2 --out " + back).status, 0);
-    EXPECT_EQ(slurpFile(back), orig);
-
-    // And the logical contents never changed along the way.
-    EXPECT_EQ(snaptool("diff " + v2 + " " + asV1).status, 0);
-
-    std::remove(same.c_str());
-    std::remove(asV1.c_str());
-    std::remove(back.c_str());
 }
 
 TEST(Snaptool, DryRunWritesNothing)
 {
-    const std::string v2 = savedSnapshot(analysis::SnapshotFormat::V2);
+    const std::string v2 = savedSnapshot();
     const std::string out = tmpPath("dryrun_out");
     std::remove(out.c_str());
 
-    const RunResult r =
-        snaptool("convert " + v2 + " --to v1 --out " + out + " --dry-run");
+    const RunResult r = snaptool("merge " + out + " " + v2 + " --dry-run");
     EXPECT_EQ(r.status, 0) << r.out;
     EXPECT_NE(r.out.find("would write"), std::string::npos) << r.out;
     EXPECT_FALSE(fileExists(out));
@@ -257,7 +233,7 @@ void
 splitFixture(const std::string &outA, const std::string &outB,
              bool overlap)
 {
-    const std::string full = savedSnapshot(analysis::SnapshotFormat::V2);
+    const std::string full = savedSnapshot();
     const std::vector<std::uint8_t> img = slurpFile(full);
     const analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
@@ -265,7 +241,6 @@ splitFixture(const std::string &outA, const std::string &outB,
 
     const std::size_t mid = m.arches.size() / 2;
     analysis::SnapshotModel a, b;
-    a.sourceVersion = b.sourceVersion = 2;
     for (std::size_t i = 0; i < m.arches.size(); ++i) {
         // With overlap, a band around the midpoint lands in both.
         const bool inA = i < mid + (overlap ? 1 : 0);
@@ -275,12 +250,8 @@ splitFixture(const std::string &outA, const std::string &outB,
         if (inB)
             b.arches.push_back(m.arches[i]);
     }
-    const std::vector<std::uint8_t> ia = analysis::buildSnapshotImage(
-        a, analysis::SnapshotFormat::V2);
-    const std::vector<std::uint8_t> ib = analysis::buildSnapshotImage(
-        b, analysis::SnapshotFormat::V2);
-    writeFile(outA, ia);
-    writeFile(outB, ib);
+    writeFile(outA, analysis::buildSnapshotImage(a));
+    writeFile(outB, analysis::buildSnapshotImage(b));
 }
 
 TEST(Snaptool, MergeIsACommutativeUnion)
@@ -304,7 +275,7 @@ TEST(Snaptool, MergeIsACommutativeUnion)
         // from (the split covered every arch).
         EXPECT_EQ(
             snaptool("diff " + ab + " " +
-                     savedSnapshot(analysis::SnapshotFormat::V2))
+                     savedSnapshot())
                 .status,
             0)
             << "overlap=" << overlap;
@@ -316,7 +287,7 @@ TEST(Snaptool, MergeIsACommutativeUnion)
 
 TEST(Snaptool, MergeRejectsContentConflicts)
 {
-    const std::string full = savedSnapshot(analysis::SnapshotFormat::V2);
+    const std::string full = savedSnapshot();
     const std::vector<std::uint8_t> img = slurpFile(full);
     analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
@@ -325,8 +296,7 @@ TEST(Snaptool, MergeRejectsContentConflicts)
     // Same key, different analysis: a content conflict.
     m.arches[0].records[0].second.info.latency += 1;
     const std::string forged = tmpPath("merge_forged");
-    writeFile(forged, analysis::buildSnapshotImage(
-                          m, analysis::SnapshotFormat::V2));
+    writeFile(forged, analysis::buildSnapshotImage(m));
 
     const std::string out = tmpPath("merge_conflict_out");
     const RunResult r =
@@ -339,7 +309,7 @@ TEST(Snaptool, MergeRejectsContentConflicts)
 
 TEST(Snaptool, DiffReportsDirectionalDifferences)
 {
-    const std::string full = savedSnapshot(analysis::SnapshotFormat::V2);
+    const std::string full = savedSnapshot();
     const std::string a = tmpPath("diff_a");
     const std::string b = tmpPath("diff_b");
     splitFixture(a, b, false);
@@ -389,8 +359,7 @@ TEST(Snaptool, CompactDropsPredictionsAndStaysLoadable)
 
 TEST(SnaptoolCleanup, RemoveFixtures)
 {
-    std::remove(savedSnapshot(analysis::SnapshotFormat::V1).c_str());
-    std::remove(savedSnapshot(analysis::SnapshotFormat::V2).c_str());
+    std::remove(savedSnapshot().c_str());
 }
 
 } // namespace
