@@ -11,9 +11,11 @@
  *                 [--snapshot-load FILE] [--snapshot-save FILE]
  *                 [--drain-grace-ms N]
  *
- * --threads sizes the engine worker pool; --io-threads the epoll
- * reader loops (1 is right until the reader side itself saturates a
- * core — see ServerOptions::ioThreads). --window-us is the upper bound
+ * --threads N sets the engine's parallel lanes: the collector thread
+ * runs lane 0 of every batch, plus N-1 pool threads (0 = one lane per
+ * hardware thread). --io-threads sets the epoll reader loops (1 is
+ * right until the reader side itself saturates a core — see
+ * ServerOptions::ioThreads). --window-us is the upper bound
  * on the admission window: the collector submits a batch as soon as
  * the burst has been read, and waits at most this long for it
  * (ServerOptions::batchWindowUs). Numeric values must be whole
@@ -111,7 +113,9 @@ usage(const char *argv0)
                  "       [--read-timeout-ms N] [--max-connections N] "
                  "[--max-pending N] [--max-inflight N]\n"
                  "       [--snapshot-load FILE] [--snapshot-save FILE] "
-                 "[--drain-grace-ms N]\n",
+                 "[--drain-grace-ms N]\n"
+                 "--threads N: engine lanes, the collector plus N-1 "
+                 "pool threads\n",
                  argv0);
     return 2;
 }
@@ -216,7 +220,8 @@ main(int argc, char **argv)
     if (opts.tcpPort >= 0)
         std::printf("serving on %s:%d\n", opts.tcpHost.c_str(),
                     srv.tcpPort());
-    std::printf("engine: %d worker thread(s), %d io loop(s), admission "
+    std::printf("engine: %d lane(s) (the collector + pool threads), "
+                "%d io loop(s), admission "
                 "window closes when a burst is read (at most %d us, "
                 "max batch %zu)\n",
                 eng.numThreads(), opts.ioThreads, opts.batchWindowUs,

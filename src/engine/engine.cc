@@ -123,13 +123,15 @@ struct PredictionEngine::Impl
     PredictionShard predictionShards[kShards];
 
     /**
-     * One component-pipeline scratch per pool worker: scratch
-     * ownership is explicit (a worker's index selects its scratch),
-     * not thread_local-scattered, and a worker's buffers stay warm
-     * across batches.
+     * One component-pipeline scratch per pool lane: scratch ownership
+     * is explicit (a lane's index selects its scratch), not
+     * thread_local-scattered, and a lane's buffers stay warm across
+     * batches. Lane 0's scratch belongs to whichever thread is running
+     * a region; the pool runs one region at a time.
      */
     std::vector<std::unique_ptr<model::PredictScratch>> workerScratch;
 
+    /** numThreads lanes: the calling thread plus numThreads - 1. */
     explicit Impl(Options o)
         : opts(o),
           pool(o.numThreads > 0
@@ -331,7 +333,8 @@ void
 PredictionEngine::parallelFor(std::size_t n,
                               const std::function<void(std::size_t)> &body)
 {
-    impl_->pool.parallelFor(n, body);
+    impl_->pool.parallelForWorker(n,
+                                  [&body](int, std::size_t i) { body(i); });
 }
 
 void

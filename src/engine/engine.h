@@ -7,14 +7,15 @@
  * turns the single-block predictor into a service-shaped batch engine:
  *
  *   - a batch of (bytes, arch, loop, config) requests is fanned out
- *     over a fixed worker pool (uneven block cost load-balances via a
- *     shared work index);
+ *     over a fork-join pool whose lane 0 is the calling thread (lanes
+ *     claim contiguous chunks of a shared work index, so uneven block
+ *     cost load-balances);
  *   - a sharded per-arch analysis cache keyed on the raw block bytes
  *     lets repeated blocks skip decoding and uop lookup entirely;
  *   - a second-level prediction cache keyed additionally on the
  *     throughput notion, the ablation config, and the payload depth
  *     short-circuits fully repeated requests;
- *   - one model::PredictScratch per pool worker (see
+ *   - one model::PredictScratch per pool lane (see
  *     facile/component.h) makes the whole component pipeline
  *     allocation-free in steady state, with scratch ownership explicit
  *     instead of thread_local-scattered;
@@ -73,7 +74,11 @@ struct BatchStats
 
 struct EngineOptions
 {
-    /** Worker threads; 0 picks std::thread::hardware_concurrency. */
+    /**
+     * Parallel lanes, including the caller: a batch call runs lane 0
+     * on the calling thread, so N lanes spawn N - 1 pool threads.
+     * 0 picks std::thread::hardware_concurrency.
+     */
     int numThreads = 0;
 
     /** Master switch for both cache levels. */
@@ -118,7 +123,8 @@ class PredictionEngine
 
     /**
      * Visitor over one prediction: (worker, requestIndex, prediction).
-     * worker is the stable pool-worker index in [0, numThreads()).
+     * worker is the pool lane index in [0, numThreads()); lane 0 is
+     * the thread that called predictBatchVisit.
      */
     using PredictionVisitor =
         std::function<void(int, std::size_t, const model::Prediction &)>;
@@ -128,10 +134,10 @@ class PredictionEngine
      * the engine calls visit(worker, i, prediction) once per request —
      * on prediction-cache hits with a reference to the cached entry,
      * so the serving hot path copies nothing. Calls happen on the
-     * worker threads, concurrently for distinct i; the reference is
-     * valid only for the duration of the call (on hits it is made
-     * under the owning shard lock, so visitors must be brief and must
-     * not re-enter the engine).
+     * calling thread and the pool threads, concurrently for distinct
+     * i; the reference is valid only for the duration of the call (on
+     * hits it is made under the owning shard lock, so visitors must be
+     * brief and must not re-enter the engine).
      */
     void predictBatchVisit(const std::vector<Request> &batch,
                            const PredictionVisitor &visit,
@@ -150,17 +156,18 @@ class PredictionEngine
             BatchStats *stats = nullptr);
 
     /**
-     * Run body(i) for all i in [0, n) on the worker pool; blocks until
-     * complete. Exposed so the eval harness can drive suite preparation
-     * and predictor sweeps through the same pool.
+     * Run body(i) for all i in [0, n) on the pool, the calling thread
+     * included; blocks until complete. Exposed so the eval harness can
+     * drive suite preparation and predictor sweeps through the same
+     * pool.
      */
     void parallelFor(std::size_t n,
                      const std::function<void(std::size_t)> &body);
 
     /**
-     * As parallelFor, with the stable pool-worker index in
-     * [0, numThreads()) as the first argument — the hook callers use
-     * to bind one PredictScratch (or any per-lane state) per worker.
+     * As parallelFor, with the pool lane index in [0, numThreads())
+     * as the first argument — the hook callers use to bind one
+     * PredictScratch (or any per-lane state) per lane.
      */
     void
     parallelForWorker(std::size_t n,

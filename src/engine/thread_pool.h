@@ -1,22 +1,22 @@
 /**
  * @file
- * Minimal fixed-size worker pool used by the PredictionEngine.
- *
- * Jobs are std::function<void(int)> callables receiving the stable
- * worker index in [0, size()) of the thread that executes them, so
- * callers can maintain per-worker state (scratch buffers, counters)
- * without locks.
+ * Fork-join worker pool used by the PredictionEngine: the calling
+ * thread is lane 0 and size() - 1 pooled threads are lanes 1 and up.
+ * Bodies receive their lane index, so callers can keep per-lane state
+ * (scratch buffers, counters) without locks.
  */
 #ifndef FACILE_ENGINE_THREAD_POOL_H
 #define FACILE_ENGINE_THREAD_POOL_H
 
+#include <algorithm>
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <functional>
 #include <mutex>
-#include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace facile::engine {
@@ -24,14 +24,11 @@ namespace facile::engine {
 class ThreadPool
 {
   public:
-    /** Spawn @p n_threads workers (at least one). */
-    explicit ThreadPool(int n_threads)
+    /** @p lanes lanes (at least one): the caller plus lanes - 1 threads. */
+    explicit ThreadPool(int lanes) : lanes_(std::max(lanes, 1))
     {
-        if (n_threads < 1)
-            n_threads = 1;
-        workers_.reserve(static_cast<std::size_t>(n_threads));
-        for (int i = 0; i < n_threads; ++i)
-            workers_.emplace_back([this, i] { workerLoop(i); });
+        for (int lane = 1; lane < lanes_; ++lane)
+            threads_.emplace_back([this, lane] { workerLoop(lane); });
     }
 
     ~ThreadPool()
@@ -40,147 +37,148 @@ class ThreadPool
             std::lock_guard<std::mutex> lock(mu_);
             stop_ = true;
         }
-        cv_.notify_all();
-        for (auto &w : workers_)
-            w.join();
+        wake_.notify_all();
+        for (auto &t : threads_)
+            t.join();
     }
 
     ThreadPool(const ThreadPool &) = delete;
     ThreadPool &operator=(const ThreadPool &) = delete;
 
-    int size() const { return static_cast<int>(workers_.size()); }
-
-    /** Enqueue a job; it runs on some worker as soon as one is free. */
-    void
-    submit(std::function<void(int)> job)
-    {
-        {
-            std::lock_guard<std::mutex> lock(mu_);
-            jobs_.push(std::move(job));
-        }
-        cv_.notify_one();
-    }
+    /** Lane count, the calling thread's lane included. */
+    int size() const { return lanes_; }
 
     /**
-     * Run @p body(index) for every index in [0, n) across the pool and
-     * block until all indices completed. Indices are claimed one at a
-     * time from a shared counter, so uneven per-item cost load-balances
-     * automatically. The calling thread only waits; parallelism degree
-     * equals size().
-     *
-     * If @p body throws, remaining indices are abandoned and the first
-     * exception is rethrown on the calling thread (a worker must never
-     * unwind, which would std::terminate the process).
+     * Run @p body(lane, index) for every index in [0, n); the caller
+     * runs lane 0. Lanes claim contiguous chunks of
+     * max(1, n / (4 * size())) indices: enough to balance uneven
+     * costs, while neighbours (a block's unrolled and loop variants)
+     * share one lane's thread-local intern window cache. A one-chunk
+     * batch wakes no one. Allocates nothing. One region runs at a
+     * time (concurrent callers would share lane 0); a call from inside
+     * a region of this pool runs inline on the current lane. If @p
+     * body throws, the remaining indices are abandoned and the first
+     * exception is rethrown here once every lane has stopped.
      */
+    template <class Body>
     void
-    parallelFor(std::size_t n, const std::function<void(std::size_t)> &body)
-    {
-        parallelForWorker(
-            n, [&body](int, std::size_t i) { body(i); });
-    }
-
-    /**
-     * As parallelFor, but the body also receives the stable worker
-     * index of the executing thread, so callers can keep per-worker
-     * state (output buffers, counters) without locks.
-     */
-    void
-    parallelForWorker(std::size_t n,
-                      const std::function<void(int, std::size_t)> &body)
+    parallelForWorker(std::size_t n, const Body &body)
     {
         if (n == 0)
             return;
-        // Re-entrant call from one of this pool's own workers: running
-        // the indices inline avoids the deadlock of all workers waiting
-        // on jobs none of them is free to execute.
-        if (currentPool() == this) {
+        if (current().pool == this) {
             for (std::size_t i = 0; i < n; ++i)
-                body(currentWorker(), i);
+                body(current().index, i);
             return;
         }
-        struct State
+        std::lock_guard<std::mutex> region(regionMu_);
+        const std::size_t chunk = std::max<std::size_t>(
+            1, n / (4 * static_cast<std::size_t>(lanes_)));
+        const auto helpers = static_cast<int>(std::min<std::size_t>(
+            static_cast<std::size_t>(lanes_ - 1), (n - 1) / chunk));
         {
-            std::mutex mu;
-            std::condition_variable done;
-            std::size_t next = 0;
-            int active = 0;
-            std::exception_ptr error;
-        };
-        auto state = std::make_shared<State>();
-        const int tasks =
-            static_cast<int>(std::min<std::size_t>(workers_.size(), n));
-        state->active = tasks;
-        for (int t = 0; t < tasks; ++t) {
-            submit([state, n, &body](int worker) {
-                for (;;) {
-                    std::size_t i;
-                    {
-                        std::lock_guard<std::mutex> lock(state->mu);
-                        if (state->next >= n || state->error)
-                            break;
-                        i = state->next++;
-                    }
-                    try {
-                        body(worker, i);
-                    } catch (...) {
-                        std::lock_guard<std::mutex> lock(state->mu);
-                        if (!state->error)
-                            state->error = std::current_exception();
-                        break;
-                    }
-                }
-                std::lock_guard<std::mutex> lock(state->mu);
-                if (--state->active == 0)
-                    state->done.notify_all();
-            });
+            std::lock_guard<std::mutex> lock(mu_);
+            body_ = &body;
+            invoke_ = [](const void *b, int lane, std::size_t i) {
+                (*static_cast<const Body *>(b))(lane, i);
+            };
+            n_ = n;
+            chunk_ = chunk;
+            lastLane_ = helpers;
+            next_.store(chunk, std::memory_order_relaxed); // 0 is ours
+            failed_.store(false, std::memory_order_relaxed);
+            open_ = helpers > 0;
+            ++generation_;
         }
-        std::unique_lock<std::mutex> lock(state->mu);
-        state->done.wait(lock, [&] { return state->active == 0; });
-        if (state->error)
-            std::rethrow_exception(state->error);
+        if (helpers > 0)
+            wake_.notify_all();
+        const Lane prev = std::exchange(current(), Lane{this, 0});
+        runLane(0, 0);
+        current() = prev;
+        // Close the region: lanes that have not joined yet stay out.
+        std::unique_lock<std::mutex> lock(mu_);
+        open_ = false;
+        done_.wait(lock, [this] { return joined_ == 0; });
+        if (error_)
+            std::rethrow_exception(std::exchange(error_, nullptr));
     }
 
   private:
-    /** The pool the current thread is a worker of, if any. */
-    static ThreadPool *&
-    currentPool()
+    /** The pool whose region this thread runs a lane of, if any. */
+    struct Lane
     {
-        thread_local ThreadPool *pool = nullptr;
-        return pool;
+        ThreadPool *pool = nullptr;
+        int index = 0;
+    };
+
+    static Lane &
+    current()
+    {
+        thread_local Lane lane;
+        return lane;
     }
 
-    /** Worker index of the current thread (0 off the pool). */
-    static int &
-    currentWorker()
-    {
-        thread_local int worker = 0;
-        return worker;
-    }
-
+    /** Run the chunk at @p begin, then claim more until none are left. */
     void
-    workerLoop(int index)
+    runLane(int lane, std::size_t begin)
     {
-        currentPool() = this;
-        currentWorker() = index;
-        for (;;) {
-            std::function<void(int)> job;
-            {
-                std::unique_lock<std::mutex> lock(mu_);
-                cv_.wait(lock, [&] { return stop_ || !jobs_.empty(); });
-                if (stop_ && jobs_.empty())
+        for (; begin < n_;
+             begin = next_.fetch_add(chunk_, std::memory_order_relaxed)) {
+            const std::size_t end = std::min(begin + chunk_, n_);
+            for (std::size_t i = begin; i < end; ++i) {
+                if (failed_.load(std::memory_order_relaxed))
                     return;
-                job = std::move(jobs_.front());
-                jobs_.pop();
+                try {
+                    invoke_(body_, lane, i);
+                } catch (...) { // a pooled thread must never unwind
+                    std::lock_guard<std::mutex> lock(mu_);
+                    if (!failed_.exchange(true))
+                        error_ = std::current_exception();
+                    return;
+                }
             }
-            job(index);
         }
     }
 
-    std::vector<std::thread> workers_;
-    std::queue<std::function<void(int)>> jobs_;
-    std::mutex mu_;
-    std::condition_variable cv_;
-    bool stop_ = false;
+    void
+    workerLoop(int lane)
+    {
+        current() = Lane{this, lane};
+        std::uint64_t seen = 0;
+        std::unique_lock<std::mutex> lock(mu_);
+        for (;;) {
+            wake_.wait(lock, [&] { return stop_ || generation_ != seen; });
+            if (stop_)
+                return;
+            seen = generation_;
+            if (!open_ || lane > lastLane_)
+                continue;
+            ++joined_;
+            lock.unlock();
+            runLane(lane, next_.fetch_add(chunk_, std::memory_order_relaxed));
+            lock.lock();
+            // Notify under the lock: the caller may then destroy us.
+            if (--joined_ == 0 && !open_)
+                done_.notify_one();
+        }
+    }
+
+    const int lanes_;
+    std::vector<std::thread> threads_;
+    std::mutex regionMu_; ///< one region at a time
+    std::mutex mu_;       ///< guards the plain members below
+    std::condition_variable wake_, done_;
+    // The current region, written under mu_ before it opens.
+    const void *body_ = nullptr;
+    void (*invoke_)(const void *, int, std::size_t) = nullptr;
+    std::size_t n_ = 0, chunk_ = 1;
+    int lastLane_ = 0; ///< pooled lanes 1..lastLane_ join
+    std::uint64_t generation_ = 0;
+    bool open_ = false, stop_ = false;
+    int joined_ = 0;
+    std::exception_ptr error_;
+    std::atomic<std::size_t> next_{0};
+    std::atomic<bool> failed_{false};
 };
 
 } // namespace facile::engine

@@ -103,7 +103,7 @@ connectOrThrow(int fd, const sockaddr *addr, socklen_t len,
 Client
 Client::connectTcp(const std::string &host, int port)
 {
-    int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+    int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throwErrno("socket(AF_INET)");
     sockaddr_in addr{};
@@ -133,7 +133,7 @@ Client::connectUnix(const std::string &path)
     sockaddr_un addr{};
     if (path.size() >= sizeof addr.sun_path)
         throw std::runtime_error("unix path too long: " + path);
-    int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+    int fd = ::socket(AF_UNIX, SOCK_STREAM | SOCK_CLOEXEC, 0);
     if (fd < 0)
         throwErrno("socket(AF_UNIX)");
     addr.sun_family = AF_UNIX;

@@ -272,9 +272,12 @@ newSocketsCloseOnExec(const std::set<int> &before)
 
 TEST(Router, ServerAndRouterSocketsAreCloseOnExec)
 {
-    // Each check runs while only the calling thread creates sockets:
-    // no client connects to the server, and the router's one backend
-    // refuses the start() dial and is not re-dialed during the check.
+    // Each check runs while no other thread creates or closes sockets:
+    // the clients' pings return only after the server accepted them,
+    // the clients stay connected until stop() has joined the io loops
+    // (an io loop closing a peer's socket would race the /proc scan),
+    // and the router's one backend refuses the start() dial and is not
+    // re-dialed during the check.
     const std::set<int> inherited = openSockets();
     server::ServerOptions so;
     so.unixPath = freshUnixPath();
@@ -283,6 +286,12 @@ TEST(Router, ServerAndRouterSocketsAreCloseOnExec)
     srv.start();
     EXPECT_TRUE(newSocketsCloseOnExec(inherited))
         << "after PredictionServer::start";
+    auto unixClient = server::Client::connectUnix(so.unixPath);
+    auto tcpClient = server::Client::connectTcp("127.0.0.1", srv.tcpPort());
+    unixClient.ping();
+    tcpClient.ping();
+    EXPECT_TRUE(newSocketsCloseOnExec(inherited))
+        << "after Client::connectUnix and Client::connectTcp";
     srv.stop();
 
     RouterOptions ro;

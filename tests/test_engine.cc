@@ -13,6 +13,7 @@
 #include <cstring>
 #include <set>
 #include <stdexcept>
+#include <thread>
 
 #include "bhive/generator.h"
 #include "engine/engine.h"
@@ -301,6 +302,100 @@ TEST(Engine, ParallelForPropagatesExceptions)
                                          throw std::runtime_error("boom");
                                  }),
                  std::runtime_error);
+
+    // Index 0 runs on the caller's own lane: the exception must still
+    // wait for the pool thread to stop, and the pool must stay usable.
+    const auto caller = std::this_thread::get_id();
+    std::thread::id thrower;
+    EXPECT_THROW(eng.parallelFor(100,
+                                 [&](std::size_t i) {
+                                     if (i == 0) {
+                                         thrower =
+                                             std::this_thread::get_id();
+                                         throw std::runtime_error("boom");
+                                     }
+                                 }),
+                 std::runtime_error);
+    EXPECT_EQ(thrower, caller);
+
+    std::atomic<int> count{0};
+    eng.parallelFor(100, [&](std::size_t) { ++count; });
+    EXPECT_EQ(count.load(), 100);
+}
+
+TEST(Engine, OneLaneRunsEverythingOnTheCaller)
+{
+    // numThreads = 1 is the caller alone: no pool thread, lane 0.
+    PredictionEngine::Options opts;
+    opts.numThreads = 1;
+    PredictionEngine eng(opts);
+    ASSERT_EQ(eng.numThreads(), 1);
+
+    const auto caller = std::this_thread::get_id();
+    std::vector<int> lanes(64, -1);
+    std::vector<std::thread::id> threads(lanes.size());
+    eng.parallelForWorker(lanes.size(), [&](int lane, std::size_t i) {
+        lanes[i] = lane;
+        threads[i] = std::this_thread::get_id();
+    });
+    for (std::size_t i = 0; i < lanes.size(); ++i) {
+        EXPECT_EQ(lanes[i], 0) << "index " << i;
+        EXPECT_EQ(threads[i], caller) << "index " << i;
+    }
+}
+
+TEST(Engine, OneRequestBatchRunsOnTheCaller)
+{
+    // A batch that fits in one chunk wakes no pool thread.
+    PredictionEngine::Options opts;
+    opts.numThreads = 2;
+    PredictionEngine eng(opts);
+
+    const auto caller = std::this_thread::get_id();
+    const std::vector<Request> one{makeBatch().front()};
+    int visits = 0;
+    eng.predictBatchVisit(one, [&](int lane, std::size_t i,
+                                   const Prediction &p) {
+        ++visits;
+        EXPECT_EQ(lane, 0);
+        EXPECT_EQ(i, 0u);
+        EXPECT_EQ(std::this_thread::get_id(), caller);
+        EXPECT_TRUE(bitIdentical(p, serialPredict(one.front())));
+    });
+    EXPECT_EQ(visits, 1);
+}
+
+TEST(Engine, ConcurrentCallersMatchSerial)
+{
+    // Two threads driving one engine at once take turns as lane 0
+    // (they would share its scratch); each gets serial-identical bits.
+    // The caches are off so every call runs the full pipeline.
+    PredictionEngine::Options opts;
+    opts.numThreads = 2;
+    opts.cacheEnabled = false;
+    PredictionEngine eng(opts);
+
+    const auto batch = makeBatch(true);
+    std::vector<Prediction> expected;
+    for (const auto &r : batch)
+        expected.push_back(serialPredict(r));
+
+    std::vector<std::vector<Prediction>> got(2);
+    std::vector<std::thread> callers;
+    for (std::size_t t = 0; t < got.size(); ++t)
+        callers.emplace_back([&, t] {
+            for (int round = 0; round < 3; ++round)
+                got[t] = eng.predictBatch(batch);
+        });
+    for (auto &c : callers)
+        c.join();
+
+    for (const auto &out : got) {
+        ASSERT_EQ(out.size(), batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            EXPECT_TRUE(bitIdentical(out[i], expected[i]))
+                << "request " << i;
+    }
 }
 
 TEST(Engine, NestedParallelForRunsInlineWithoutDeadlock)
