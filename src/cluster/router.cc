@@ -4,7 +4,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
@@ -17,20 +16,17 @@
 #include <deque>
 #include <memory>
 #include <stdexcept>
-#include <thread>
 #include <unordered_map>
 #include <vector>
 
-#include "server/frame_parser.h"
+#include "server/event_loop.h"
 #include "server/net_util.h"
-#include "server/write_queue.h"
 #include "uarch/config.h"
 
 namespace facile::cluster {
 
 namespace {
 
-using Clock = std::chrono::steady_clock;
 using namespace facile::server;
 
 /** Router-generated HEALTH probe ids live above every forwarded id. */
@@ -38,31 +34,11 @@ constexpr std::uint64_t kProbeIdBit = 1ULL << 63;
 
 } // namespace
 
-struct Router::Impl
+struct Router::Impl : LoopHandler
 {
-    /** Epoll registration tag, dispatched on kind (server.cc idiom). */
-    struct EvSource
+    /** One downstream client connection (event_loop.h). */
+    struct ClientConn : Conn
     {
-        enum class Kind : std::uint8_t {
-            TcpListen,
-            UnixListen,
-            Wake,
-            Client,
-            Backend
-        };
-        Kind kind;
-        explicit EvSource(Kind k) : kind(k) {}
-    };
-
-    /** One downstream client connection. Io-thread-owned. */
-    struct ClientConn : EvSource, std::enable_shared_from_this<ClientConn>
-    {
-        ClientConn() : EvSource(Kind::Client) {}
-        int fd = -1;
-        bool open = true;
-        bool wantWrite = false;
-        FrameParser parser;
-        WriteQueue outq;
         /** Responses staged during one event; flushed in one sendmsg. */
         std::vector<std::uint8_t> stage;
     };
@@ -71,17 +47,15 @@ struct Router::Impl
 
     /**
      * One upstream backend: a single pipelined connection shared by
-     * every client, re-dialed with backoff across its lifetimes.
+     * every client, re-dialed with backoff across its lifetimes. Its
+     * events reach onCustom; Conn is its writer.
      */
-    struct BackendConn : EvSource
+    struct BackendConn : Conn
     {
-        BackendConn() : EvSource(Kind::Backend) {}
+        BackendConn() : Conn(Kind::Custom) {}
         std::size_t idx = 0;
-        int fd = -1;
         ConnState connState = ConnState::Down;
-        bool draining = false;  ///< last HEALTH answer was Draining
-        bool wantWrite = false; ///< EPOLLOUT armed (Up state)
-        WriteQueue outq;
+        bool draining = false; ///< last HEALTH answer was Draining
         /** Frames staged during one event; flushed in one sendmsg. */
         std::vector<std::uint8_t> stage;
         /** Frames produced while the connect is still in flight. */
@@ -114,36 +88,33 @@ struct Router::Impl
     BackendPool pool;
 
     std::atomic<bool> running{false};
-    std::atomic<bool> stopping{false};
     Clock::time_point startTime;
 
-    int epfd = -1;
-    int wakeFd = -1;
-    int tcpFd = -1;
-    int unixFd = -1;
-    int boundTcpPort = -1;
-    EvSource tcpTag{EvSource::Kind::TcpListen};
-    EvSource unixTag{EvSource::Kind::UnixListen};
-    EvSource wakeTag{EvSource::Kind::Wake};
-    std::thread thr;
+    /** One loop; no connection cap or read deadline (RouterOptions has
+     *  neither). */
+    EventLoop net;
 
-    std::vector<std::shared_ptr<ClientConn>> clients;
     std::vector<std::unique_ptr<BackendConn>> backends;
     std::unordered_map<std::uint64_t, Pending> pending;
     std::uint64_t nextId = 1;
     std::uint64_t nextProbeId = kProbeIdBit;
-    /** Backends that died mid-dispatch; failover runs between events. */
+    Clock::time_point nextProbeAt{};
+    /** Backends that died mid-pass; failover runs at the pass end. */
     std::deque<std::size_t> deadQueue;
+    /** Control-op answers for the client being read. */
+    std::vector<std::uint8_t> reply;
 
     std::atomic<std::uint64_t> requestCount{0};
     std::atomic<std::uint64_t> routedPredicts{0};
     std::atomic<std::uint64_t> backendFailovers{0};
     std::atomic<std::uint64_t> noBackendSheds{0};
-    std::atomic<std::uint64_t> connectionsAccepted{0};
-    std::atomic<std::uint64_t> connectionsOpen{0};
 
     explicit Impl(RouterOptions o)
-        : opts(std::move(o)), pool(opts.backends)
+        : opts(std::move(o)), pool(opts.backends),
+          net(*this, {.unixPath = opts.unixPath,
+                      .tcpPort = opts.tcpPort,
+                      .tcpHost = opts.tcpHost,
+                      .maxBufferedPerConn = opts.maxBufferedPerConn})
     {
         if (opts.backends.empty())
             throw std::invalid_argument("router needs >= 1 backend");
@@ -157,22 +128,6 @@ struct Router::Impl
     }
 
     // ---- backend lifecycle -------------------------------------------------
-
-    void
-    setBackendEvents(BackendConn &b, std::uint32_t events, bool add)
-    {
-        epoll_event ev{};
-        ev.events = events;
-        ev.data.ptr = static_cast<EvSource *>(&b);
-        ::epoll_ctl(epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, b.fd, &ev);
-    }
-
-    /** True once @p b may receive forwarded frames. */
-    bool
-    routable(const BackendConn &b) const
-    {
-        return b.connState != ConnState::Down && !b.draining;
-    }
 
     void
     refreshPoolState(BackendConn &b)
@@ -225,19 +180,17 @@ struct Router::Impl
             int one = 1;
             ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof one);
         }
-        b.fd = fd;
+        // A connect in flight waits for EPOLLOUT. It is routable
+        // meanwhile: frames queue in preConnect and flush the moment
+        // the handshake completes, so early traffic is buffered
+        // instead of shed.
+        b.attach(net.loop(0), fd, /*wantOut=*/rc != 0);
         if (rc == 0) {
-            b.connState = ConnState::Up;
-            setBackendEvents(b, EPOLLIN, /*add=*/true);
             onBackendConnected(b);
         } else {
-            // Routable while connecting: frames queue in preConnect
-            // and flush the moment the handshake completes, so early
-            // traffic is buffered instead of shed.
             b.connState = ConnState::Connecting;
-            setBackendEvents(b, EPOLLIN | EPOLLOUT, /*add=*/true);
+            refreshPoolState(b);
         }
-        refreshPoolState(b);
     }
 
     void
@@ -251,8 +204,9 @@ struct Router::Impl
         if (!b.preConnect.empty()) {
             std::vector<std::uint8_t> out;
             out.swap(b.preConnect);
-            writeBackend(b, out.data(), out.size());
+            writeBackend(b, out);
         }
+        // The probe write also settles EPOLLOUT, armed for the connect.
         sendProbe(b);
     }
 
@@ -260,7 +214,6 @@ struct Router::Impl
     scheduleRetry(BackendConn &b)
     {
         b.connState = ConnState::Down;
-        b.fd = -1;
         b.reconnectAt =
             Clock::now() + std::chrono::milliseconds(b.backoffMs);
         b.backoffMs =
@@ -270,7 +223,7 @@ struct Router::Impl
 
     /**
      * Declare @p b dead: close, reset stream state, queue its pendings
-     * for failover (drained by drainDeadBackends between events — not
+     * for failover (drained by drainDeadBackends at the pass end — not
      * inline, so the pending map is never mutated mid-iteration), and
      * arm the reconnect backoff.
      */
@@ -279,16 +232,11 @@ struct Router::Impl
     {
         if (b.connState == ConnState::Down)
             return;
-        if (b.fd >= 0) {
-            ::epoll_ctl(epfd, EPOLL_CTL_DEL, b.fd, nullptr);
-            ::close(b.fd);
-        }
-        b.outq = WriteQueue();
+        b.close();
         b.stage.clear();
         b.preConnect.clear();
         b.inbuf.clear();
         b.parsed = 0;
-        b.wantWrite = false;
         b.draining = false;
         scheduleRetry(b);
         deadQueue.push_back(b.idx);
@@ -315,10 +263,10 @@ struct Router::Impl
                     // backpressure — ResilientClient backs off and
                     // re-sends, so callers still see zero failures
                     // once a backend returns.
-                    std::vector<std::uint8_t> reply;
-                    appendStatusResponse(reply, p.origId, Op::Predict,
+                    std::vector<std::uint8_t> out;
+                    appendStatusResponse(out, p.origId, Op::Predict,
                                          Status::Overloaded);
-                    writeClient(*p.conn, reply.data(), reply.size());
+                    p.conn->write(out);
                     pending.erase(it);
                     continue;
                 }
@@ -351,63 +299,24 @@ struct Router::Impl
     }
 
     void
-    flushBackend(BackendConn &b)
-    {
-        if (b.connState != ConnState::Up || b.stage.empty())
-            return;
-        // writeGather copies any unsent tail into the outq, so the
-        // stage can be dropped whatever the outcome.
-        iovec iov{b.stage.data(), b.stage.size()};
-        const auto r = b.outq.writeGather(b.fd, &iov, 1);
-        b.stage.clear();
-        switch (r) {
-          case WriteQueue::Result::Drained:
-            if (b.wantWrite) {
-                setBackendEvents(b, EPOLLIN, /*add=*/false);
-                b.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!b.wantWrite) {
-                setBackendEvents(b, EPOLLIN | EPOLLOUT, /*add=*/false);
-                b.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
-            markBackendDead(b);
-            return;
-        }
-    }
-
-    void
     flushStagedBackends()
     {
-        for (auto &bp : backends)
-            flushBackend(*bp);
+        for (auto &bp : backends) {
+            BackendConn &b = *bp;
+            if (b.connState != ConnState::Up || b.stage.empty())
+                continue;
+            // The write copies any unsent tail into the outq, so the
+            // stage can be dropped whatever the outcome.
+            writeBackend(b, b.stage);
+            b.stage.clear();
+        }
     }
 
     void
-    writeBackend(BackendConn &b, const std::uint8_t *data,
-                 std::size_t len)
+    writeBackend(BackendConn &b, const std::vector<std::uint8_t> &bytes)
     {
-        iovec iov{const_cast<std::uint8_t *>(data), len};
-        switch (b.outq.writeGather(b.fd, &iov, 1)) {
-          case WriteQueue::Result::Drained:
-            if (b.wantWrite) {
-                setBackendEvents(b, EPOLLIN, /*add=*/false);
-                b.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!b.wantWrite) {
-                setBackendEvents(b, EPOLLIN | EPOLLOUT, /*add=*/false);
-                b.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
+        if (b.write(bytes) == WriteQueue::Result::PeerGone)
             markBackendDead(b);
-            return;
-        }
     }
 
     void
@@ -418,16 +327,18 @@ struct Router::Impl
         std::vector<std::uint8_t> frame;
         appendControlRequest(frame, nextProbeId++, Op::Health);
         b.probeOutstanding = true;
-        writeBackend(b, frame.data(), frame.size());
+        writeBackend(b, frame);
     }
 
     // ---- backend responses -------------------------------------------------
 
     void
-    backendReadable(BackendConn &b, std::vector<std::uint8_t> &chunk)
+    backendReadable(BackendConn &b)
     {
+        std::vector<std::uint8_t> &chunk = net.loop(0).chunk;
         for (;;) {
-            const ssize_t n = ::read(b.fd, chunk.data(), chunk.size());
+            const ssize_t n =
+                ::read(b.fd.load(), chunk.data(), chunk.size());
             if (n > 0) {
                 b.inbuf.insert(b.inbuf.end(), chunk.data(),
                                chunk.data() + n);
@@ -459,7 +370,10 @@ struct Router::Impl
             Pending p = std::move(it->second);
             pending.erase(it);
             ClientConn &cc = *p.conn;
-            if (!cc.open)
+            // A client that hung up keeps its pendings until answered:
+            // erasing them at close would let a later request reuse the
+            // router id while the old answer is still in flight.
+            if (!cc.open.load())
                 continue; // caller hung up; drop the answer
             // Rewrite the router id back to the client's own id; the
             // rest of the frame is forwarded byte-exactly. Staged per
@@ -475,8 +389,10 @@ struct Router::Impl
             std::memcpy(cc.stage.data() + off, &p.origId,
                         sizeof p.origId);
         }
-        for (ClientConn *cc : touched)
-            flushClientStage(*cc);
+        for (ClientConn *cc : touched) {
+            cc->write(cc->stage);
+            cc->stage.clear();
+        }
         if (b.parsed == b.inbuf.size()) {
             b.inbuf.clear();
             b.parsed = 0;
@@ -506,153 +422,28 @@ struct Router::Impl
         }
     }
 
-    // ---- client side -------------------------------------------------------
+    // ---- client side (io loop hooks, event_loop.h) ------------------------
 
-    void
-    setClientEvents(ClientConn &c, std::uint32_t events, bool add)
+    std::shared_ptr<Conn>
+    newConn() override
     {
-        epoll_event ev{};
-        ev.events = events;
-        ev.data.ptr = static_cast<EvSource *>(&c);
-        ::epoll_ctl(epfd, add ? EPOLL_CTL_ADD : EPOLL_CTL_MOD, c.fd,
-                    &ev);
+        return std::make_shared<ClientConn>();
     }
 
     void
-    closeClient(ClientConn &c)
+    onReadDone(const std::shared_ptr<Conn> &conn, bool abuse) override
     {
-        if (!c.open)
-            return;
-        c.open = false;
-        ::epoll_ctl(epfd, EPOLL_CTL_DEL, c.fd, nullptr);
-        ::close(c.fd);
-        c.fd = -1;
-        connectionsOpen.fetch_sub(1, std::memory_order_relaxed);
-        // Pendings it owns stay in the map: the backend will still
-        // answer, and the response is matched then dropped — erasing
-        // here would let a later request reuse the router id while the
-        // old answer is still in flight.
-    }
-
-    void
-    flushClientStage(ClientConn &c)
-    {
-        if (c.stage.empty())
-            return;
-        if (!c.open) {
-            c.stage.clear();
-            return;
-        }
-        iovec iov{c.stage.data(), c.stage.size()};
-        const auto r = c.outq.writeGather(c.fd, &iov, 1);
-        c.stage.clear();
-        switch (r) {
-          case WriteQueue::Result::Drained:
-            if (c.wantWrite) {
-                setClientEvents(c, EPOLLIN, /*add=*/false);
-                c.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!c.wantWrite) {
-                setClientEvents(c, EPOLLIN | EPOLLOUT, /*add=*/false);
-                c.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
-            closeClient(c);
-            return;
-        }
-    }
-
-    void
-    writeClient(ClientConn &c, const std::uint8_t *data, std::size_t len)
-    {
-        if (!c.open)
-            return;
-        iovec iov{const_cast<std::uint8_t *>(data), len};
-        switch (c.outq.writeGather(c.fd, &iov, 1)) {
-          case WriteQueue::Result::Drained:
-            if (c.wantWrite) {
-                setClientEvents(c, EPOLLIN, /*add=*/false);
-                c.wantWrite = false;
-            }
-            return;
-          case WriteQueue::Result::Blocked:
-            if (!c.wantWrite) {
-                setClientEvents(c, EPOLLIN | EPOLLOUT, /*add=*/false);
-                c.wantWrite = true;
-            }
-            return;
-          case WriteQueue::Result::PeerGone:
-            closeClient(c);
-            return;
-        }
-    }
-
-    void
-    acceptReady(int listenFd, bool tcp)
-    {
-        for (;;) {
-            const int fd = ::accept4(listenFd, nullptr, nullptr,
-                                     SOCK_NONBLOCK | SOCK_CLOEXEC);
-            if (fd < 0) {
-                if (errno == EINTR || errno == ECONNABORTED)
-                    continue;
-                break;
-            }
-            if (tcp) {
-                int one = 1;
-                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof one);
-            }
-            auto conn = std::make_shared<ClientConn>();
-            conn->fd = fd;
-            conn->parser = FrameParser({opts.maxBufferedPerConn});
-            connectionsAccepted.fetch_add(1, std::memory_order_relaxed);
-            connectionsOpen.fetch_add(1, std::memory_order_relaxed);
-            setClientEvents(*conn, EPOLLIN, /*add=*/true);
-            clients.push_back(std::move(conn));
-        }
-    }
-
-    void
-    clientReadable(const std::shared_ptr<ClientConn> &conn,
-                   std::vector<std::uint8_t> &chunk)
-    {
-        ClientConn &c = *conn;
-        for (;;) {
-            const ssize_t n = ::read(c.fd, chunk.data(), chunk.size());
-            if (n > 0) {
-                if (!c.parser.feed(chunk.data(),
-                                   static_cast<std::size_t>(n))) {
-                    closeClient(c); // oversize backlog: protocol abuse
-                    return;
-                }
-                continue;
-            }
-            if (n < 0 && errno == EINTR)
-                continue;
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-                break;
-            closeClient(c); // EOF or hard error
-            return;
-        }
-        std::vector<std::uint8_t> reply;
-        FrameView f;
-        while (c.open && c.parser.next(f))
-            handleClientFrame(conn, f.header, f.payload, reply);
-        if (!reply.empty())
-            writeClient(c, reply.data(), reply.size());
+        if (!reply.empty() && !abuse)
+            conn->write(reply);
+        reply.clear();
         flushStagedBackends();
     }
 
     void
-    handleClientFrame(const std::shared_ptr<ClientConn> &conn,
-                      const RequestHeader &h,
-                      const std::uint8_t *payload,
-                      std::vector<std::uint8_t> &reply)
+    onFrame(const std::shared_ptr<Conn> &conn, const FrameView &f) override
     {
+        const RequestHeader &h = f.header;
+        const std::uint8_t *payload = f.payload;
         requestCount.fetch_add(1, std::memory_order_relaxed);
         switch (static_cast<Op>(h.op)) {
           case Op::Ping:
@@ -689,7 +480,7 @@ struct Router::Impl
             }
             const std::uint64_t rid = nextId++;
             Pending p;
-            p.conn = conn;
+            p.conn = std::static_pointer_cast<ClientConn>(conn);
             p.origId = h.id;
             p.key = key;
             p.backendIdx = idx;
@@ -719,6 +510,7 @@ struct Router::Impl
     snapshotStats() const
     {
         server::ServerStats s;
+        net.stats.fill(s);
         s.requests = requestCount.load(std::memory_order_relaxed);
         s.routedPredicts =
             routedPredicts.load(std::memory_order_relaxed);
@@ -729,10 +521,6 @@ struct Router::Impl
         // same OVERLOADED status.
         s.overloadedQueue =
             noBackendSheds.load(std::memory_order_relaxed);
-        s.connectionsAccepted =
-            connectionsAccepted.load(std::memory_order_relaxed);
-        s.connectionsOpen =
-            connectionsOpen.load(std::memory_order_relaxed);
         s.uptimeMs = static_cast<std::uint64_t>(
             std::chrono::duration_cast<std::chrono::milliseconds>(
                 Clock::now() - startTime)
@@ -740,96 +528,22 @@ struct Router::Impl
         return s;
     }
 
-    // ---- io loop -----------------------------------------------------------
+    // ---- backends and timers (io loop hooks) -------------------------------
 
     void
-    ioLoop()
+    onCustom(EvSource &src, std::uint32_t events) override
     {
-        constexpr int kMaxEvents = 64;
-        epoll_event evs[kMaxEvents];
-        std::vector<std::uint8_t> chunk(64 * 1024);
-        auto nextProbeAt =
-            Clock::now() +
-            std::chrono::milliseconds(opts.healthIntervalMs);
-
-        while (!stopping.load(std::memory_order_acquire)) {
-            const auto now = Clock::now();
-            int timeout = msUntil(nextProbeAt, now, 1000);
-            for (const auto &b : backends)
-                if (b->connState == ConnState::Down)
-                    timeout = std::min(
-                        timeout, msUntil(b->reconnectAt, now, 1000));
-            const int n = ::epoll_wait(epfd, evs, kMaxEvents, timeout);
-            if (n < 0 && errno != EINTR)
-                break;
-            if (stopping.load(std::memory_order_acquire))
-                break;
-            for (int i = 0; i < std::max(n, 0); ++i) {
-                auto *src = static_cast<EvSource *>(evs[i].data.ptr);
-                switch (src->kind) {
-                  case EvSource::Kind::TcpListen:
-                    acceptReady(tcpFd, true);
-                    break;
-                  case EvSource::Kind::UnixListen:
-                    acceptReady(unixFd, false);
-                    break;
-                  case EvSource::Kind::Wake:
-                    drainWakeFd(wakeFd);
-                    break;
-                  case EvSource::Kind::Client: {
-                    auto &c = *static_cast<ClientConn *>(src);
-                    if (!c.open)
-                        break; // closed earlier in this batch
-                    if (evs[i].events & (EPOLLHUP | EPOLLERR)) {
-                        closeClient(c);
-                        break;
-                    }
-                    if (evs[i].events & EPOLLOUT) {
-                        const auto r = c.outq.flush(c.fd);
-                        if (r == WriteQueue::Result::PeerGone)
-                            closeClient(c);
-                        else if (r == WriteQueue::Result::Drained &&
-                                 c.wantWrite) {
-                            setClientEvents(c, EPOLLIN, false);
-                            c.wantWrite = false;
-                        }
-                    }
-                    if (c.open && (evs[i].events & EPOLLIN))
-                        clientReadable(c.shared_from_this(), chunk);
-                    break;
-                  }
-                  case EvSource::Kind::Backend: {
-                    auto &b = *static_cast<BackendConn *>(src);
-                    if (b.connState == ConnState::Down || b.fd < 0)
-                        break; // died earlier in this batch
-                    if (evs[i].events & (EPOLLHUP | EPOLLERR)) {
-                        markBackendDead(b);
-                        break;
-                    }
-                    if (evs[i].events & EPOLLOUT)
-                        backendWritable(b);
-                    if (b.connState != ConnState::Down &&
-                        (evs[i].events & EPOLLIN))
-                        backendReadable(b, chunk);
-                    break;
-                  }
-                }
-                drainDeadBackends();
-            }
-            const auto after = Clock::now();
-            if (after >= nextProbeAt) {
-                healthTick();
-                drainDeadBackends();
-                sweepClients();
-                nextProbeAt =
-                    after +
-                    std::chrono::milliseconds(opts.healthIntervalMs);
-            }
-            for (std::size_t i = 0; i < backends.size(); ++i)
-                if (backends[i]->connState == ConnState::Down &&
-                    backends[i]->reconnectAt <= after)
-                    dialBackend(i);
+        auto &b = static_cast<BackendConn &>(src);
+        if (b.connState == ConnState::Down)
+            return; // died earlier in this pass
+        if (events & (EPOLLHUP | EPOLLERR)) {
+            markBackendDead(b);
+            return;
         }
+        if (events & EPOLLOUT)
+            backendWritable(b);
+        if (b.connState != ConnState::Down && (events & EPOLLIN))
+            backendReadable(b);
     }
 
     void
@@ -838,22 +552,42 @@ struct Router::Impl
         if (b.connState == ConnState::Connecting) {
             int err = 0;
             socklen_t elen = sizeof err;
-            ::getsockopt(b.fd, SOL_SOCKET, SO_ERROR, &err, &elen);
-            if (err != 0) {
+            ::getsockopt(b.fd.load(), SOL_SOCKET, SO_ERROR, &err, &elen);
+            if (err != 0)
                 markBackendDead(b);
-                return;
-            }
-            setBackendEvents(b, EPOLLIN, /*add=*/false);
-            onBackendConnected(b);
+            else
+                onBackendConnected(b);
             return;
         }
-        const auto r = b.outq.flush(b.fd);
-        if (r == WriteQueue::Result::PeerGone) {
+        if (b.resume() == WriteQueue::Result::PeerGone)
             markBackendDead(b);
-        } else if (r == WriteQueue::Result::Drained && b.wantWrite) {
-            setBackendEvents(b, EPOLLIN, /*add=*/false);
-            b.wantWrite = false;
+    }
+
+    int
+    nextTimeoutMs(Clock::time_point now, int ms) override
+    {
+        ms = msUntil(nextProbeAt, now, ms);
+        for (const auto &b : backends)
+            if (b->connState == ConnState::Down)
+                ms = msUntil(b->reconnectAt, now, ms);
+        return ms;
+    }
+
+    void
+    onPassEnd(Loop &, int, bool) override
+    {
+        drainDeadBackends();
+        const auto now = Clock::now();
+        if (now >= nextProbeAt) {
+            healthTick();
+            drainDeadBackends();
+            nextProbeAt =
+                now + std::chrono::milliseconds(opts.healthIntervalMs);
         }
+        for (std::size_t i = 0; i < backends.size(); ++i)
+            if (backends[i]->connState == ConnState::Down &&
+                backends[i]->reconnectAt <= now)
+                dialBackend(i);
     }
 
     void
@@ -875,18 +609,6 @@ struct Router::Impl
         }
     }
 
-    /** Reap closed client connections (kept alive through the event
-     *  batch that closed them — see closeClient). */
-    void
-    sweepClients()
-    {
-        clients.erase(std::remove_if(clients.begin(), clients.end(),
-                                     [](const auto &c) {
-                                         return !c->open;
-                                     }),
-                      clients.end());
-    }
-
     // ---- lifecycle ---------------------------------------------------------
 
     void
@@ -894,32 +616,14 @@ struct Router::Impl
     {
         if (running.load())
             throw std::runtime_error("router already running");
-        stopping.store(false);
         startTime = Clock::now();
-        epfd = ::epoll_create1(EPOLL_CLOEXEC);
-        if (epfd < 0)
-            throwErrno("epoll_create1");
-        wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-        if (wakeFd < 0)
-            throwErrno("eventfd");
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.ptr = &wakeTag;
-        ::epoll_ctl(epfd, EPOLL_CTL_ADD, wakeFd, &ev);
-        if (opts.tcpPort >= 0) {
-            tcpFd = listenTcp(opts.tcpHost, opts.tcpPort, boundTcpPort);
-            ev.data.ptr = &tcpTag;
-            ::epoll_ctl(epfd, EPOLL_CTL_ADD, tcpFd, &ev);
-        }
-        if (!opts.unixPath.empty()) {
-            unixFd = listenUnix(opts.unixPath);
-            ev.data.ptr = &unixTag;
-            ::epoll_ctl(epfd, EPOLL_CTL_ADD, unixFd, &ev);
-        }
+        nextProbeAt =
+            startTime + std::chrono::milliseconds(opts.healthIntervalMs);
+        net.open();
         for (std::size_t i = 0; i < backends.size(); ++i)
             dialBackend(i);
         running.store(true);
-        thr = std::thread([this] { ioLoop(); });
+        net.start();
     }
 
     void
@@ -927,38 +631,17 @@ struct Router::Impl
     {
         if (!running.exchange(false))
             return;
-        stopping.store(true, std::memory_order_release);
-        signalWakeFd(wakeFd);
-        if (thr.joinable())
-            thr.join();
-        for (auto &c : clients)
-            if (c->open) {
-                ::close(c->fd);
-                c->open = false;
-            }
-        clients.clear();
+        net.stop();
         pending.clear();
         for (auto &b : backends) {
-            if (b->fd >= 0)
-                ::close(b->fd);
-            b->fd = -1;
+            b->close();
             b->connState = ConnState::Down;
-            b->outq = WriteQueue();
+            b->stage.clear();
             b->preConnect.clear();
             b->inbuf.clear();
             b->parsed = 0;
         }
-        if (tcpFd >= 0)
-            ::close(tcpFd);
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            ::unlink(opts.unixPath.c_str());
-        }
-        if (wakeFd >= 0)
-            ::close(wakeFd);
-        if (epfd >= 0)
-            ::close(epfd);
-        tcpFd = unixFd = wakeFd = epfd = -1;
+        net.close();
     }
 };
 
@@ -986,7 +669,7 @@ Router::stop()
 int
 Router::tcpPort() const
 {
-    return impl_->boundTcpPort;
+    return impl_->net.tcpPort();
 }
 
 const std::string &

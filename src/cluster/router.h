@@ -3,9 +3,9 @@
  * facile_lb's engine: a thin consistent-hash router that shards
  * PREDICT traffic across N prediction-server backends.
  *
- * Data plane (one epoll thread, reusing the server's building blocks):
- * client connections are read through FrameParser and written through
- * WriteQueue exactly like a PredictionServer connection; each backend
+ * Data plane (one loop of the server's event-loop core,
+ * server/event_loop.h): client connections are accepted, read and
+ * written exactly like a PredictionServer connection; each backend
  * gets ONE pipelined nonblocking connection that multiplexes every
  * client's forwarded frames. Forwarding rewrites the request id to a
  * router-unique id (clients pick ids independently, so two clients'

@@ -1,18 +1,15 @@
 /**
  * @file
- * Tiny POSIX socket helpers shared by the server, the router and the
- * client library. Kept header-only and internal to facile::server —
+ * Tiny POSIX socket helpers shared by the event-loop core, the server,
+ * the router and the client library. Kept header-only and internal to facile::server —
  * this is plumbing for protocol.h framing, not a general networking
  * layer.
  */
 #ifndef FACILE_SERVER_NET_UTIL_H
 #define FACILE_SERVER_NET_UTIL_H
 
-#include <arpa/inet.h>
 #include <fcntl.h>
-#include <netinet/in.h>
 #include <sys/socket.h>
-#include <sys/un.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -72,72 +69,6 @@ msUntil(std::chrono::steady_clock::time_point t,
             .count();
     const long long ms = (us + 999) / 1000;
     return static_cast<int>(std::min<long long>(ms, cap));
-}
-
-/**
- * Bind a nonblocking, close-on-exec listening TCP socket to
- * @p host:@p port (port 0 picks an ephemeral port) and store the port
- * actually bound in @p boundPort. Close-on-exec keeps a forked child
- * from holding the port after the listener closes.
- * @throws std::runtime_error on any failure (the socket is closed).
- */
-inline int
-listenTcp(const std::string &host, int port, int &boundPort)
-{
-    const int fd =
-        ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        throwErrno("socket(AF_INET)");
-    int one = 1;
-    ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof one);
-    sockaddr_in addr{};
-    addr.sin_family = AF_INET;
-    addr.sin_port = htons(static_cast<std::uint16_t>(port));
-    if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
-        ::close(fd);
-        throw std::runtime_error("bad tcp host: " + host);
-    }
-    sockaddr_in bound{};
-    socklen_t blen = sizeof bound;
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, 512) < 0 ||
-        ::getsockname(fd, reinterpret_cast<sockaddr *>(&bound), &blen) <
-            0) {
-        const int e = errno;
-        ::close(fd);
-        errno = e;
-        throwErrno("bind/listen tcp " + host);
-    }
-    boundPort = ntohs(bound.sin_port);
-    return fd;
-}
-
-/**
- * Bind a nonblocking, close-on-exec listening Unix-domain socket at
- * @p path, replacing a stale socket file left by a crash.
- * @throws std::runtime_error on any failure (the socket is closed).
- */
-inline int
-listenUnix(const std::string &path)
-{
-    sockaddr_un addr{};
-    if (path.size() >= sizeof addr.sun_path)
-        throw std::runtime_error("unix path too long: " + path);
-    const int fd =
-        ::socket(AF_UNIX, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
-    if (fd < 0)
-        throwErrno("socket(AF_UNIX)");
-    addr.sun_family = AF_UNIX;
-    std::strncpy(addr.sun_path, path.c_str(), sizeof addr.sun_path - 1);
-    ::unlink(path.c_str());
-    if (::bind(fd, reinterpret_cast<sockaddr *>(&addr), sizeof addr) < 0 ||
-        ::listen(fd, 512) < 0) {
-        const int e = errno;
-        ::close(fd);
-        errno = e;
-        throwErrno("bind/listen unix " + path);
-    }
-    return fd;
 }
 
 /** Put @p fd in nonblocking mode; false on fcntl failure. */

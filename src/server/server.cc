@@ -1,87 +1,34 @@
 #include "server/server.h"
 
-#include <netinet/in.h>
-#include <netinet/tcp.h>
 #include <poll.h>
-#include <sys/epoll.h>
 #include <sys/eventfd.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "analysis/snapshot.h"
-#include "server/frame_parser.h"
+#include "server/event_loop.h"
 #include "server/mpsc_ring.h"
 #include "server/net_util.h"
-#include "server/write_queue.h"
 #include "testing/fault.h"
 #include "uarch/config.h"
 
 namespace facile::server {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-} // namespace
-
-struct PredictionServer::Impl
+struct PredictionServer::Impl : LoopHandler
 {
-    /**
-     * Every epoll registration's data.ptr points at one of these; the
-     * kind tag dispatches the event (two listeners, the per-loop
-     * wakeup eventfd, or a connection).
-     */
-    struct EvSource
+    /** An accepted connection (event_loop.h) plus its PREDICT quota. */
+    struct ServerConn : Conn
     {
-        enum class Kind : std::uint8_t {
-            TcpListen,
-            UnixListen,
-            Wake,
-            Conn
-        };
-        Kind kind;
-        explicit EvSource(Kind k) : kind(k) {}
-    };
-
-    struct Loop;
-
-    /**
-     * One accepted connection. Threading contract:
-     *   - parser, seenFrame, lastProgress: owning io thread only;
-     *   - outq, wantWrite, and the socket writes/epoll interest: any
-     *     thread, under writeMu;
-     *   - fd and open are atomics so lock-free readers can bail early;
-     *     the transition open->false (with fd close + epoll DEL)
-     *     happens exactly once, under writeMu.
-     */
-    struct Conn : EvSource, std::enable_shared_from_this<Conn>
-    {
-        Conn() : EvSource(Kind::Conn) {}
-
-        std::atomic<int> fd{-1};
-        std::atomic<bool> open{true};
-        Loop *loop = nullptr;
-
-        FrameParser parser;
-        bool seenFrame = false;
-        Clock::time_point lastProgress;
-
-        std::mutex writeMu;
-        WriteQueue outq;
-        bool wantWrite = false; ///< EPOLLOUT currently armed
-
         /**
          * PREDICT requests admitted but not yet answered, gating the
          * per-connection in-flight quota. Incremented at admission,
@@ -95,26 +42,23 @@ struct PredictionServer::Impl
     /** One admitted PREDICT request traveling through the ring. */
     struct Pending
     {
-        std::shared_ptr<Conn> conn;
+        std::shared_ptr<ServerConn> conn;
         std::uint64_t id = 0;
         engine::Request req;
     };
 
-    /** One epoll reader loop. conns/inbox feed io-thread-owned state. */
-    struct Loop
+    /** One io loop's admission state, indexed by Loop::idx. */
+    struct IoState
     {
-        std::size_t idx = 0;
-        int epfd = -1;
-        int wakeFd = -1;
-        EvSource wakeTag{EvSource::Kind::Wake};
-        std::thread thr;
-
-        /** Io-thread owned; stop() touches it only after the join. */
-        std::vector<std::shared_ptr<Conn>> conns;
-
-        /** Connections accepted on loop 0 awaiting registration here. */
-        std::mutex inboxMu;
-        std::vector<std::shared_ptr<Conn>> inbox;
+        // Io-thread owned: the thread's copy of midBurst, whether any
+        // request was admitted since the burst began, this pass's
+        // admissions, and one read's parsed PREDICTs and inline
+        // replies.
+        bool reading = false;
+        bool burstAdmitted = false;
+        std::size_t passAdmitted = 0;
+        std::vector<Pending> admitted;
+        std::vector<std::uint8_t> reply;
 
         /**
          * True from the moment epoll_wait returns events until the
@@ -125,6 +69,8 @@ struct PredictionServer::Impl
          * Set before any request of the pass is pushed to the ring
          * and cleared after the last one, so a collector that sees it
          * clear and then finds the ring empty holds the whole burst.
+         * Last and on its own cache line: the collector polls it while
+         * the io thread writes the fields above.
          */
         alignas(64) std::atomic<bool> midBurst{false};
     };
@@ -143,14 +89,8 @@ struct PredictionServer::Impl
     std::atomic<bool> draining{false};
     Clock::time_point startTime;
 
-    int tcpFd = -1;
-    int unixFd = -1;
-    int boundTcpPort = -1;
-    EvSource tcpTag{EvSource::Kind::TcpListen};
-    EvSource unixTag{EvSource::Kind::UnixListen};
-
-    std::vector<std::unique_ptr<Loop>> loops;
-    std::atomic<std::size_t> rrAssign{0};
+    EventLoop net;
+    std::vector<std::unique_ptr<IoState>> io;
 
     std::unique_ptr<MpscRing<Pending>> ring;
     int collectorWakeFd = -1;
@@ -160,17 +100,11 @@ struct PredictionServer::Impl
     std::atomic<std::size_t> queuedCount{0};
 
     // Hot-path counters (per frame / per event, touched by io threads
-    // and engine workers — atomics, no lock).
+    // and engine workers — atomics, no lock). The connection and io
+    // counters live in net.stats.
     std::atomic<std::uint64_t> requestCount{0};
     std::atomic<std::uint64_t> overloadedQueue{0};
     std::atomic<std::uint64_t> overloadedConn{0};
-    std::atomic<std::uint64_t> readTimeouts{0};
-    std::atomic<std::uint64_t> quotaClosed{0};
-    std::atomic<std::uint64_t> connectionsShed{0};
-    std::atomic<std::uint64_t> connectionsAccepted{0};
-    std::atomic<std::uint64_t> connectionsOpen{0};
-    std::atomic<std::uint64_t> epollWakeups{0};
-    std::atomic<std::uint64_t> shortWrites{0};
     std::atomic<std::uint64_t> ringFull{0};
     std::atomic<std::uint64_t> drainSheds{0};
     std::atomic<std::uint64_t> snapshotFallbacks{0};
@@ -185,426 +119,88 @@ struct PredictionServer::Impl
     explicit Impl(ServerOptions o)
         : opts(std::move(o)),
           engine(opts.engine ? opts.engine
-                             : &engine::PredictionEngine::shared())
+                             : &engine::PredictionEngine::shared()),
+          net(*this, {.unixPath = opts.unixPath,
+                      .tcpPort = opts.tcpPort,
+                      .tcpHost = opts.tcpHost,
+                      .loops = opts.ioThreads,
+                      .maxConnections = opts.maxConnections,
+                      .readTimeoutMs = opts.readTimeoutMs,
+                      .maxBufferedPerConn = opts.maxBufferedPerConn})
     {}
 
-    ~Impl() { stop(); }
+    ~Impl() override { stop(); }
 
-    // ---- connection lifecycle ---------------------------------------------
-
-    /** Register @p conn in its owning loop's epoll (io thread of lp). */
-    void
-    registerConn(Loop &lp, const std::shared_ptr<Conn> &conn)
-    {
-        lp.conns.push_back(conn);
-        epoll_event ev{};
-        ev.events = EPOLLIN;
-        ev.data.ptr = static_cast<EvSource *>(conn.get());
-        ::epoll_ctl(lp.epfd, EPOLL_CTL_ADD, conn->fd.load(), &ev);
-    }
-
-    /**
-     * Close a connection exactly once: epoll deregistration + close
-     * under writeMu so no other thread is mid-write on the fd. Any
-     * thread may call it; the owning io loop reaps the carcass from
-     * its conns list on the next sweep.
-     */
-    void
-    dropConn(Conn &c)
-    {
-        std::lock_guard<std::mutex> lock(c.writeMu);
-        dropConnLocked(c);
-    }
-
-    void
-    dropConnLocked(Conn &c)
-    {
-        if (!c.open.exchange(false))
-            return;
-        const int f = c.fd.exchange(-1);
-        if (f >= 0) {
-            if (c.loop)
-                ::epoll_ctl(c.loop->epfd, EPOLL_CTL_DEL, f, nullptr);
-            ::close(f);
-        }
-        connectionsOpen.fetch_sub(1, std::memory_order_relaxed);
-    }
-
-    /** Arm or disarm EPOLLOUT. Requires writeMu; open fd. */
-    void
-    setWantWriteLocked(Conn &c, bool want)
-    {
-        if (c.wantWrite == want)
-            return;
-        const int f = c.fd.load();
-        if (f < 0)
-            return;
-        epoll_event ev{};
-        ev.events = EPOLLIN | (want ? EPOLLOUT : 0u);
-        ev.data.ptr = static_cast<EvSource *>(&c);
-        ::epoll_ctl(c.loop->epfd, EPOLL_CTL_MOD, f, &ev);
-        c.wantWrite = want;
-    }
-
-    /**
-     * Post-write bookkeeping shared by every writer (io-thread reply
-     * flush, collector batch flush, EPOLLOUT resume). Requires
-     * writeMu held and an open connection at call time.
-     */
-    void
-    applyWriteResultLocked(Conn &c, WriteQueue::Result r)
-    {
-        switch (r) {
-          case WriteQueue::Result::Drained:
-            setWantWriteLocked(c, false);
-            return;
-          case WriteQueue::Result::Blocked:
-            shortWrites.fetch_add(1, std::memory_order_relaxed);
-            setWantWriteLocked(c, true);
-            return;
-          case WriteQueue::Result::PeerGone:
-            dropConnLocked(c);
-            return;
-        }
-    }
-
-    /** Gather-write @p iov to @p conn; no-op once the peer is gone. */
-    void
-    writeConn(Conn &c, const iovec *iov, std::size_t n)
-    {
-        std::lock_guard<std::mutex> lock(c.writeMu);
-        if (!c.open.load())
-            return;
-        applyWriteResultLocked(c, c.outq.writeGather(c.fd.load(), iov, n));
-    }
-
-    // ---- accept (runs on loop 0) ------------------------------------------
-
-    void
-    acceptReady(Loop &lp0, int listenFd, bool tcp)
-    {
-        for (;;) {
-            int fd;
-            const auto fa = testing::faultPoint("server.accept", 0);
-            if (fa.err) {
-                errno = fa.err;
-                fd = -1;
-            } else {
-                fd = ::accept4(listenFd, nullptr, nullptr,
-                               SOCK_NONBLOCK | SOCK_CLOEXEC);
-            }
-            if (fd < 0) {
-                if (errno == EINTR || errno == ECONNABORTED)
-                    continue; // retry: more conns may be queued behind
-                break; // EAGAIN, or listener closed by stop()
-            }
-            if (tcp) {
-                int one = 1;
-                ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one,
-                             sizeof one);
-            }
-            if (draining.load(std::memory_order_relaxed)) {
-                // Drain mode: existing connections finish their work,
-                // new ones are turned away at the door (same signal as
-                // the connection cap — the close IS the answer).
-                ::close(fd);
-                connectionsShed.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            if (opts.maxConnections > 0 &&
-                connectionsOpen.load(std::memory_order_relaxed) >=
-                    opts.maxConnections) {
-                // Accept-time shedding: no protocol exchange happened
-                // yet, so there is no id to answer OVERLOADED on —
-                // the close IS the backpressure signal.
-                ::close(fd);
-                connectionsShed.fetch_add(1, std::memory_order_relaxed);
-                continue;
-            }
-            connectionsAccepted.fetch_add(1, std::memory_order_relaxed);
-            connectionsOpen.fetch_add(1, std::memory_order_relaxed);
-
-            auto conn = std::make_shared<Conn>();
-            conn->fd.store(fd);
-            conn->parser = FrameParser({opts.maxBufferedPerConn});
-            conn->lastProgress = Clock::now();
-            const std::size_t target =
-                loops.size() == 1
-                    ? 0
-                    : rrAssign.fetch_add(1, std::memory_order_relaxed) %
-                          loops.size();
-            conn->loop = loops[target].get();
-            if (target == lp0.idx) {
-                registerConn(lp0, conn);
-            } else {
-                Loop &dst = *loops[target];
-                {
-                    std::lock_guard<std::mutex> lock(dst.inboxMu);
-                    dst.inbox.push_back(std::move(conn));
-                }
-                wake(dst);
-            }
-        }
-    }
-
-    // EINTR audit (PR 8): these were bare ::write calls with the
-    // result ignored — a signal landing exactly here silently lost the
-    // wakeup and left the target loop asleep (up to a full sweep
-    // interval for io loops, until the next unrelated wake for the
-    // collector) with work already queued. signalWakeFd retries.
-    void wake(Loop &lp) { signalWakeFd(lp.wakeFd); }
-
+    // signalWakeFd retries EINTR: a lost wakeup would leave the
+    // collector asleep, with work queued, until an unrelated wake.
     void wakeCollector() { signalWakeFd(collectorWakeFd); }
 
-    // ---- io loop ----------------------------------------------------------
+    // ---- io loop hooks (event_loop.h) --------------------------------------
 
-    void
-    ioLoop(Loop &lp)
+    std::shared_ptr<Conn>
+    newConn() override
     {
-        constexpr int kMaxEvents = 128;
-        epoll_event evs[kMaxEvents];
-        std::vector<std::uint8_t> chunk(64 * 1024);
-        std::vector<Pending> admitted;
-        std::vector<std::uint8_t> reply;
-
-        // Deadline sweep cadence: fine enough that a configured read
-        // deadline is enforced within ~1.25x its nominal value, coarse
-        // enough that an idle server wakes at most a few times/second.
-        const int sweepMs =
-            opts.readTimeoutMs > 0
-                ? std::clamp(opts.readTimeoutMs / 4, 10, 1000)
-                : 1000;
-        auto nextSweep = Clock::now() + std::chrono::milliseconds(sweepMs);
-
-        // Burst state (Loop::midBurst): the io thread's own copy, and
-        // whether any request was admitted since the burst began.
-        bool midBurst = false;
-        bool burstAdmitted = false;
-
-        while (!stopping.load(std::memory_order_acquire)) {
-            const int timeout =
-                msUntil(nextSweep, Clock::now(), sweepMs);
-            int n;
-            const auto fa = testing::faultPoint("server.epoll", 0);
-            if (fa.err) {
-                errno = fa.err;
-                n = -1;
-            } else {
-                n = ::epoll_wait(lp.epfd, evs, kMaxEvents, timeout);
-            }
-            epollWakeups.fetch_add(1, std::memory_order_relaxed);
-            if (n < 0 && errno != EINTR)
-                break;
-            if (stopping.load(std::memory_order_acquire))
-                break;
-            if (n > 0 && !midBurst) {
-                midBurst = true;
-                lp.midBurst.store(true, std::memory_order_release);
-            }
-            std::size_t passAdmitted = 0;
-            bool budgetSpent = false;
-            for (int i = 0; i < std::max(n, 0); ++i) {
-                auto *src = static_cast<EvSource *>(evs[i].data.ptr);
-                switch (src->kind) {
-                  case EvSource::Kind::TcpListen:
-                    acceptReady(lp, tcpFd, true);
-                    break;
-                  case EvSource::Kind::UnixListen:
-                    acceptReady(lp, unixFd, false);
-                    break;
-                  case EvSource::Kind::Wake:
-                    drainWakeFd(lp.wakeFd);
-                    adoptInbox(lp);
-                    break;
-                  case EvSource::Kind::Conn: {
-                    Conn &c = *static_cast<Conn *>(src);
-                    if (!c.open.load(std::memory_order_relaxed))
-                        break; // closed by another thread; reap later
-                    if (evs[i].events & (EPOLLHUP | EPOLLERR)) {
-                        dropConn(c);
-                        break;
-                    }
-                    if (evs[i].events & EPOLLOUT)
-                        resumeWrite(c);
-                    if (evs[i].events & EPOLLIN) {
-                        const ReadOutcome r = handleReadable(
-                            c.shared_from_this(), chunk, admitted, reply);
-                        passAdmitted += r.admitted;
-                        budgetSpent |= r.budgetSpent;
-                    }
-                    break;
-                  }
-                }
-            }
-            const auto now = Clock::now();
-            if (now >= nextSweep) {
-                sweep(lp, now);
-                nextSweep = now + std::chrono::milliseconds(sweepMs);
-            }
-            // An interrupted wait read nothing and says nothing about
-            // whether the burst is over.
-            if (n < 0)
-                continue;
-            // One collector wake per pass that admitted work, plus one
-            // when a burst that admitted work ends in a pass that
-            // admitted none, so the collector can close its window.
-            burstAdmitted |= passAdmitted > 0;
-            if (!budgetSpent && midBurst) {
-                midBurst = false;
-                lp.midBurst.store(false, std::memory_order_release);
-            }
-            if (passAdmitted > 0 || (!midBurst && burstAdmitted))
-                wakeCollector();
-            if (!midBurst)
-                burstAdmitted = false;
-        }
-    }
-
-    void
-    adoptInbox(Loop &lp)
-    {
-        std::vector<std::shared_ptr<Conn>> fresh;
-        {
-            std::lock_guard<std::mutex> lock(lp.inboxMu);
-            fresh.swap(lp.inbox);
-        }
-        for (auto &conn : fresh)
-            registerConn(lp, conn);
-    }
-
-    /** EPOLLOUT: resume a partially-written response stream. */
-    void
-    resumeWrite(Conn &c)
-    {
-        std::lock_guard<std::mutex> lock(c.writeMu);
-        if (!c.open.load())
-            return;
-        const WriteQueue::Result r = c.outq.flush(c.fd.load());
-        // Still blocked => stay armed (no counter: the short write was
-        // counted when the tail was first queued).
-        if (r != WriteQueue::Result::Blocked)
-            applyWriteResultLocked(c, r);
+        return std::make_shared<ServerConn>();
     }
 
     /**
-     * Reap closed connections and enforce the read deadline: a
-     * connection mid-frame (partial header or payload buffered) or
-     * one that never completed a first frame (handshake) with no
-     * progress for readTimeoutMs is dropped — the slowloris defense.
-     * Idling between complete frames is never penalized.
+     * Drain mode: existing connections finish their work, new ones are
+     * turned away at the door (same signal as the connection cap — the
+     * close IS the answer).
      */
-    void
-    sweep(Loop &lp, Clock::time_point now)
+    bool
+    refuseNew() override
     {
-        const auto deadline =
-            std::chrono::milliseconds(opts.readTimeoutMs);
-        for (auto it = lp.conns.begin(); it != lp.conns.end();) {
-            Conn &c = **it;
-            if (!c.open.load(std::memory_order_relaxed)) {
-                it = lp.conns.erase(it);
-                continue;
-            }
-            if (opts.readTimeoutMs > 0 &&
-                (c.parser.midFrame() || !c.seenFrame) &&
-                now - c.lastProgress >= deadline) {
-                readTimeouts.fetch_add(1, std::memory_order_relaxed);
-                dropConn(c);
-                it = lp.conns.erase(it);
-                continue;
-            }
-            ++it;
-        }
+        return draining.load(std::memory_order_relaxed);
     }
 
-    /** What one handleReadable call did, for the loop's burst state. */
-    struct ReadOutcome
+    void
+    onReadDone(const std::shared_ptr<Conn> &conn, bool abuse) override
     {
-        std::size_t admitted = 0; ///< requests pushed to the ring
-        bool budgetSpent = false; ///< stopped with data likely unread
-    };
-
-    ReadOutcome
-    handleReadable(const std::shared_ptr<Conn> &conn,
-                   std::vector<std::uint8_t> &chunk,
-                   std::vector<Pending> &admitted,
-                   std::vector<std::uint8_t> &reply)
-    {
-        // Fairness bound: one greedy pipeline must not monopolize the
-        // loop. Level-triggered epoll re-reports leftover data.
-        constexpr int kReadBudget = 8;
-
-        admitted.clear();
-        reply.clear();
-        ReadOutcome out;
-        bool closed = false;
-        bool abuse = false;
-        std::size_t frames = 0;
-        const int fd = conn->fd.load();
-
-        int budget = kReadBudget;
-        for (; budget > 0; --budget) {
-            ssize_t n;
-            const auto fa = testing::faultPoint("server.recv", chunk.size());
-            if (fa.err) {
-                errno = fa.err;
-                n = -1;
-            } else {
-                n = ::recv(fd, chunk.data(),
-                           std::min(chunk.size(), fa.clamp), 0);
-            }
-            if (n < 0 && errno == EINTR) {
-                ++budget;
-                continue;
-            }
-            if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-                break;
-            if (n <= 0) {
-                closed = true; // EOF or hard error
-                break;
-            }
-            if (!conn->parser.feed(chunk.data(),
-                                   static_cast<std::size_t>(n))) {
-                // Buffered-unparsed byte quota exceeded. Well-formed
-                // traffic cannot get here (frames drain as they
-                // complete), so treat it as abuse and drop the
-                // connection.
-                quotaClosed.fetch_add(1, std::memory_order_relaxed);
-                closed = abuse = true;
-                break;
-            }
-            FrameView f;
-            while (conn->parser.next(f)) {
-                handleFrame(conn, f.header, f.payload, admitted, reply);
-                ++frames;
-            }
-            if (static_cast<std::size_t>(n) < chunk.size())
-                break; // likely drained; epoll re-reports otherwise
-        }
-        out.budgetSpent = budget == 0;
-
-        // Read-deadline bookkeeping (see sweep()): the clock resets
-        // only when a frame completes or the buffer drains clean, and
-        // never before the first frame.
-        if (frames > 0)
-            conn->seenFrame = true;
-        if (conn->seenFrame &&
-            (frames > 0 || !conn->parser.midFrame()))
-            conn->lastProgress = Clock::now();
-
+        IoState &st = *io[conn->loop->idx];
         // Admission before the control-reply flush: overflow shedding
         // appends its OVERLOADED responses to the same reply buffer,
         // so the whole answer goes out in one gather write.
-        if (!admitted.empty())
-            out.admitted = admitRequests(*conn, admitted, reply);
-        if (!reply.empty() && !abuse &&
-            conn->open.load(std::memory_order_relaxed)) {
-            const iovec iov{
-                const_cast<std::uint8_t *>(reply.data()), reply.size()};
-            writeConn(*conn, &iov, 1);
+        if (!st.admitted.empty())
+            st.passAdmitted += admitRequests(
+                static_cast<ServerConn &>(*conn), st.admitted, st.reply);
+        if (!st.reply.empty() && !abuse)
+            conn->write(st.reply);
+        st.admitted.clear();
+        st.reply.clear();
+    }
+
+    void
+    onPassBegin(Loop &lp, int n) override
+    {
+        IoState &st = *io[lp.idx];
+        if (n > 0 && !st.reading) {
+            st.reading = true;
+            st.midBurst.store(true, std::memory_order_release);
         }
-        if (closed)
-            dropConn(*conn);
-        return out;
+    }
+
+    void
+    onPassEnd(Loop &lp, int n, bool budgetSpent) override
+    {
+        IoState &st = *io[lp.idx];
+        const std::size_t passAdmitted = std::exchange(st.passAdmitted, 0);
+        // An interrupted wait read nothing and says nothing about
+        // whether the burst is over.
+        if (n < 0)
+            return;
+        // One collector wake per pass that admitted work, plus one
+        // when a burst that admitted work ends in a pass that
+        // admitted none, so the collector can close its window.
+        st.burstAdmitted |= passAdmitted > 0;
+        if (!budgetSpent && st.reading) {
+            st.reading = false;
+            st.midBurst.store(false, std::memory_order_release);
+        }
+        if (passAdmitted > 0 || (!st.reading && st.burstAdmitted))
+            wakeCollector();
+        if (!st.reading)
+            st.burstAdmitted = false;
     }
 
     /**
@@ -615,7 +211,7 @@ struct PredictionServer::Impl
      * collector once per pass, not per connection.
      */
     std::size_t
-    admitRequests(Conn &conn, std::vector<Pending> &admitted,
+    admitRequests(ServerConn &conn, std::vector<Pending> &admitted,
                   std::vector<std::uint8_t> &reply)
     {
         std::size_t accepted = 0;
@@ -649,10 +245,12 @@ struct PredictionServer::Impl
     }
 
     void
-    handleFrame(const std::shared_ptr<Conn> &conn, const RequestHeader &h,
-                const std::uint8_t *payload, std::vector<Pending> &admitted,
-                std::vector<std::uint8_t> &reply)
+    onFrame(const std::shared_ptr<Conn> &conn, const FrameView &f) override
     {
+        const RequestHeader &h = f.header;
+        const std::uint8_t *payload = f.payload;
+        IoState &st = *io[conn->loop->idx];
+        std::vector<std::uint8_t> &reply = st.reply;
         requestCount.fetch_add(1, std::memory_order_relaxed);
         switch (static_cast<Op>(h.op)) {
           case Op::Ping:
@@ -707,8 +305,9 @@ struct PredictionServer::Impl
                                      Status::Draining);
                 return;
             }
+            auto &sc = static_cast<ServerConn &>(*conn);
             if (opts.maxInFlightPerConn > 0 &&
-                conn->inflight.load(std::memory_order_relaxed) >=
+                sc.inflight.load(std::memory_order_relaxed) >=
                     opts.maxInFlightPerConn) {
                 // Per-connection backpressure: this peer already has
                 // a full quota of unanswered predictions; shedding
@@ -719,9 +318,9 @@ struct PredictionServer::Impl
                                      Status::Overloaded);
                 return;
             }
-            conn->inflight.fetch_add(1, std::memory_order_relaxed);
+            sc.inflight.fetch_add(1, std::memory_order_relaxed);
             Pending p;
-            p.conn = conn;
+            p.conn = std::static_pointer_cast<ServerConn>(conn);
             p.id = h.id;
             p.req.bytes.assign(payload, payload + h.len);
             p.req.arch = static_cast<uarch::UArch>(h.arch);
@@ -730,7 +329,7 @@ struct PredictionServer::Impl
                                 ? model::Payload::Full
                                 : model::Payload::None;
             p.req.config = model::ModelConfig::fromBits(h.config);
-            admitted.push_back(std::move(p));
+            st.admitted.push_back(std::move(p));
             return;
           }
           default:
@@ -745,7 +344,7 @@ struct PredictionServer::Impl
     /** Per-worker response staging: worker w owns workerBufs[w]. */
     struct ConnBuf
     {
-        std::shared_ptr<Conn> conn;
+        std::shared_ptr<ServerConn> conn;
         std::vector<std::uint8_t> buf;
     };
 
@@ -759,8 +358,8 @@ struct PredictionServer::Impl
     bool
     anyLoopMidBurst() const
     {
-        for (const auto &lp : loops)
-            if (lp->midBurst.load(std::memory_order_acquire))
+        for (const auto &st : io)
+            if (st->midBurst.load(std::memory_order_acquire))
                 return true;
         return false;
     }
@@ -821,7 +420,7 @@ struct PredictionServer::Impl
                 while (batch.size() < cap &&
                        !stopping.load(std::memory_order_acquire)) {
                     // Read the burst state before draining (see
-                    // Loop::midBurst): a loop that is idle here has
+                    // IoState::midBurst): a loop that is idle here has
                     // already pushed every request of its burst.
                     const bool reading = anyLoopMidBurst();
                     if (drainRing(batch, cap - batch.size()) > 0)
@@ -969,7 +568,7 @@ struct PredictionServer::Impl
             }
         }
         for (FlushEntry &e : flushes)
-            writeConn(*e.conn, e.iov.data(), e.iov.size());
+            e.conn->write(e.iov.data(), e.iov.size());
     }
 
     // ---- warm-start snapshot ----------------------------------------------
@@ -1080,16 +679,7 @@ struct PredictionServer::Impl
             overloadedQueue.load(std::memory_order_relaxed);
         s.overloadedConn =
             overloadedConn.load(std::memory_order_relaxed);
-        s.readTimeouts = readTimeouts.load(std::memory_order_relaxed);
-        s.quotaClosed = quotaClosed.load(std::memory_order_relaxed);
-        s.connectionsShed =
-            connectionsShed.load(std::memory_order_relaxed);
-        s.connectionsAccepted =
-            connectionsAccepted.load(std::memory_order_relaxed);
-        s.connectionsOpen =
-            connectionsOpen.load(std::memory_order_relaxed);
-        s.epollWakeups = epollWakeups.load(std::memory_order_relaxed);
-        s.shortWrites = shortWrites.load(std::memory_order_relaxed);
+        net.stats.fill(s);
         s.ringFull = ringFull.load(std::memory_order_relaxed);
         // reconnects/retriedRequests are client-side counters; a
         // server always reports 0 (ResilientClient::stats() fills
@@ -1125,63 +715,20 @@ struct PredictionServer::Impl
         startTime = Clock::now();
         stopping.store(false);
         draining.store(false);
-        if (!opts.unixPath.empty())
-            unixFd = listenUnix(opts.unixPath);
-        if (opts.tcpPort >= 0) {
-            try {
-                tcpFd = listenTcp(opts.tcpHost, opts.tcpPort, boundTcpPort);
-            } catch (...) {
-                if (unixFd >= 0) {
-                    ::close(unixFd);
-                    ::unlink(opts.unixPath.c_str());
-                    unixFd = -1;
-                }
-                throw;
-            }
-        }
+        net.open();
 
         ring = std::make_unique<MpscRing<Pending>>(
             opts.maxPending > 0 ? opts.maxPending : 65536);
         collectorWakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
         if (collectorWakeFd < 0)
             throwErrno("eventfd");
-
-        const int nLoops = std::max(1, opts.ioThreads);
-        loops.clear();
-        for (int i = 0; i < nLoops; ++i) {
-            auto lp = std::make_unique<Loop>();
-            lp->idx = static_cast<std::size_t>(i);
-            lp->epfd = ::epoll_create1(EPOLL_CLOEXEC);
-            lp->wakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-            if (lp->epfd < 0 || lp->wakeFd < 0)
-                throwErrno("epoll_create1/eventfd");
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            ev.data.ptr = &lp->wakeTag;
-            ::epoll_ctl(lp->epfd, EPOLL_CTL_ADD, lp->wakeFd, &ev);
-            loops.push_back(std::move(lp));
-        }
-        // Loop 0 owns the listeners; accepted connections are assigned
-        // round-robin across loops.
-        if (tcpFd >= 0) {
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            ev.data.ptr = &tcpTag;
-            ::epoll_ctl(loops[0]->epfd, EPOLL_CTL_ADD, tcpFd, &ev);
-        }
-        if (unixFd >= 0) {
-            epoll_event ev{};
-            ev.events = EPOLLIN;
-            ev.data.ptr = &unixTag;
-            ::epoll_ctl(loops[0]->epfd, EPOLL_CTL_ADD, unixFd, &ev);
-        }
+        io.clear();
+        for (std::size_t i = 0; i < net.numLoops(); ++i)
+            io.push_back(std::make_unique<IoState>());
 
         running.store(true);
         collector = std::thread([this] { collectorLoop(); });
-        for (auto &lp : loops) {
-            Loop *p = lp.get();
-            p->thr = std::thread([this, p] { ioLoop(*p); });
-        }
+        net.start();
     }
 
     void
@@ -1191,14 +738,10 @@ struct PredictionServer::Impl
             return;
         stopping.store(true, std::memory_order_release);
 
-        // 1. Wake and join the io loops. They stop accepting and
-        //    reading immediately but leave every connection fd open,
-        //    so the drain below can still deliver answers.
-        for (auto &lp : loops)
-            wake(*lp);
-        for (auto &lp : loops)
-            if (lp->thr.joinable())
-                lp->thr.join();
+        // 1. Stop the io loops. They stop accepting and reading
+        //    immediately but leave every connection fd open, so the
+        //    drain below can still deliver answers.
+        net.stop();
 
         // 2. Drain the collector: with the producers joined, it
         //    empties the ring, submits the final batches, and writes
@@ -1210,33 +753,11 @@ struct PredictionServer::Impl
             collector.join();
 
         // 3. Now tear the sockets down.
-        for (auto &lp : loops) {
-            for (auto &c : lp->conns)
-                dropConn(*c);
-            lp->conns.clear();
-            {
-                std::lock_guard<std::mutex> lock(lp->inboxMu);
-                for (auto &c : lp->inbox)
-                    dropConn(*c);
-                lp->inbox.clear();
-            }
-            if (lp->epfd >= 0)
-                ::close(lp->epfd);
-            if (lp->wakeFd >= 0)
-                ::close(lp->wakeFd);
-        }
-        loops.clear();
+        net.close();
         if (collectorWakeFd >= 0) {
             ::close(collectorWakeFd);
             collectorWakeFd = -1;
         }
-        if (tcpFd >= 0)
-            ::close(tcpFd);
-        if (unixFd >= 0) {
-            ::close(unixFd);
-            ::unlink(opts.unixPath.c_str());
-        }
-        tcpFd = unixFd = -1;
         ring.reset();
     }
 };
@@ -1277,7 +798,7 @@ PredictionServer::draining() const
 int
 PredictionServer::tcpPort() const
 {
-    return impl_->boundTcpPort;
+    return impl_->net.tcpPort();
 }
 
 const std::string &

@@ -9,7 +9,8 @@
  * of a thread per connection, so thousands of mostly-idle connections
  * cost file descriptors, not stacks and context switches.
  *
- *   io loops (1..ioThreads, each an epoll over nonblocking sockets)
+ *   io loops (1..ioThreads, each an epoll over nonblocking sockets;
+ *             the event-loop core of event_loop.h)
  *       accept (loop 0) -> connections assigned round-robin
  *       EPOLLIN: recv -> FrameParser -> control ops answered inline,
  *                PREDICT requests admitted through a bounded

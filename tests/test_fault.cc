@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bhive/generator.h"
+#include "cluster/router.h"
 #include "facile/component.h"
 #include "server/client.h"
 #include "server/net_util.h"
@@ -374,6 +375,38 @@ TEST_F(FaultTest, ServerSurvivesEintrOnAcceptEpollRecvAndCollectorPoll)
     expectBitIdentical(client.predictMany(reqs), expected);
     EXPECT_EQ(testing::faultsFired("server.accept"), 2u);
     EXPECT_GE(testing::faultsFired("server.recv"), reqs.size());
+}
+
+TEST_F(FaultTest, RouterSurvivesEintrOnAcceptEpollAndRecv)
+{
+    SKIP_WITHOUT_FAULT_INJECTION();
+    Loopback backend;
+    cluster::RouterOptions ro;
+    ro.unixPath = faultUnixPath();
+    ro.backends = {cluster::parseEndpoint("unix:" + backend.opts.unixPath)};
+    cluster::Router router(ro);
+    router.start();
+    // The backend has answered the router's first HEALTH probe, so its
+    // accept loop is done: the accept faults below land on the router.
+    while (backend.server->stats().requests == 0)
+        std::this_thread::yield();
+    const auto reqs = smallBatch();
+    const auto expected = serialBatch(reqs);
+
+    testing::armFault("server.accept",
+                      {.firstHit = testing::faultHits("server.accept"),
+                       .count = 2, .err = EINTR});
+    testing::armFault("server.epoll",
+                      {.firstHit = testing::faultHits("server.epoll"),
+                       .count = 8, .err = EINTR});
+    testing::armFault("server.recv",
+                      {.firstHit = testing::faultHits("server.recv"),
+                       .count = 8, .err = EINTR});
+    auto client = Client::connectUnix(ro.unixPath);
+    expectBitIdentical(client.predictMany(reqs), expected);
+    EXPECT_EQ(testing::faultsFired("server.accept"), 2u);
+    EXPECT_GT(testing::faultsFired("server.recv"), 0u);
+    router.stop();
 }
 
 TEST_F(FaultTest, CollectorEintrNeitherSplitsABurstNorSpins)
