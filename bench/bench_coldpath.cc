@@ -1,6 +1,6 @@
 /**
  * @file
- * Cold-path throughput: uncached (analysis-cache-off) blocks/sec —
+ * Cold-path throughput: uncached (prediction-cache-off) blocks/sec —
  * the rate at which the engine handles *never-seen* blocks, which is
  * what caps serving throughput for fresh traffic.
  *
@@ -15,11 +15,11 @@
  *     BHive-style workload regime: a small instruction universe across
  *     millions of distinct blocks).
  *
- * The engine rows run with both engine cache levels disabled at 1/2/4/8
- * worker threads. Every prediction (serial interned and all engine
- * rows) is checked bit-identical to the fresh serial reference; the
- * binary exits non-zero on any mismatch. Results are written to
- * BENCH_coldpath.json.
+ * The engine rows run with the engine's prediction cache (its only
+ * cache above interning) disabled at 1/2/4/8 worker threads. Every
+ * prediction (serial interned and all engine rows) is checked
+ * bit-identical to the fresh serial reference; the binary exits
+ * non-zero on any mismatch. Results are written to BENCH_coldpath.json.
  */
 #include "bench_common.h"
 
@@ -373,7 +373,7 @@ main(int argc, char **argv)
         report.scalar("p99_us", p99);
     }
 
-    // Engine rows: both engine cache levels off, so every block is
+    // Engine rows: the prediction cache off, so every block is
     // analyzed and predicted from scratch (modulo interning).
     for (int threads : {1, 2, 4, 8}) {
         engine::PredictionEngine::Options opts;

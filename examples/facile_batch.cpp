@@ -369,10 +369,8 @@ main(int argc, char **argv)
                     corpusPath.c_str(), total, ms,
                     1000.0 * static_cast<double>(total) / ms,
                     eng->numThreads());
-        std::printf("engine: %zu analyzed, %zu analysis-cache hits, "
-                    "%zu prediction-cache hits\n",
-                    bs.analyzed, bs.analysisCacheHits,
-                    bs.predictionCacheHits);
+        std::printf("engine: %zu analyzed, %zu prediction-cache hits\n",
+                    bs.analyzed, bs.predictionCacheHits);
     }
     if (!groups.empty()) {
         std::printf("\n%-5s %-7s %8s %10s %10s %8s\n", "uArch",

@@ -117,15 +117,13 @@ main(int argc, char **argv)
             std::printf(
                 "uptime %.1f s, %llu requests, %llu predictions, "
                 "%llu batches (max %llu), %llu prediction-cache hits, "
-                "%llu analysis-cache hits, %llu analyzed, "
-                "%llu connections (%llu open)\n",
+                "%llu analyzed, %llu connections (%llu open)\n",
                 static_cast<double>(s.uptimeMs) / 1000.0,
                 static_cast<unsigned long long>(s.requests),
                 static_cast<unsigned long long>(s.predictions),
                 static_cast<unsigned long long>(s.batches),
                 static_cast<unsigned long long>(s.maxBatch),
                 static_cast<unsigned long long>(s.predictionCacheHits),
-                static_cast<unsigned long long>(s.analysisCacheHits),
                 static_cast<unsigned long long>(s.analyzed),
                 static_cast<unsigned long long>(s.connectionsAccepted),
                 static_cast<unsigned long long>(s.connectionsOpen));

@@ -2,24 +2,33 @@
  * @file
  * Fuzz harness for the server's request-frame parser
  * (src/server/frame_parser.h) — the code that consumes raw bytes off
- * accepted sockets.
+ * accepted sockets — and for the client's STATS payload decoder
+ * (decodeStatsPayload in src/server/protocol.h), which parses bytes
+ * a peer sent back.
  *
- * Input mapping: byte 0 picks the delivery pattern (read fragmentation
- * and buffer quota), so the same frame bytes are exercised
- * byte-at-a-time, in odd-sized chunks, in transport-sized chunks, and
- * all at once, against both a generous and a tiny buffered-bytes cap.
+ * Input mapping: bit 3 of byte 0 selects the target. Set, the rest of
+ * the input is one STATS response payload. Clear, the low bits pick
+ * the delivery pattern (read fragmentation and buffer quota), so the
+ * same frame bytes are exercised byte-at-a-time, in odd-sized chunks,
+ * in transport-sized chunks, and all at once, against both a generous
+ * and a tiny buffered-bytes cap.
  *
  * The harness checks what the parser guarantees: frames never desync,
  * payload views stay in bounds (every payload byte is touched, so ASan
  * sees any lie), and the buffered backlog never exceeds the cap.
  * Semantic validation of op/arch is the server's job, not the
- * parser's, so none is asserted here.
+ * parser's, so none is asserted here. For STATS it checks that exactly
+ * the kStatsFields-u64 length decodes, and that a decoded payload
+ * re-encodes to the same bytes.
  */
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <cstring>
+#include <vector>
 
 #include "server/frame_parser.h"
+#include "server/protocol.h"
 
 extern "C" int
 LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
@@ -30,6 +39,21 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     const std::uint8_t mode = data[0];
     ++data;
     --size;
+
+    if (mode & 8) {
+        const auto stats = decodeStatsPayload(data, size);
+        if (stats.has_value() != (size == kStatsFields * 8))
+            __builtin_trap();
+        if (stats) {
+            std::vector<std::uint8_t> frame;
+            appendStatsResponse(frame, 0, *stats);
+            if (frame.size() != kResponseHeaderSize + size ||
+                std::memcmp(frame.data() + kResponseHeaderSize, data,
+                            size) != 0)
+                __builtin_trap();
+        }
+        return 0;
+    }
 
     FrameParser::Options opts;
     // The tiny cap is below the largest legal frame on purpose: it

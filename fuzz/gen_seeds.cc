@@ -90,6 +90,20 @@ main(int argc, char **argv)
         tiny.push_back(0); // delivery mode: byte at a time
         server::appendControlRequest(tiny, 7, server::Op::Snapshot);
         writeSeed(out / "protocol", "snapshot_bytewise", tiny);
+
+        // A STATS response payload as a server sends it, every field
+        // distinct (mode bit 3: the STATS decoder).
+        server::ServerStats stats;
+        std::uint64_t v = 1;
+        for (auto field : server::kStatsLayout)
+            stats.*field = v++;
+        std::vector<std::uint8_t> frame;
+        server::appendStatsResponse(frame, 4, stats);
+        std::vector<std::uint8_t> payload{8};
+        payload.insert(payload.end(),
+                       frame.begin() + server::kResponseHeaderSize,
+                       frame.end());
+        writeSeed(out / "protocol", "stats_response", payload);
     }
 
     // ---- snapshot: a real saved image --------------------------------------

@@ -3,9 +3,9 @@
  * Instruction-granular interning cache (see src/analysis/README.md).
  *
  * BHive-style workloads share a small universe of instructions across
- * millions of *distinct* basic blocks, so the engine's block-level
- * analysis cache never helps fresh traffic. This subsystem memoizes the
- * per-instruction analysis results instead: the first time an encoded
+ * millions of *distinct* basic blocks, so a block-level cache never
+ * helps fresh traffic. This subsystem memoizes the per-instruction
+ * analysis results instead: the first time an encoded
  * instruction is seen on a microarchitecture — in *any* block — its
  * decode (isa::DecodedInst), µop decomposition (uops::InstrInfo), and
  * read/write sets (isa::RwSets) are computed once and stored in an
@@ -22,8 +22,12 @@
  *   - the canonical sharded map keyed on the instruction's exact
  *     encoded bytes (≤ 15 B) + µarch, one interner per µarch. A shard
  *     is a mutex, a hash map, and a std::deque arena (pointer-stable
- *     growth). This is the durable, deduplicating level: its size is
- *     bounded by the true instruction universe, not by traffic volume.
+ *     growth). This is the durable, deduplicating level. It is NOT
+ *     bounded by an instruction universe of thousands: the key holds
+ *     every immediate and displacement, so fresh traffic keeps adding
+ *     records. Measured on the inproc_cold workload: about 0.72 KB per
+ *     interned instruction, 888 MB peak RSS at 983k distinct blocks
+ *     (1.12M records), with no cap.
  *
  * Ownership and lifetime: arenas are append-only and process-lifetime
  * (never evicted). Returned pointers are therefore stable forever and

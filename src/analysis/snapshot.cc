@@ -13,6 +13,7 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
 
 #include "corpus/sections.h"
 #include "engine/engine.h"
@@ -1520,8 +1521,8 @@ class ArchRecordSource final : public RecordSource
 
 /**
  * A bound v2 image: the mapping plus its per-arch sources. Immortal
- * by design (RecordSource contract) — allocated once per successful
- * mmap load and deliberately leaked; rebinding on a later load merely
+ * by design (RecordSource contract): one is allocated per successful
+ * mmap load and handed to keepBound; rebinding on a later load merely
  * redirects future misses.
  */
 struct MappedSnapshotV2
@@ -1529,6 +1530,22 @@ struct MappedSnapshotV2
     corpus::MappedFile file;
     std::deque<ArchRecordSource> sources; // stable addresses
 };
+
+/**
+ * Own @p image for the life of the process and return it. The registry
+ * is never destroyed, so every image an interner was ever bound to
+ * stays mapped and reachable, also after a later load rebinds the
+ * interner to a newer image.
+ */
+MappedSnapshotV2 &
+keepBound(std::unique_ptr<MappedSnapshotV2> image)
+{
+    static auto *mu = new std::mutex;
+    static auto *images = new std::vector<std::unique_ptr<MappedSnapshotV2>>;
+    std::lock_guard<std::mutex> lock(*mu);
+    images->push_back(std::move(image));
+    return *images->back();
+}
 
 /**
  * The lazy v2 file load. Eager work is O(header + table + small
@@ -1629,14 +1646,15 @@ loadV2File(const std::string &path, const SnapshotOptions &opts)
     // defeating the O(pages-touched) start. The parsed pair list
     // rides along in the source so materializeBoundSource (the save
     // path) can still persist it.
+    MappedSnapshotV2 &image = keepBound(std::move(mapped));
     for (const corpus::SectionEntry &e : entries) {
         if (e.type != static_cast<std::uint32_t>(SectionType::Records))
             continue;
-        mapped->file.willNeed(e.offset, e.length);
-        mapped->sources.emplace_back(&mapped->file, e,
-                                     std::move(pairsByTag[e.tag]));
+        image.file.willNeed(e.offset, e.length);
+        image.sources.emplace_back(&image.file, e,
+                                   std::move(pairsByTag[e.tag]));
         InstInterner::forArch(static_cast<uarch::UArch>(e.tag))
-            .bindRecordSource(&mapped->sources.back());
+            .bindRecordSource(&image.sources.back());
     }
     if (opts.engine)
         for (auto &[key, payload] : stagedPreds)
@@ -1646,7 +1664,6 @@ loadV2File(const std::string &path, const SnapshotOptions &opts)
 
     sourceCounters().imagesBound.fetch_add(1,
                                            std::memory_order_relaxed);
-    mapped.release(); // immortal: sources are bound into interners
     st.newRecords = 0;
     st.loadMode = SnapshotLoadMode::MmapV2;
     return st;

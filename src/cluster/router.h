@@ -17,7 +17,7 @@
  * to the rendezvous pick among Up backends (membership.h) — the same
  * block always lands on the same backend, keeping its caches hot for
  * its shard of the universe. PING/STATS/HEALTH are answered locally
- * (STATS reports the router's own counters, including the append-only
+ * (STATS reports the router's own counters, including the
  * routedPredicts/backendFailovers fields backends leave 0). SNAPSHOT
  * is answered BadRequest: snapshot administration addresses a
  * specific replica, so point the client at the backend directly.

@@ -7,6 +7,7 @@
 #include <thread>
 #include <unordered_map>
 
+#include "bb/basic_block.h"
 #include "engine/thread_pool.h"
 #include "facile/component.h"
 
@@ -14,20 +15,7 @@ namespace facile::engine {
 
 namespace {
 
-/** Analysis-cache key: arch byte + raw block bytes. */
-std::string
-analysisKey(const std::vector<std::uint8_t> &bytes, uarch::UArch arch)
-{
-    std::string key;
-    key.reserve(bytes.size() + 1);
-    key.push_back(static_cast<char>(arch));
-    if (!bytes.empty())
-        key.append(reinterpret_cast<const char *>(bytes.data()),
-                   bytes.size());
-    return key;
-}
-
-/** Prediction-cache key: notion + payload depth + config + analysis key. */
+/** Prediction-cache key: notion + payload depth + config + arch + bytes. */
 std::string
 predictionKey(const Request &r)
 {
@@ -57,7 +45,7 @@ shardOf(const std::string &key)
 } // namespace
 
 /**
- * One cache shard with two-generation (old/new) eviction.
+ * One prediction-cache shard with two-generation (old/new) eviction.
  *
  * Inserts and promotions go to the new generation; when it reaches the
  * per-generation bound the old generation is dropped and the new one
@@ -68,13 +56,13 @@ shardOf(const std::string &key)
  * entire hot set the moment a shard filled up. Entries untouched for a
  * full generation age out; a shard never holds more than 2x the bound.
  */
-template <typename V> struct Gen2Shard
+struct PredictionShard
 {
     std::mutex mu;
-    std::unordered_map<std::string, V> newGen, oldGen;
+    std::unordered_map<std::string, model::Prediction> newGen, oldGen;
 
     /** Lookup with promotion; caller must hold mu. */
-    V *
+    model::Prediction *
     find(const std::string &key, std::size_t maxPerGen)
     {
         auto it = newGen.find(key);
@@ -83,7 +71,7 @@ template <typename V> struct Gen2Shard
         auto itOld = oldGen.find(key);
         if (itOld == oldGen.end())
             return nullptr;
-        V value = std::move(itOld->second);
+        model::Prediction value = std::move(itOld->second);
         oldGen.erase(itOld);
         return &insert(key, std::move(value), maxPerGen);
     }
@@ -93,8 +81,8 @@ template <typename V> struct Gen2Shard
      * hold mu and have checked find() under the same lock, so the key
      * is in neither generation.
      */
-    V &
-    insert(std::string key, V value, std::size_t maxPerGen)
+    model::Prediction &
+    insert(std::string key, model::Prediction value, std::size_t maxPerGen)
     {
         if (newGen.size() >= maxPerGen) {
             std::swap(oldGen, newGen);
@@ -117,9 +105,6 @@ struct PredictionEngine::Impl
     Options opts;
     ThreadPool pool;
 
-    using AnalysisShard = Gen2Shard<std::shared_ptr<const bb::BasicBlock>>;
-    using PredictionShard = Gen2Shard<model::Prediction>;
-    AnalysisShard analysisShards[kShards];
     PredictionShard predictionShards[kShards];
 
     /**
@@ -143,39 +128,6 @@ struct PredictionEngine::Impl
         for (int i = 0; i < pool.size(); ++i)
             workerScratch.push_back(
                 std::make_unique<model::PredictScratch>());
-    }
-
-    std::shared_ptr<const bb::BasicBlock>
-    analyzeCached(const std::vector<std::uint8_t> &bytes, uarch::UArch arch,
-                  BatchStats *stats)
-    {
-        if (!opts.cacheEnabled) {
-            auto blk = std::make_shared<const bb::BasicBlock>(
-                bb::analyze(bytes, arch));
-            if (stats)
-                ++stats->analyzed;
-            return blk;
-        }
-        std::string key = analysisKey(bytes, arch);
-        AnalysisShard &shard = analysisShards[shardOf(key)];
-        {
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (auto *hit = shard.find(key, opts.maxEntriesPerShard)) {
-                if (stats)
-                    ++stats->analysisCacheHits;
-                return *hit;
-            }
-        }
-        // Analyze outside the lock; concurrent misses on the same key
-        // duplicate work once but produce identical blocks.
-        auto blk =
-            std::make_shared<const bb::BasicBlock>(bb::analyze(bytes, arch));
-        if (stats)
-            ++stats->analyzed;
-        std::lock_guard<std::mutex> lock(shard.mu);
-        if (auto *hit = shard.find(key, opts.maxEntriesPerShard))
-            return *hit; // lost the race; share the other thread's block
-        return shard.insert(std::move(key), blk, opts.maxEntriesPerShard);
     }
 
     /**
@@ -203,8 +155,10 @@ struct PredictionEngine::Impl
 
         model::Prediction p;
         try {
-            auto blk = analyzeCached(req.bytes, req.arch, stats);
-            p = model::predict(*blk, req.loop, req.config, scratch,
+            const bb::BasicBlock blk = bb::analyze(req.bytes, req.arch);
+            if (stats)
+                ++stats->analyzed;
+            p = model::predict(blk, req.loop, req.config, scratch,
                                req.payload);
         } catch (const std::exception &) {
             p = model::Prediction{}; // malformed block: throughput 0
@@ -250,34 +204,12 @@ PredictionEngine::predictBatch(const std::vector<Request> &batch,
                                BatchStats *stats)
 {
     std::vector<model::Prediction> out(batch.size());
-    if (batch.empty())
-        return out;
-
-    std::atomic<std::size_t> analysisHits{0}, predictionHits{0},
-        analyzed{0};
-
-    impl_->pool.parallelForWorker(
-        batch.size(), [&](int worker, std::size_t i) {
-            BatchStats local;
-            impl_->predictCachedVisit(
-                batch[i], stats ? &local : nullptr, worker, i,
-                *impl_->workerScratch[static_cast<std::size_t>(worker)],
-                [&out](int, std::size_t idx, const model::Prediction &p) {
-                    out[idx] = p;
-                });
-            if (stats) {
-                analysisHits += local.analysisCacheHits;
-                predictionHits += local.predictionCacheHits;
-                analyzed += local.analyzed;
-            }
-        });
-
-    if (stats) {
-        stats->requests += batch.size();
-        stats->analysisCacheHits += analysisHits;
-        stats->predictionCacheHits += predictionHits;
-        stats->analyzed += analyzed;
-    }
+    predictBatchVisit(
+        batch,
+        [&out](int, std::size_t i, const model::Prediction &p) {
+            out[i] = p;
+        },
+        stats);
     return out;
 }
 
@@ -289,8 +221,7 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
     if (batch.empty())
         return;
 
-    std::atomic<std::size_t> analysisHits{0}, predictionHits{0},
-        analyzed{0};
+    std::atomic<std::size_t> predictionHits{0}, analyzed{0};
 
     impl_->pool.parallelForWorker(
         batch.size(), [&](int worker, std::size_t i) {
@@ -300,7 +231,6 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
                 *impl_->workerScratch[static_cast<std::size_t>(worker)],
                 visit);
             if (stats) {
-                analysisHits += local.analysisCacheHits;
                 predictionHits += local.predictionCacheHits;
                 analyzed += local.analyzed;
             }
@@ -308,7 +238,6 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
 
     if (stats) {
         stats->requests += batch.size();
-        stats->analysisCacheHits += analysisHits;
         stats->predictionCacheHits += predictionHits;
         stats->analyzed += analyzed;
     }
@@ -320,13 +249,6 @@ PredictionEngine::predictOne(const Request &req, BatchStats *stats)
     if (stats)
         ++stats->requests;
     return impl_->predictCached(req, stats);
-}
-
-std::shared_ptr<const bb::BasicBlock>
-PredictionEngine::analyze(const std::vector<std::uint8_t> &bytes,
-                          uarch::UArch arch, BatchStats *stats)
-{
-    return impl_->analyzeCached(bytes, arch, stats);
 }
 
 void
@@ -347,14 +269,9 @@ PredictionEngine::parallelForWorker(
 void
 PredictionEngine::clearCaches()
 {
-    for (std::size_t s = 0; s < kShards; ++s) {
-        {
-            std::lock_guard<std::mutex> lock(
-                impl_->analysisShards[s].mu);
-            impl_->analysisShards[s].clear();
-        }
-        std::lock_guard<std::mutex> lock(impl_->predictionShards[s].mu);
-        impl_->predictionShards[s].clear();
+    for (PredictionShard &shard : impl_->predictionShards) {
+        std::lock_guard<std::mutex> lock(shard.mu);
+        shard.clear();
     }
 }
 
@@ -365,7 +282,7 @@ PredictionEngine::exportPredictionCache(
 {
     std::size_t n = 0;
     for (std::size_t s = 0; s < kShards; ++s) {
-        Impl::PredictionShard &shard = impl_->predictionShards[s];
+        PredictionShard &shard = impl_->predictionShards[s];
         std::lock_guard<std::mutex> lock(shard.mu);
         for (const auto &[key, pred] : shard.newGen) {
             visit(key, pred);
@@ -383,7 +300,7 @@ void
 PredictionEngine::importPredictionCacheEntry(std::string key,
                                              model::Prediction pred)
 {
-    Impl::PredictionShard &shard = impl_->predictionShards[shardOf(key)];
+    PredictionShard &shard = impl_->predictionShards[shardOf(key)];
     std::lock_guard<std::mutex> lock(shard.mu);
     if (!shard.find(key, impl_->opts.maxEntriesPerShard))
         shard.insert(std::move(key), std::move(pred),

@@ -10,11 +10,13 @@
  *     over a fork-join pool whose lane 0 is the calling thread (lanes
  *     claim contiguous chunks of a shared work index, so uneven block
  *     cost load-balances);
- *   - a sharded per-arch analysis cache keyed on the raw block bytes
- *     lets repeated blocks skip decoding and uop lookup entirely;
- *   - a second-level prediction cache keyed additionally on the
- *     throughput notion, the ablation config, and the payload depth
- *     short-circuits fully repeated requests;
+ *   - one sharded prediction cache keyed on the throughput notion,
+ *     the payload depth, the ablation config, the arch and the raw
+ *     block bytes short-circuits fully repeated requests. It is the
+ *     only cache above instruction interning (analysis/intern.h): a
+ *     miss re-runs bb::analyze into a local block, which costs a few
+ *     microseconds on interned instructions, so caching analysed
+ *     blocks as well would save almost nothing;
  *   - one model::PredictScratch per pool lane (see
  *     facile/component.h) makes the whole component pipeline
  *     allocation-free in steady state, with scratch ownership explicit
@@ -37,7 +39,6 @@
 #include <string>
 #include <vector>
 
-#include "bb/basic_block.h"
 #include "facile/predictor.h"
 
 namespace facile::engine {
@@ -67,7 +68,7 @@ struct Request
 struct BatchStats
 {
     std::size_t requests = 0;
-    std::size_t analysisCacheHits = 0;   ///< decode+annotate skipped
+    std::size_t analysisCacheHits = 0;   ///< retired, always 0
     std::size_t predictionCacheHits = 0; ///< whole prediction skipped
     std::size_t analyzed = 0;            ///< blocks decoded this batch
 };
@@ -81,7 +82,7 @@ struct EngineOptions
      */
     int numThreads = 0;
 
-    /** Master switch for both cache levels. */
+    /** Switch for the prediction cache. */
     bool cacheEnabled = true;
 
     /**
@@ -115,7 +116,8 @@ class PredictionEngine
      * model::predict(bb::analyze(batch[i].bytes, batch[i].arch),
      *                batch[i].loop, batch[i].config).
      * A malformed block (decode error) yields a default Prediction with
-     * throughput 0, mirroring the eval harness' crash protocol.
+     * throughput 0, mirroring the eval harness' crash protocol. This is
+     * predictBatchVisit with a visitor that stores into out[i].
      */
     std::vector<model::Prediction>
     predictBatch(const std::vector<Request> &batch,
@@ -143,17 +145,9 @@ class PredictionEngine
                            const PredictionVisitor &visit,
                            BatchStats *stats = nullptr);
 
-    /** Single-request convenience; same caches, calling thread only. */
+    /** Single-request convenience; same cache, calling thread only. */
     model::Prediction predictOne(const Request &req,
                                  BatchStats *stats = nullptr);
-
-    /**
-     * Analyze a block through the per-arch analysis cache (shared with
-     * predictBatch). The returned block is immutable and shared.
-     */
-    std::shared_ptr<const bb::BasicBlock>
-    analyze(const std::vector<std::uint8_t> &bytes, uarch::UArch arch,
-            BatchStats *stats = nullptr);
 
     /**
      * Run body(i) for all i in [0, n) on the pool, the calling thread

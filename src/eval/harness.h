@@ -125,7 +125,8 @@ struct EngineThroughput
  * Measure end-to-end batch throughput (bytes in, predictions out) of
  * @p engine over the suite's benchmarks: one warm-up batch, then the
  * best of @p repeats timed batches. Set cacheEnabled=false on the
- * engine to measure pure compute scaling.
+ * engine (no prediction cache, so every request is analysed and
+ * predicted) to measure pure compute scaling.
  */
 EngineThroughput measureEngineThroughput(engine::PredictionEngine &engine,
                                          const ArchSuite &suite, bool loop,

@@ -142,33 +142,8 @@ appendStatsResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
     *p++ = static_cast<std::uint8_t>(Status::Ok);
     *p++ = static_cast<std::uint8_t>(Op::Stats);
     putU16(p, kStatsFields * 8);
-    putU64(p, stats.requests);
-    putU64(p, stats.predictions);
-    putU64(p, stats.batches);
-    putU64(p, stats.maxBatch);
-    putU64(p, stats.analysisCacheHits);
-    putU64(p, stats.predictionCacheHits);
-    putU64(p, stats.analyzed);
-    putU64(p, stats.overloadedQueue);
-    putU64(p, stats.overloadedConn);
-    putU64(p, stats.readTimeouts);
-    putU64(p, stats.quotaClosed);
-    putU64(p, stats.connectionsShed);
-    putU64(p, stats.connectionsAccepted);
-    putU64(p, stats.connectionsOpen);
-    putU64(p, stats.uptimeMs);
-    putU64(p, stats.epollWakeups);
-    putU64(p, stats.shortWrites);
-    putU64(p, stats.ringFull);
-    putU64(p, stats.reconnects);
-    putU64(p, stats.retriedRequests);
-    putU64(p, stats.drainSheds);
-    putU64(p, stats.snapshotFallbacks);
-    putU64(p, stats.snapshotLoadMode);
-    putU64(p, stats.snapshotFetchesServed);
-    putU64(p, stats.routedPredicts);
-    putU64(p, stats.backendFailovers);
-    putU64(p, stats.convergenceMerges);
+    for (auto field : kStatsLayout)
+        putU64(p, stats.*field);
 }
 
 void
@@ -288,53 +263,13 @@ decodePredictPayload(const std::uint8_t *p, std::size_t len)
 std::optional<ServerStats>
 decodeStatsPayload(const std::uint8_t *p, std::size_t len)
 {
-    // Append-only payload: require at least the v1 fields and a whole
-    // number of u64s; trailing fields a newer server added beyond what
-    // this build knows are ignored, and fields this build knows that
-    // an older server did not send stay 0.
-    if (len < kStatsFieldsV1 * 8 || len % 8 != 0)
+    if (len != kStatsFields * 8)
         return std::nullopt;
-    const std::size_t fields = len / 8;
     ServerStats s;
-    s.requests = getU64(p);
-    s.predictions = getU64(p + 8);
-    s.batches = getU64(p + 16);
-    s.maxBatch = getU64(p + 24);
-    s.analysisCacheHits = getU64(p + 32);
-    s.predictionCacheHits = getU64(p + 40);
-    s.analyzed = getU64(p + 48);
-    s.overloadedQueue = getU64(p + 56);
-    s.overloadedConn = getU64(p + 64);
-    s.readTimeouts = getU64(p + 72);
-    s.quotaClosed = getU64(p + 80);
-    s.connectionsShed = getU64(p + 88);
-    s.connectionsAccepted = getU64(p + 96);
-    s.connectionsOpen = getU64(p + 104);
-    s.uptimeMs = getU64(p + 112);
-    if (fields > 15)
-        s.epollWakeups = getU64(p + 120);
-    if (fields > 16)
-        s.shortWrites = getU64(p + 128);
-    if (fields > 17)
-        s.ringFull = getU64(p + 136);
-    if (fields > 18)
-        s.reconnects = getU64(p + 144);
-    if (fields > 19)
-        s.retriedRequests = getU64(p + 152);
-    if (fields > 20)
-        s.drainSheds = getU64(p + 160);
-    if (fields > 21)
-        s.snapshotFallbacks = getU64(p + 168);
-    if (fields > 22)
-        s.snapshotLoadMode = getU64(p + 176);
-    if (fields > 23)
-        s.snapshotFetchesServed = getU64(p + 184);
-    if (fields > 24)
-        s.routedPredicts = getU64(p + 192);
-    if (fields > 25)
-        s.backendFailovers = getU64(p + 200);
-    if (fields > 26)
-        s.convergenceMerges = getU64(p + 208);
+    for (auto field : kStatsLayout) {
+        s.*field = getU64(p);
+        p += 8;
+    }
     return s;
 }
 

@@ -58,12 +58,10 @@
  *   i32  criticalChain[nCriticalChain]
  *   i32  contendingInsts[nContendingInsts]
  *
- * STATS response payload: ServerStats as kStatsFields (27) u64 fields
- * in declaration order. The payload is append-only — decoders accept
- * any whole-u64 payload of at least kStatsFieldsV1 (15) fields, so
- * mixed-version client/server pairs interoperate. PING response
- * payload: empty. HEALTH response payload: one u8 readiness state
- * (decoders must tolerate longer payloads — append-only, like STATS).
+ * STATS response payload: ServerStats as exactly kStatsFields (27) u64
+ * fields in kStatsLayout order; a payload of any other length is
+ * malformed. PING response payload: empty. HEALTH response payload:
+ * one u8 readiness state (decoders must tolerate longer payloads).
  *
  * SNAPSHOT subops (the first request-payload byte; an empty payload
  * means SAVE for compatibility with pre-cluster clients):
@@ -102,6 +100,7 @@
 #include <bit>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -247,7 +246,7 @@ struct ServerStats
     std::uint64_t predictions = 0;     ///< PREDICT responses sent
     std::uint64_t batches = 0;         ///< engine batch submissions
     std::uint64_t maxBatch = 0;        ///< largest admission batch so far
-    std::uint64_t analysisCacheHits = 0;
+    std::uint64_t analysisCacheHits = 0; ///< retired, always 0
     std::uint64_t predictionCacheHits = 0;
     std::uint64_t analyzed = 0;
 
@@ -263,8 +262,7 @@ struct ServerStats
     std::uint64_t connectionsOpen = 0;
     std::uint64_t uptimeMs = 0;
 
-    // Event-loop data-plane counters (appended in PR 7; the STATS
-    // payload is append-only so older peers still decode the prefix).
+    // Event-loop data-plane counters.
     std::uint64_t epollWakeups = 0; ///< epoll_wait returns, all io loops
     std::uint64_t shortWrites = 0;  ///< partial writev: EPOLLOUT resume
     std::uint64_t ringFull = 0;     ///< admission-ring capacity rejections
@@ -298,15 +296,46 @@ struct ServerStats
 };
 
 /**
- * Number of u64 fields in the STATS response payload. The payload is
- * append-only: kStatsFieldsV1 is the thread-per-connection era field
- * count, and decodeStatsPayload accepts any whole-u64 payload of at
- * least that many fields (missing trailing fields read 0, unknown
- * extras are ignored), so client and server can be upgraded
- * independently.
+ * The STATS response payload: one little-endian u64 per ServerStats
+ * field, in this order. appendStatsResponse and decodeStatsPayload
+ * both walk this table, and the layout is frozen at kStatsFields
+ * fields.
  */
-inline constexpr std::size_t kStatsFields = 27;
-inline constexpr std::size_t kStatsFieldsV1 = 15;
+inline constexpr std::uint64_t ServerStats::*kStatsLayout[] = {
+    &ServerStats::requests,
+    &ServerStats::predictions,
+    &ServerStats::batches,
+    &ServerStats::maxBatch,
+    &ServerStats::analysisCacheHits,
+    &ServerStats::predictionCacheHits,
+    &ServerStats::analyzed,
+    &ServerStats::overloadedQueue,
+    &ServerStats::overloadedConn,
+    &ServerStats::readTimeouts,
+    &ServerStats::quotaClosed,
+    &ServerStats::connectionsShed,
+    &ServerStats::connectionsAccepted,
+    &ServerStats::connectionsOpen,
+    &ServerStats::uptimeMs,
+    &ServerStats::epollWakeups,
+    &ServerStats::shortWrites,
+    &ServerStats::ringFull,
+    &ServerStats::reconnects,
+    &ServerStats::retriedRequests,
+    &ServerStats::drainSheds,
+    &ServerStats::snapshotFallbacks,
+    &ServerStats::snapshotLoadMode,
+    &ServerStats::snapshotFetchesServed,
+    &ServerStats::routedPredicts,
+    &ServerStats::backendFailovers,
+    &ServerStats::convergenceMerges,
+};
+
+/** Number of u64 fields in the STATS response payload. */
+inline constexpr std::size_t kStatsFields = std::size(kStatsLayout);
+static_assert(kStatsFields == 27 &&
+                  sizeof(ServerStats) == kStatsFields * sizeof(std::uint64_t),
+              "every ServerStats field is on the wire, exactly once");
 
 // ---- little-endian append/read helpers ------------------------------------
 // Encoders write through a raw cursor into pre-grown buffer space: the
@@ -456,7 +485,10 @@ decodePredictPayload(const std::uint8_t *p, std::size_t len);
 bool decodePredictInto(const std::uint8_t *p, std::size_t len,
                        model::Prediction &out);
 
-/** Decode a STATS response payload. */
+/**
+ * Decode a STATS response payload; nullopt unless it is exactly
+ * kStatsFields u64s.
+ */
 std::optional<ServerStats> decodeStatsPayload(const std::uint8_t *p,
                                               std::size_t len);
 

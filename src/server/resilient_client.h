@@ -130,8 +130,8 @@ class ResilientClient
 
     /**
      * Server counters, with this client's reconnects/retriedRequests
-     * merged in — the two client-side fields of the append-only STATS
-     * payload (a server always sends 0 there).
+     * merged in — the two client-side fields of the STATS payload (a
+     * server always sends 0 there).
      */
     ServerStats stats();
 

@@ -538,7 +538,6 @@ struct PredictionServer::Impl : LoopHandler
             ++counters.batches;
             counters.maxBatch =
                 std::max<std::uint64_t>(counters.maxBatch, reqs.size());
-            counters.analysisCacheHits += bs.analysisCacheHits;
             counters.predictionCacheHits += bs.predictionCacheHits;
             counters.analyzed += bs.analyzed;
         }

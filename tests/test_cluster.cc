@@ -18,10 +18,12 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -34,6 +36,7 @@
 #include "cluster/router.h"
 #include "facile/component.h"
 #include "server/client.h"
+#include "server/frame_parser.h"
 #include "server/net_util.h"
 #include "server/protocol.h"
 #include "server/resilient_client.h"
@@ -456,12 +459,36 @@ TEST(Router, BackendDeathFailsOverWithZeroCallerVisibleFailures)
     ASSERT_EQ(::bind(listenFd, reinterpret_cast<sockaddr *>(&addr),
                      sizeof addr), 0);
     ASSERT_EQ(::listen(listenFd, 8), 0);
+    // The cut waits for an event, not a timer: the blackhole has read
+    // a whole forwarded PREDICT frame (the router's first frame on a
+    // new connection is a HEALTH probe, which does not count), or the
+    // client has finished without one ever arriving.
+    std::mutex cutMu;
+    std::condition_variable cutCv;
+    std::atomic<bool> predictHeld{false}, clientDone{false};
+    const auto signal = [&](std::atomic<bool> &flag) {
+        {
+            std::lock_guard<std::mutex> lock(cutMu);
+            flag.store(true);
+        }
+        cutCv.notify_all();
+    };
     std::atomic<int> holeConn{-1};
     std::thread hole([&] {
         const int fd = ::accept(listenFd, nullptr, nullptr);
         holeConn.store(fd);
+        server::FrameParser parser;
+        server::FrameView f;
         std::uint8_t buf[4096];
-        while (fd >= 0 && ::read(fd, buf, sizeof buf) > 0) {
+        ssize_t n;
+        while (fd >= 0 && (n = ::read(fd, buf, sizeof buf)) > 0) {
+            if (predictHeld.load() ||
+                !parser.feed(buf, static_cast<std::size_t>(n)))
+                continue;
+            while (parser.next(f))
+                if (f.header.op ==
+                    static_cast<std::uint8_t>(server::Op::Predict))
+                    signal(predictHeld);
         }
     });
 
@@ -480,8 +507,14 @@ TEST(Router, BackendDeathFailsOverWithZeroCallerVisibleFailures)
             reqs.push_back({b.bytesL, uarch::UArch::SKL, true, {}});
 
     std::thread killer([&] {
-        std::this_thread::sleep_for(std::chrono::milliseconds(150));
-        ::close(listenFd); // re-dials now fail too
+        {
+            std::unique_lock<std::mutex> lock(cutMu);
+            cutCv.wait(lock, [&] {
+                return predictHeld.load() || clientDone.load();
+            });
+        }
+        ::shutdown(listenFd, SHUT_RDWR); // wakes an accept still waiting
+        ::close(listenFd);               // re-dials now fail too
         const int fd = holeConn.load();
         if (fd >= 0)
             ::shutdown(fd, SHUT_RDWR);
@@ -490,7 +523,16 @@ TEST(Router, BackendDeathFailsOverWithZeroCallerVisibleFailures)
     server::RetryPolicy policy;
     policy.opDeadline = std::chrono::milliseconds(60000);
     auto client = server::ResilientClient::forUnix(ro.unixPath, policy);
-    auto out = client.predictMany(reqs); // throws on any real failure
+    std::vector<Prediction> out;
+    try {
+        out = client.predictMany(reqs); // throws on any real failure
+    } catch (...) {
+        signal(clientDone);
+        killer.join();
+        hole.join();
+        throw;
+    }
+    signal(clientDone);
     killer.join();
     hole.join();
     if (holeConn.load() >= 0)

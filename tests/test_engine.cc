@@ -132,22 +132,39 @@ TEST(Engine, CacheHitEqualsColdCall)
         EXPECT_TRUE(bitIdentical(first[i], second[i])) << "request " << i;
 }
 
-TEST(Engine, AnalysisCacheSharesBlocksAcrossNotions)
+TEST(Engine, EachNotionOfOneBlockIsAnalyzedAfresh)
 {
-    // The same bytes under TPU and TPL decode once: the second request
-    // of each pair hits the analysis cache even though the prediction
-    // key differs.
+    // The prediction cache is the only cache above interning: the same
+    // bytes as TPU, TPL and full-payload TPL are three misses, each
+    // analysed on its own and each bit-identical to the serial path.
     PredictionEngine::Options opts;
     opts.numThreads = 1;
     PredictionEngine eng(opts);
 
     const auto &b = suite().front();
+    const Request tpu{b.bytesL, uarch::UArch::SKL, false, {}};
+    const Request tpl{b.bytesL, uarch::UArch::SKL, true, {}};
+    const Request full{b.bytesL, uarch::UArch::SKL, true, {},
+                       model::Payload::Full};
     BatchStats stats;
-    eng.predictOne({b.bytesL, uarch::UArch::SKL, false, {}}, &stats);
-    eng.predictOne({b.bytesL, uarch::UArch::SKL, true, {}}, &stats);
-    EXPECT_EQ(stats.analyzed, 1u);
-    EXPECT_EQ(stats.analysisCacheHits, 1u);
+    const Prediction pu = eng.predictOne(tpu, &stats);
+    const Prediction pl = eng.predictOne(tpl, &stats);
+    const Prediction pf = eng.predictOne(full, &stats);
+    EXPECT_EQ(stats.requests, 3u);
+    EXPECT_EQ(stats.analyzed, 3u);
+    EXPECT_EQ(stats.analysisCacheHits, 0u);
     EXPECT_EQ(stats.predictionCacheHits, 0u);
+    EXPECT_TRUE(bitIdentical(pu, serialPredict(tpu)));
+    EXPECT_TRUE(bitIdentical(pl, serialPredict(tpl)));
+    EXPECT_TRUE(bitIdentical(pf, serialPredict(full)));
+
+    // Serial explain() upgrades the bound-only TPL answer to the same
+    // bits as the engine's full-payload answer.
+    model::PredictScratch scratch;
+    Prediction explained = pl;
+    model::explain(bb::analyze(tpl.bytes, tpl.arch), tpl.config, scratch,
+                   explained);
+    EXPECT_TRUE(bitIdentical(pf, explained));
 }
 
 TEST(Engine, CacheDisabledStillMatchesSerial)

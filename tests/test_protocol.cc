@@ -11,6 +11,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iterator>
 #include <vector>
 
 #include "server/frame_parser.h"
@@ -172,89 +173,83 @@ TEST(FrameParser, CompactionPreservesPendingPartialFrame)
 
 TEST(Protocol, StatsPayloadRoundTripsAllCounters)
 {
+    // The wire order written out by hand, independently of
+    // kStatsLayout, so a reordered or missing table entry fails here.
+    std::uint64_t ServerStats::*const wireOrder[] = {
+        &ServerStats::requests,
+        &ServerStats::predictions,
+        &ServerStats::batches,
+        &ServerStats::maxBatch,
+        &ServerStats::analysisCacheHits,
+        &ServerStats::predictionCacheHits,
+        &ServerStats::analyzed,
+        &ServerStats::overloadedQueue,
+        &ServerStats::overloadedConn,
+        &ServerStats::readTimeouts,
+        &ServerStats::quotaClosed,
+        &ServerStats::connectionsShed,
+        &ServerStats::connectionsAccepted,
+        &ServerStats::connectionsOpen,
+        &ServerStats::uptimeMs,
+        &ServerStats::epollWakeups,
+        &ServerStats::shortWrites,
+        &ServerStats::ringFull,
+        &ServerStats::reconnects,
+        &ServerStats::retriedRequests,
+        &ServerStats::drainSheds,
+        &ServerStats::snapshotFallbacks,
+        &ServerStats::snapshotLoadMode,
+        &ServerStats::snapshotFetchesServed,
+        &ServerStats::routedPredicts,
+        &ServerStats::backendFailovers,
+        &ServerStats::convergenceMerges,
+    };
+    constexpr std::size_t kFields = 27;
+    static_assert(std::size(wireOrder) == kFields);
+
     ServerStats s;
-    std::uint64_t v = 1;
-    for (std::uint64_t *field :
-         {&s.requests, &s.predictions, &s.batches, &s.maxBatch,
-          &s.analysisCacheHits, &s.predictionCacheHits, &s.analyzed,
-          &s.overloadedQueue, &s.overloadedConn, &s.readTimeouts,
-          &s.quotaClosed, &s.connectionsShed, &s.connectionsAccepted,
-          &s.connectionsOpen, &s.uptimeMs, &s.epollWakeups,
-          &s.shortWrites, &s.ringFull, &s.reconnects, &s.retriedRequests,
-          &s.drainSheds, &s.snapshotFallbacks, &s.snapshotLoadMode})
-        *field = v++;
+    for (std::size_t i = 0; i < kFields; ++i)
+        s.*wireOrder[i] = 1000 + i;
 
     std::vector<std::uint8_t> frame;
     appendStatsResponse(frame, 5, s);
     ResponseHeader h = parseResponseHeader(frame.data());
-    ASSERT_EQ(h.len, kStatsFields * 8);
-    auto back =
-        decodeStatsPayload(frame.data() + kResponseHeaderSize, h.len);
+    ASSERT_EQ(h.len, kFields * 8);
+    ASSERT_EQ(frame.size(), kResponseHeaderSize + kFields * 8);
+    const std::uint8_t *payload = frame.data() + kResponseHeaderSize;
+    for (std::size_t i = 0; i < kFields; ++i) {
+        std::uint64_t v = 0;
+        for (int b = 7; b >= 0; --b)
+            v = (v << 8) | payload[8 * i + static_cast<std::size_t>(b)];
+        EXPECT_EQ(v, 1000 + i) << "wire field " << i;
+    }
+
+    auto back = decodeStatsPayload(payload, h.len);
     ASSERT_TRUE(back.has_value());
-    EXPECT_EQ(back->requests, 1u);
-    EXPECT_EQ(back->overloadedQueue, 8u);
-    EXPECT_EQ(back->overloadedConn, 9u);
-    EXPECT_EQ(back->readTimeouts, 10u);
-    EXPECT_EQ(back->quotaClosed, 11u);
-    EXPECT_EQ(back->connectionsShed, 12u);
-    EXPECT_EQ(back->uptimeMs, 15u);
-    EXPECT_EQ(back->epollWakeups, 16u);
-    EXPECT_EQ(back->shortWrites, 17u);
-    EXPECT_EQ(back->ringFull, 18u);
-    EXPECT_EQ(back->reconnects, 19u);
-    EXPECT_EQ(back->retriedRequests, 20u);
-    EXPECT_EQ(back->drainSheds, 21u);
-    EXPECT_EQ(back->snapshotFallbacks, 22u);
-    EXPECT_EQ(back->snapshotLoadMode, 23u);
+    for (std::size_t i = 0; i < kFields; ++i)
+        EXPECT_EQ((*back).*wireOrder[i], 1000 + i) << "field " << i;
 }
 
-TEST(Protocol, StatsPayloadIsAppendOnlyAcrossVersions)
+TEST(Protocol, StatsPayloadMustBeExactly27Fields)
 {
     ServerStats s;
     s.requests = 7;
-    s.uptimeMs = 42;
-    s.epollWakeups = 99;
     std::vector<std::uint8_t> frame;
     appendStatsResponse(frame, 5, s);
-    const std::uint8_t *payload = frame.data() + kResponseHeaderSize;
+    std::vector<std::uint8_t> payload(frame.begin() + kResponseHeaderSize,
+                                      frame.end());
+    payload.resize(28 * 8 + 3, 0xab);
 
-    // A v1 (15-field, thread-per-connection era) payload still
-    // decodes; the appended fields read as zero.
-    auto v1 = decodeStatsPayload(payload, kStatsFieldsV1 * 8);
-    ASSERT_TRUE(v1.has_value());
-    EXPECT_EQ(v1->requests, 7u);
-    EXPECT_EQ(v1->uptimeMs, 42u);
-    EXPECT_EQ(v1->epollWakeups, 0u);
+    auto exact = decodeStatsPayload(payload.data(), 27 * 8);
+    ASSERT_TRUE(exact.has_value());
+    EXPECT_EQ(exact->requests, 7u);
 
-    // A PR 7-era (18-field) payload decodes with the PR 8
-    // fault-tolerance counters reading zero.
-    auto v18 = decodeStatsPayload(payload, 18 * 8);
-    ASSERT_TRUE(v18.has_value());
-    EXPECT_EQ(v18->epollWakeups, 99u);
-    EXPECT_EQ(v18->drainSheds, 0u);
-    EXPECT_EQ(v18->snapshotFallbacks, 0u);
-
-    // A PR 8-era (22-field) payload decodes with the PR 9 snapshot
-    // load-mode field reading zero.
-    auto v22 = decodeStatsPayload(payload, 22 * 8);
-    ASSERT_TRUE(v22.has_value());
-    EXPECT_EQ(v22->snapshotLoadMode, 0u);
-
-    // A future server may append more fields; unknown extras are
-    // ignored, not rejected.
-    std::vector<std::uint8_t> longer(payload,
-                                     payload + kStatsFields * 8);
-    longer.resize(longer.size() + 16, 0xab);
-    auto future = decodeStatsPayload(longer.data(), longer.size());
-    ASSERT_TRUE(future.has_value());
-    EXPECT_EQ(future->requests, 7u);
-    EXPECT_EQ(future->epollWakeups, 99u);
-
-    // Below the v1 floor, or not a whole number of u64s: malformed.
-    EXPECT_FALSE(decodeStatsPayload(payload, (kStatsFieldsV1 - 1) * 8)
-                     .has_value());
+    // One field short, one field long, or not a whole number of u64s:
+    // malformed.
+    EXPECT_FALSE(decodeStatsPayload(payload.data(), 26 * 8).has_value());
+    EXPECT_FALSE(decodeStatsPayload(payload.data(), 28 * 8).has_value());
     EXPECT_FALSE(
-        decodeStatsPayload(payload, kStatsFieldsV1 * 8 + 3).has_value());
+        decodeStatsPayload(payload.data(), 27 * 8 + 3).has_value());
 }
 
 TEST(Protocol, ProtocolErrorCarriesWireStatus)

@@ -834,7 +834,7 @@ TEST(ServerDrain, ShedsPredictsKeepsControlOpsAndRefusesNewConnections)
         << "connection during drain was not refused";
     ::close(late);
 
-    // Both sheds travel the wire in the append-only STATS payload.
+    // Both sheds travel the wire in the STATS payload.
     ServerStats s = client.stats();
     EXPECT_GE(s.drainSheds, 1u);
     EXPECT_GE(s.connectionsShed, 1u);
