@@ -471,8 +471,8 @@ main(int argc, char **argv)
     // load-only child that times the load plus the first single-block
     // prediction, and the two children's first predictions must be
     // bit-identical. A second pair of probes against a synthetically
-    // ~100x larger instruction universe (distinct MOV r32,imm32
-    // encodings, SKL only; ~10x in quick mode) checks that the mmap
+    // ~100x larger instruction universe (distinct memory-operand
+    // forms, SKL only; ~10x in quick mode) checks that the mmap
     // load cost stays roughly flat while the eager load scales with
     // the record count.
     double eagerLoadMs = 0.0, v2LoadMs = 0.0, v2FirstMs = 0.0;
@@ -536,23 +536,47 @@ main(int argc, char **argv)
                 }
             }
 
-            // Grow the universe: distinct 5-byte MOV r32,imm32
-            // encodings (0xB8+r, sequential immediates), eight per
-            // analyzed block, each a distinct intern key.
+            // Grow the universe: distinct instruction *forms* (the
+            // interner keys on forms, so immediates and displacement
+            // values add nothing). Each is `op r, [base+index*scale+d]`
+            // and differs in opcode, REX.W, dst, base, index, scale or
+            // displacement width (none, disp8, disp32); eight per
+            // analyzed block.
             const std::size_t base = recordCount();
             const std::size_t scale = bench::quickMode() ? 10 : 100;
-            std::uint32_t imm = 0x10000000;
+            const std::size_t want = base * (scale - 1);
+            const std::uint8_t ops[] = {0x8B, 0x03, 0x2B, 0x33,
+                                        0x23, 0x0B, 0x3B, 0x85};
             std::vector<std::uint8_t> synth;
-            for (std::size_t made = 0; made < base * (scale - 1);) {
-                synth.clear();
-                for (int r = 0; r < 8 && made < base * (scale - 1);
-                     ++r, ++made, ++imm) {
-                    synth.push_back(static_cast<std::uint8_t>(0xB8 + r));
-                    for (int b = 0; b < 4; ++b)
-                        synth.push_back(
-                            static_cast<std::uint8_t>(imm >> (8 * b)));
+            std::size_t made = 0;
+            for (std::uint32_t n = 0; made < want; ++n) {
+                const int dispKind = n % 3;
+                const int sc = (n / 3) % 4;
+                const int idx = (n / 12) % 16;
+                const int bas = (n / 192) % 16;
+                const int dst = (n / 3072) % 16;
+                const int w = (n / 49152) % 2;
+                const std::uint8_t op = ops[(n / 98304) % 8];
+                // No-index and base-less (mod 00, base rbp/r13) SIB
+                // encodings are other shapes; skip them.
+                if (idx == 4 || (dispKind == 0 && (bas & 7) == 5))
+                    continue;
+                synth.push_back(static_cast<std::uint8_t>(
+                    0x40 | w << 3 | (dst >> 3) << 2 | (idx >> 3) << 1 |
+                    bas >> 3));
+                synth.push_back(op);
+                synth.push_back(static_cast<std::uint8_t>(
+                    dispKind << 6 | (dst & 7) << 3 | 4));
+                synth.push_back(static_cast<std::uint8_t>(
+                    sc << 6 | (idx & 7) << 3 | (bas & 7)));
+                if (dispKind == 1)
+                    synth.push_back(0x10);
+                else if (dispKind == 2)
+                    synth.insert(synth.end(), {0x00, 0x10, 0x00, 0x00});
+                if (++made % 8 == 0 || made == want) {
+                    bb::analyze(synth, arch);
+                    synth.clear();
                 }
-                bb::analyze(synth, arch);
             }
             universeScale =
                 base ? static_cast<double>(recordCount()) /
@@ -597,7 +621,7 @@ main(int argc, char **argv)
     const double hitRate = st.hitRate();
     bench::printRule();
     std::printf("intern cache: %.1f%% hit rate (%llu hits, %llu distinct "
-                "instructions)\n",
+                "instruction forms)\n",
                 100.0 * hitRate, static_cast<unsigned long long>(st.hits),
                 static_cast<unsigned long long>(st.misses));
 

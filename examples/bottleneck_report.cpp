@@ -48,8 +48,8 @@ main()
             why = "dependence chain:";
             for (int idx : p.criticalChain)
                 why += " [" +
-                       toString(blk.insts[static_cast<std::size_t>(idx)]
-                                    .dec->inst) +
+                       toString(blk.sourceInst(
+                           static_cast<std::size_t>(idx))) +
                        "]";
         } else if (p.primaryBottleneck == model::Component::Ports) {
             why = "contention on " + uarch::portMaskName(p.contendedPorts) +

@@ -118,10 +118,10 @@ main(int argc, char **argv)
     std::printf("Block: %d bytes, %zu instructions, %d fused-domain "
                 "uops\n\n",
                 blk.lengthBytes(), blk.insts.size(), blk.fusedUops());
-    for (const auto &ai : blk.insts)
-        std::printf("  %3d: %-40s %s\n", ai.start,
-                    isa::toString(ai.dec->inst).c_str(),
-                    ai.fusedWithPrev ? "; macro-fused" : "");
+    for (std::size_t i = 0; i < blk.insts.size(); ++i)
+        std::printf("  %3d: %-40s %s\n", blk.insts[i].start,
+                    isa::toString(blk.sourceInst(i)).c_str(),
+                    blk.insts[i].fusedWithPrev ? "; macro-fused" : "");
 
     std::printf("\nPredicted throughput: %.2f cycles/iteration\n\n",
                 p.throughput);
@@ -143,8 +143,7 @@ main(int argc, char **argv)
         for (int idx : p.criticalChain)
             std::printf("  %s\n",
                         isa::toString(
-                            blk.insts[static_cast<std::size_t>(idx)]
-                                .dec->inst)
+                            blk.sourceInst(static_cast<std::size_t>(idx)))
                             .c_str());
     }
     if (p.primaryBottleneck == model::Component::Ports) {

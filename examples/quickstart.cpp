@@ -35,11 +35,12 @@ main()
 
     std::printf("Block (%d bytes, %zu instructions):\n", blk.lengthBytes(),
                 blk.insts.size());
-    for (const auto &ai : blk.insts)
-        std::printf("  %2d: %s%s\n", ai.start,
-                    toString(ai.dec->inst).c_str(),
-                    ai.fusedWithPrev ? "   ; macro-fused with previous"
-                                     : "");
+    for (std::size_t i = 0; i < blk.insts.size(); ++i)
+        std::printf("  %2d: %s%s\n", blk.insts[i].start,
+                    toString(blk.sourceInst(i)).c_str(),
+                    blk.insts[i].fusedWithPrev
+                        ? "   ; macro-fused with previous"
+                        : "");
 
     for (bool loop : {true, false}) {
         model::Prediction p = model::predict(blk, loop);

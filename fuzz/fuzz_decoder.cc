@@ -8,6 +8,9 @@
  * is the block image, truncated to kMaxBlockBytes exactly like the
  * wire protocol bounds it.
  *
+ * Every decoded instruction's canonical form (the intern key, see
+ * isa::canonicalForm) must decode back to the same form.
+ *
  * InternMode::Off keeps every iteration self-contained: the process-
  * wide intern arenas are append-only by design, so fuzzing through
  * them would read as an unbounded leak and slow the run down.
@@ -45,6 +48,30 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
                 ai.end > static_cast<int>(n))
                 __builtin_trap();
             prevEnd = ai.end;
+            // The intern key: the form's canonical instance must decode
+            // to the same form, with only the immediate (now 0) and the
+            // displacement (now 0 or 1) changed.
+            const isa::DecodedInst &d = *ai.dec;
+            if (d.immWidth + d.dispWidth > d.length - d.opcodeOffset)
+                __builtin_trap();
+            std::uint8_t canon[15];
+            isa::canonicalForm(blk.bytes.data() + ai.start, d, canon);
+            const isa::DecodedInst c = isa::decodeOne(canon, d.length);
+            if (c.length != d.length || c.opcodeOffset != d.opcodeOffset ||
+                c.lcp != d.lcp || c.immWidth != d.immWidth ||
+                c.dispWidth != d.dispWidth || c.inst.mnem != d.inst.mnem ||
+                c.inst.cc != d.inst.cc ||
+                c.inst.ops.size() != d.inst.ops.size())
+                __builtin_trap();
+            for (std::size_t k = 0; k < d.inst.ops.size(); ++k) {
+                isa::Operand want = d.inst.ops[k];
+                if (want.isImm() && d.immWidth)
+                    want.imm = 0;
+                if (want.isMem())
+                    want.mem.disp = want.mem.disp != 0;
+                if (!(c.inst.ops[k] == want))
+                    __builtin_trap();
+            }
         }
     } catch (const isa::DecodeError &) {
         // Rejecting garbage is the decoder doing its job.

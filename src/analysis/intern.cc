@@ -15,9 +15,10 @@ namespace {
 /**
  * Fixed-size key: up to 15 bytes (zero-padded) with the byte count in
  * the 16th byte, viewed as two little-endian words. Used both for the
- * canonical map (exact instruction bytes) and the window cache (decode
- * lookahead); x86 instructions cannot exceed 15 bytes, so the mapping
- * is injective in both roles.
+ * canonical map (the bytes of the form's canonical instance, see
+ * isa::canonicalForm) and the window cache (exact decode lookahead);
+ * x86 instructions cannot exceed 15 bytes, so the mapping is injective
+ * in both roles.
  */
 struct InstKey
 {
@@ -243,6 +244,8 @@ struct InstInterner::Impl
     std::atomic<std::uint64_t> hits{0}, misses{0};
     std::atomic<std::uint64_t> fusedHits{0}, fusedMisses{0};
     std::atomic<std::uint64_t> borrowed{0};
+    /** Published records; incremented under the publishing lock. */
+    std::atomic<std::uint64_t> records{0}, fusedRecords{0};
 
     /** Borrowed record store (mmap'd snapshot), nullptr when unbound. */
     std::atomic<RecordSource *> source{nullptr};
@@ -304,9 +307,12 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
     }
 
     // Decode (may throw DecodeError — nothing is cached then), then
-    // intern on the exact instruction bytes.
+    // intern on the instruction's form: its canonical instance, with
+    // the immediate zeroed and the displacement reduced to 0 or 1.
     isa::DecodedInst dec = isa::decodeOne(data, size, pos);
-    const InstKey key = makeKey(data + pos, dec.length);
+    std::uint8_t canon[15];
+    isa::canonicalForm(data + pos, dec, canon);
+    const InstKey key = makeKey(canon, dec.length);
     Impl::Shard &shard = impl_->shards[InstKeyHash{}(key) % kInternShards];
 
     const InstRecord *rec = nullptr;
@@ -321,7 +327,7 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
 
     if (!rec) {
         // Borrowed store first: an mmap'd snapshot image can hand us
-        // the full analysis results for these exact bytes, skipping
+        // the full analysis results for the canonical bytes, skipping
         // uops::lookup + isa::instRw entirely. A source miss (or a
         // poisoned/corrupt image) falls through to the cold path, so
         // correctness never depends on the image.
@@ -329,13 +335,19 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
         bool haveFresh = false;
         if (RecordSource *src =
                 impl_->source.load(std::memory_order_acquire)) {
-            if (src->lookup(data + pos, dec.length, fresh)) {
+            if (src->lookup(canon, dec.length, fresh)) {
                 impl_->borrowed.fetch_add(1, std::memory_order_relaxed);
                 haveFresh = true;
             }
         }
-        if (!haveFresh)
+        if (!haveFresh) {
+            // The record is the analysis of the canonical instance, so
+            // it is a pure function of the key whichever instance of
+            // the form arrived first.
+            if (std::memcmp(canon, data + pos, dec.length) != 0)
+                dec = isa::decodeOne(canon, dec.length);
             analyzeCold(dec, fresh);
+        }
         impl_->misses.fetch_add(1, std::memory_order_relaxed);
 
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -343,6 +355,7 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
         if (it == shard.map.end()) {
             shard.arena.push_back(std::move(fresh));
             it = shard.map.emplace(key, &shard.arena.back()).first;
+            impl_->records.fetch_add(1, std::memory_order_relaxed);
         }
         // (On a lost race: use the already-published record.)
         rec = it->second;
@@ -548,6 +561,7 @@ InstInterner::internFused(const InstRecord *first, const InstRecord *second)
             fs.arena.push_back(std::move(stripped));
             const InstRecord *s = &fs.arena.back();
             it = fs.map.emplace(key, FusedRecords{m, s}).first;
+            impl_->fusedRecords.fetch_add(2, std::memory_order_relaxed);
         }
         // (On a lost race: use the already-published records.)
         out = it->second;
@@ -611,6 +625,7 @@ InstInterner::importRecord(const std::uint8_t *bytes, std::size_t len,
     }
     shard.arena.push_back(std::move(rec));
     shard.map.emplace(key, &shard.arena.back());
+    impl_->records.fetch_add(1, std::memory_order_relaxed);
     if (inserted)
         *inserted = true;
     return &shard.arena.back();
@@ -649,6 +664,8 @@ InstInterner::stats() const
     st.fusedHits = impl_->fusedHits.load(std::memory_order_relaxed);
     st.fusedMisses = impl_->fusedMisses.load(std::memory_order_relaxed);
     st.borrowed = impl_->borrowed.load(std::memory_order_relaxed);
+    st.records = impl_->records.load(std::memory_order_relaxed);
+    st.fusedRecords = impl_->fusedRecords.load(std::memory_order_relaxed);
     return st;
 }
 
@@ -663,6 +680,8 @@ InstInterner::statsAllArchs()
         total.fusedHits += st.fusedHits;
         total.fusedMisses += st.fusedMisses;
         total.borrowed += st.borrowed;
+        total.records += st.records;
+        total.fusedRecords += st.fusedRecords;
     }
     return total;
 }

@@ -5,13 +5,28 @@
  * BHive-style workloads share a small universe of instructions across
  * millions of *distinct* basic blocks, so a block-level cache never
  * helps fresh traffic. This subsystem memoizes the per-instruction
- * analysis results instead: the first time an encoded
- * instruction is seen on a microarchitecture — in *any* block — its
- * decode (isa::DecodedInst), µop decomposition (uops::InstrInfo), and
+ * analysis results instead: the first time an instruction *form* is
+ * seen on a microarchitecture — in *any* block — its decode
+ * (isa::DecodedInst), µop decomposition (uops::InstrInfo), and
  * read/write sets (isa::RwSets) are computed once and stored in an
  * append-only arena; every later block holds pointers into that arena
  * and pays a thread-local cache probe per instruction instead of a
  * decode, a database lookup, and heap allocations.
+ *
+ * What is interned: one record per *form* — opcode, prefixes,
+ * registers, addressing shape and operand widths — not per encoding.
+ * The key is the form's canonical instance (isa::canonicalForm): the
+ * exact bytes with the immediate zeroed and the displacement set to 0
+ * if it is 0, else 1. The record is the cold analysis of those
+ * canonical bytes, so it is a pure function of its key whichever
+ * instance arrived first. Timing reads only two value facts, both kept
+ * by the key: whether a 3-component LEA has a non-zero displacement
+ * (uops::lookup: slow LEA), and whether an immediate is present at all
+ * (macro-fusion eligibility; also a form property). Consequently
+ * `rec->dec.inst` holds the canonical immediate and displacement, not
+ * the block's; printers decode the block's bytes instead
+ * (bb::BasicBlock::sourceInst). InternMode::Off still decodes the real
+ * bytes and is the independent reference that proves this audit.
  *
  * Two levels:
  *   - a *bounded*, thread-local, direct-mapped window cache keyed on
@@ -19,15 +34,15 @@
  *     bytes and the decoder is position-independent, so equal windows
  *     decode equally). A hit skips even the decode; collisions simply
  *     overwrite — it is a pure accelerator;
- *   - the canonical sharded map keyed on the instruction's exact
- *     encoded bytes (≤ 15 B) + µarch, one interner per µarch. A shard
- *     is a mutex, a hash map, and a std::deque arena (pointer-stable
- *     growth). This is the durable, deduplicating level. It is NOT
- *     bounded by an instruction universe of thousands: the key holds
- *     every immediate and displacement, so fresh traffic keeps adding
- *     records. Measured on the inproc_cold workload: about 0.72 KB per
- *     interned instruction, 888 MB peak RSS at 983k distinct blocks
- *     (1.12M records), with no cap.
+ *   - the canonical sharded map keyed on the form's canonical bytes
+ *     (≤ 15 B) + µarch, one interner per µarch. A shard is a mutex, a
+ *     hash map, and a std::deque arena (pointer-stable growth). This is
+ *     the durable, deduplicating level. It grows with the instruction
+ *     universe, not with the traffic: on the inproc_cold workload
+ *     (seed 1) the 1.12M exact encodings of a 15 s run collapse to
+ *     136k forms, and forms level off (+5.5k per 10 segments at 60
+ *     segments) while exact encodings keep growing by ~250k. A record
+ *     costs about 0.72 KB; InternStats::records counts them.
  *
  * Ownership and lifetime: arenas are append-only and process-lifetime
  * (never evicted). Returned pointers are therefore stable forever and
@@ -153,6 +168,10 @@ struct InternStats
      * path. Always <= misses.
      */
     std::uint64_t borrowed = 0;
+    /** Canonical records published (cold path, borrowed or imported). */
+    std::uint64_t records = 0;
+    /** Fused-variant records published (two per interned pair). */
+    std::uint64_t fusedRecords = 0;
 
     double
     hitRate() const
@@ -191,8 +210,9 @@ class RecordSource
     virtual ~RecordSource() = default;
 
     /**
-     * Look up the record for the exact encoded instruction @p bytes
-     * (@p len <= 15). @return true and fill @p out on a hit.
+     * Look up the record for the encoded instruction @p bytes
+     * (@p len <= 15). internAt passes a form's canonical bytes (see
+     * isa::canonicalForm). @return true and fill @p out on a hit.
      */
     virtual bool lookup(const std::uint8_t *bytes, std::size_t len,
                         InstRecord &out) = 0;
@@ -232,9 +252,11 @@ class InstInterner
     /**
      * Intern the instruction starting at data[pos] (buffer of @p size
      * bytes). On a window-cache hit no decoding happens at all; on the
-     * first sighting the instruction is decoded and analyzed
+     * first sighting of its form the canonical instance is analyzed
      * (uops::lookup + isa::instRw) once, process-wide. The returned
-     * record is immortal; advance by rec->dec.length.
+     * record is immortal and describes the form (its dec holds the
+     * canonical immediate and displacement); advance by
+     * rec->dec.length.
      *
      * @throws isa::DecodeError on malformed input (never cached).
      */
@@ -265,10 +287,12 @@ class InstInterner
     // valid and immutable throughout.
 
     /**
-     * Visit every canonical record with its exact encoded instruction
-     * bytes (the map key). Deterministic shard-major, insertion-order
-     * walk; shard locks are held for the duration of each shard's
-     * visits, so visitors must not re-enter this interner.
+     * Visit every canonical record with its map key: the canonical
+     * bytes of its form (or, for records imported from an image saved
+     * before keys were canonical, that image's exact bytes).
+     * Deterministic shard-major, insertion-order walk; shard locks are
+     * held for the duration of each shard's visits, so visitors must
+     * not re-enter this interner.
      */
     void exportRecords(
         const std::function<void(const std::uint8_t *bytes,
@@ -285,11 +309,12 @@ class InstInterner
                                  const InstRecord *second)> &visit) const;
 
     /**
-     * Publish @p rec under the exact encoded bytes (@p bytes, @p len)
-     * without decoding or analyzing anything. If the key is already
-     * interned the existing record wins (and @p rec is dropped), so a
-     * snapshot loaded into a warm process never invalidates published
-     * pointers. Returns the canonical record; @p inserted (optional)
+     * Publish @p rec under the encoded bytes (@p bytes, @p len) as
+     * given, without decoding or analyzing anything. Records under
+     * non-canonical keys (older images) are correct but never probed.
+     * If the key is already interned the existing record wins (and
+     * @p rec is dropped), so a snapshot loaded into a warm process
+     * never invalidates published pointers. Returns the canonical record; @p inserted (optional)
      * reports whether @p rec was appended.
      */
     const InstRecord *importRecord(const std::uint8_t *bytes,

@@ -209,7 +209,7 @@ struct FlatRecordHead
 {
     std::uint32_t totalBytes; // head + arrays + pad, 8-byte multiple
     std::uint8_t keyLen;      // 1..15
-    std::uint8_t key[15];     // exact encoded bytes, zero-padded
+    std::uint8_t key[15];     // intern key bytes, zero-padded
     std::uint16_t mnem;
     std::uint8_t cc;
     std::uint8_t nopLen;
@@ -297,10 +297,10 @@ struct IndexSlot
 static_assert(sizeof(IndexSlot) == 24, "on-disk layout");
 
 /**
- * Pack the exact encoded instruction bytes into the 16-byte lookup
- * key: zero-padded bytes in [0,15), length at [15] — the same packing
- * the interner's canonical maps hash, so index probes and shard-map
- * probes agree on equality by construction.
+ * Pack the intern key bytes into the 16-byte lookup key: zero-padded
+ * bytes in [0,15), length at [15] — the same packing the interner's
+ * canonical maps hash, so index probes and shard-map probes agree on
+ * equality by construction.
  */
 void
 packKey16(const std::uint8_t *bytes, std::size_t len,
@@ -543,6 +543,8 @@ materializeFlatRecord(const std::uint8_t *sec, std::uint64_t limit,
     rec.dec.length = h.decLength;
     rec.dec.opcodeOffset = h.opcodeOffset;
     rec.dec.lcp = h.lcp != 0;
+    // dispWidth/immWidth are not stored and stay 0: internAt builds
+    // keys from a fresh decode of the block's bytes, never from a record.
     rec.info.fusedUops = h.fusedUops;
     rec.info.issueUops = h.issueUops;
     rec.info.latency = h.latency;

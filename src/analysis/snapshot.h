@@ -34,7 +34,13 @@
  *   arrays, every pointer replaced by an offset/count), and an
  *   open-addressed key index (keyLo/keyHi/recOffset slots, linear
  *   probing on xxh64 of the 16-byte packed instruction key — the same
- *   packing the interner's canonical maps use). Fused-pair and
+ *   packing the interner's canonical maps use). A record key is
+ *   the interner's map key: the canonical bytes of the instruction's
+ *   form (isa::canonicalForm), itself the encoding of a real
+ *   instruction whose analysis the record holds. Images saved while
+ *   the maps were keyed on exact bytes therefore load unchanged: their
+ *   records are correct, and those under non-canonical keys are never
+ *   probed. Fused-pair and
  *   prediction sections are small sequential tails: u32 count, then
  *   u32 (firstIdx, secondIdx) pairs indexing the same arch's records
  *   in file order, or (u32 keyLen + opaque engine cache key, u32
@@ -303,7 +309,7 @@ std::vector<std::uint8_t> buildSnapshotImage(const SnapshotModel &model);
 class SnapshotModelSet
 {
   public:
-    /** Exact encoded instruction bytes: the comparison key. */
+    /** Intern key bytes (a form's canonical encoding): the comparison key. */
     using Key = std::vector<std::uint8_t>;
 
     /** One arch's contents keyed for order-independent set ops. */

@@ -49,6 +49,14 @@ BasicBlock::touchesJccErratumBoundary() const
     return false;
 }
 
+isa::Inst
+BasicBlock::sourceInst(std::size_t i) const
+{
+    return isa::decodeOne(bytes.data(), bytes.size(),
+                          static_cast<std::size_t>(insts[i].start))
+        .inst;
+}
+
 uops::InstrInfo &
 BasicBlock::mutableInfo(std::size_t i)
 {

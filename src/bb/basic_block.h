@@ -143,6 +143,15 @@ struct BasicBlock
     bool touchesJccErratumBoundary() const;
 
     /**
+     * Instruction @p i as encoded in the block's bytes, with its own
+     * immediate and displacement. Interned annotations describe the
+     * instruction's form (insts[i].dec holds the form's canonical
+     * values), so anything that prints or reads operand values decodes
+     * through this instead.
+     */
+    isa::Inst sourceInst(std::size_t i) const;
+
+    /**
      * Copy-on-write escape hatch for consumers that must perturb an
      * annotation (e.g. the CQA-like baseline's latency clamp): copies
      * instruction @p i's record into ownedRecords, repoints insts[i] at

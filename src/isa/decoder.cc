@@ -1,5 +1,7 @@
 #include "isa/decoder.h"
 
+#include <cstring>
+
 namespace facile::isa {
 
 namespace {
@@ -75,6 +77,7 @@ struct ModRm
     int mod = 0;
     bool rmIsMem = false;
     int rmReg = 0; ///< rm register index with REX.B applied (if !rmIsMem)
+    int dispWidth = 0; ///< displacement bytes read (0, 1, or 4)
     MemOp mem;
 };
 
@@ -120,12 +123,10 @@ parseModRm(Cursor &cur, const Prefixes &pfx)
         m.index = Reg{};
         m.scale = 1;
     }
-    if (result.mod == 1)
-        m.disp = static_cast<std::int32_t>(cur.imm(1));
-    else if (result.mod == 2)
-        m.disp = static_cast<std::int32_t>(cur.imm(4));
-    else
-        m.disp = 0;
+    result.dispWidth = result.mod == 1 ? 1 : result.mod == 2 ? 4 : 0;
+    m.disp = result.dispWidth
+                 ? static_cast<std::int32_t>(cur.imm(result.dispWidth))
+                 : 0;
     return result;
 }
 
@@ -209,6 +210,15 @@ class InstDecoder
         out_.inst.ops = std::move(ops);
     }
 
+    /** Parse the ModRM (+SIB, +displacement) and note its layout. */
+    ModRm
+    modRm()
+    {
+        ModRm mod = parseModRm(cur_, pfx_);
+        out_.dispWidth = static_cast<std::uint8_t>(mod.dispWidth);
+        return mod;
+    }
+
     /** Record an immediate operand with proper width bookkeeping. */
     Operand
     immOp(int width)
@@ -216,6 +226,7 @@ class InstDecoder
         std::int64_t v = cur_.imm(width);
         if (width == 2)
             sawImm16_ = true;
+        out_.immWidth = static_cast<std::uint8_t>(width);
         return Operand::makeImm(v, width);
     }
 
@@ -290,7 +301,7 @@ InstDecoder::decodeVex()
     Reg vvvv = vecReg(pfx_.vexVvvv);
 
     if (pfx_.vexMap == 1) {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmVecOperand(mod, L);
         Operand reg = Operand::makeReg(vecReg(mod.reg));
         auto threeOp = [&](Mnemonic m) {
@@ -329,7 +340,7 @@ InstDecoder::decodeVex()
             bad("unsupported vex map1 opcode");
         }
     } else if (pfx_.vexMap == 2) {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmVecOperand(mod, L);
         Operand reg = Operand::makeReg(vecReg(mod.reg));
         auto threeOp = [&](Mnemonic m) {
@@ -358,7 +369,7 @@ void
 InstDecoder::decodeThreeByte38()
 {
     std::uint8_t opc = cur_.next();
-    ModRm mod = parseModRm(cur_, pfx_);
+    ModRm mod = modRm();
     switch (opc) {
       case 0x40: // pmulld (66)
         if (!pfx_.has66)
@@ -390,7 +401,7 @@ InstDecoder::decodeTwoByte()
     // setcc
     if (opc >= 0x90 && opc <= 0x9F) {
         Cond cc = static_cast<Cond>(opc - 0x90);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::SETCC, {rmOperand(mod, 1)}, cc);
         return;
     }
@@ -398,7 +409,7 @@ InstDecoder::decodeTwoByte()
     if (opc >= 0x40 && opc <= 0x4F) {
         Cond cc = static_cast<Cond>(opc - 0x40);
         int w = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::CMOVCC,
             {Operand::makeReg(gpr(w, mod.reg)), rmOperand(mod, w)}, cc);
         return;
@@ -412,7 +423,7 @@ InstDecoder::decodeTwoByte()
 
     auto sseByPp = [&](Mnemonic ps, Mnemonic pd, Mnemonic ss, Mnemonic sd,
                        int scalarW) {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m;
         int memW = 16;
         if (pfx_.mandatory == 0xF3) {
@@ -436,7 +447,7 @@ InstDecoder::decodeTwoByte()
     switch (opc) {
       case 0x10:
       case 0x11: {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m;
         int memW = 16;
         if (pfx_.mandatory == 0xF3) {
@@ -459,14 +470,14 @@ InstDecoder::decodeTwoByte()
         return;
       }
       case 0x1F: { // multi-byte nop
-        parseModRm(cur_, pfx_);
+        modRm();
         out_.inst.mnem = Mnemonic::NOP;
         out_.inst.ops.clear();
         return;
       }
       case 0x28:
       case 0x29: {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m = pfx_.has66 ? Mnemonic::MOVAPD : Mnemonic::MOVAPS;
         Operand reg = Operand::makeReg(xmm(mod.reg));
         Operand rm = rmVecOperand(mod, false);
@@ -480,7 +491,7 @@ InstDecoder::decodeTwoByte()
         if (pfx_.mandatory != 0xF2)
             bad("only cvtsi2sd supported at 0F 2A");
         int srcW = pfx_.rexW ? 8 : 4;
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::CVTSI2SD,
             {Operand::makeReg(xmm(mod.reg)), rmOperand(mod, srcW)});
         return;
@@ -489,7 +500,7 @@ InstDecoder::decodeTwoByte()
         if (pfx_.mandatory != 0xF2)
             bad("only cvttsd2si supported at 0F 2C");
         int dstW = pfx_.rexW ? 8 : 4;
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::CVTTSD2SI, {Operand::makeReg(gpr(dstW, mod.reg)),
                                   rmVecOperand(mod, false, 8)});
         return;
@@ -525,7 +536,7 @@ InstDecoder::decodeTwoByte()
         if (!pfx_.has66)
             bad("movd/movq requires 66");
         int w = pfx_.rexW ? 8 : 4;
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(pfx_.rexW ? Mnemonic::MOVQ : Mnemonic::MOVD,
             {Operand::makeReg(xmm(mod.reg)), rmOperand(mod, w)});
         return;
@@ -533,7 +544,7 @@ InstDecoder::decodeTwoByte()
       case 0x72: { // psll/psrl group, imm8
         if (!pfx_.has66)
             bad("pslld/psrld requires 66");
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand imm = immOp(1);
         if (mod.reg == 6)
             set(Mnemonic::PSLLD, {rmVecOperand(mod, false), imm});
@@ -547,14 +558,14 @@ InstDecoder::decodeTwoByte()
         if (!pfx_.has66)
             bad("movd/movq requires 66");
         int w = pfx_.rexW ? 8 : 4;
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(pfx_.rexW ? Mnemonic::MOVQ : Mnemonic::MOVD,
             {rmOperand(mod, w), Operand::makeReg(xmm(mod.reg))});
         return;
       }
       case 0xAF: {
         int w = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::IMUL,
             {Operand::makeReg(gpr(w, mod.reg)), rmOperand(mod, w)});
         return;
@@ -566,7 +577,7 @@ InstDecoder::decodeTwoByte()
         // With F3: 0F B8 is popcnt; BC/BD are tzcnt/lzcnt (handled below).
         int srcW = (opc & 1) ? 2 : 1;
         int dstW = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(opc < 0xBE ? Mnemonic::MOVZX : Mnemonic::MOVSX,
             {Operand::makeReg(gpr(dstW, mod.reg)), rmOperand(mod, srcW)});
         return;
@@ -575,7 +586,7 @@ InstDecoder::decodeTwoByte()
         if (pfx_.mandatory != 0xF3)
             bad("0F B8 without F3 unsupported");
         int w = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::POPCNT,
             {Operand::makeReg(gpr(w, mod.reg)), rmOperand(mod, w)});
         return;
@@ -583,7 +594,7 @@ InstDecoder::decodeTwoByte()
       case 0xBC:
       case 0xBD: {
         int w = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m;
         if (pfx_.mandatory == 0xF3)
             m = (opc == 0xBC) ? Mnemonic::TZCNT : Mnemonic::LZCNT;
@@ -593,7 +604,7 @@ InstDecoder::decodeTwoByte()
         return;
       }
       case 0xC6: {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmVecOperand(mod, false);
         Operand imm = immOp(1);
         set(Mnemonic::SHUFPS, {Operand::makeReg(xmm(mod.reg)), rm, imm});
@@ -608,7 +619,7 @@ InstDecoder::decodeTwoByte()
       case 0xFE: {
         if (!pfx_.has66)
             bad("packed-int op requires 66 prefix");
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m;
         switch (opc) {
           case 0xD4: m = Mnemonic::PADDQ; break;
@@ -641,7 +652,7 @@ InstDecoder::decodeLegacy()
         Mnemonic m = aluByBase[opc >> 3];
         int dir = opc & 3;
         int w = (dir & 1) ? gprWidth(pfx_) : 1;
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand reg = Operand::makeReg(gpr(w, mod.reg));
         Operand rm = rmOperand(mod, w);
         if (dir < 2)
@@ -691,7 +702,7 @@ InstDecoder::decodeLegacy()
       case 0x69:
       case 0x6B: {
         int w = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmOperand(mod, w);
         Operand imm = (opc == 0x6B) ? immOp(1) : immOp(w == 2 ? 2 : 4);
         set(Mnemonic::IMUL, {Operand::makeReg(gpr(w, mod.reg)), rm, imm});
@@ -701,7 +712,7 @@ InstDecoder::decodeLegacy()
       case 0x81:
       case 0x83: {
         int w = (opc == 0x80) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m = aluByBase[mod.reg & 7];
         Operand rm = rmOperand(mod, w);
         Operand imm;
@@ -715,7 +726,7 @@ InstDecoder::decodeLegacy()
       case 0x84:
       case 0x85: {
         int w = (opc == 0x84) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::TEST,
             {rmOperand(mod, w), Operand::makeReg(gpr(w, mod.reg))});
         return;
@@ -723,7 +734,7 @@ InstDecoder::decodeLegacy()
       case 0x86:
       case 0x87: {
         int w = (opc == 0x86) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::XCHG,
             {rmOperand(mod, w), Operand::makeReg(gpr(w, mod.reg))});
         return;
@@ -731,7 +742,7 @@ InstDecoder::decodeLegacy()
       case 0x88:
       case 0x89: {
         int w = (opc == 0x88) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::MOV,
             {rmOperand(mod, w), Operand::makeReg(gpr(w, mod.reg))});
         return;
@@ -739,14 +750,14 @@ InstDecoder::decodeLegacy()
       case 0x8A:
       case 0x8B: {
         int w = (opc == 0x8A) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::MOV,
             {Operand::makeReg(gpr(w, mod.reg)), rmOperand(mod, w)});
         return;
       }
       case 0x8D: {
         int w = gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         if (!mod.rmIsMem)
             bad("lea requires a memory operand");
         Operand rm = rmOperand(mod, w);
@@ -754,7 +765,7 @@ InstDecoder::decodeLegacy()
         return;
       }
       case 0x8F: {
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         set(Mnemonic::POP, {rmOperand(mod, 8)});
         return;
       }
@@ -768,7 +779,7 @@ InstDecoder::decodeLegacy()
       case 0xD2:
       case 0xD3: {
         int w = (opc & 1) ? gprWidth(pfx_) : 1;
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Mnemonic m;
         switch (mod.reg & 7) {
           case 0: m = Mnemonic::ROL; break;
@@ -794,7 +805,7 @@ InstDecoder::decodeLegacy()
       case 0xC6:
       case 0xC7: {
         int w = (opc == 0xC6) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmOperand(mod, w);
         Operand imm = immOp(w == 1 ? 1 : (w == 2 ? 2 : 4));
         set(Mnemonic::MOV, {rm, imm});
@@ -812,7 +823,7 @@ InstDecoder::decodeLegacy()
       case 0xF6:
       case 0xF7: {
         int w = (opc == 0xF6) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmOperand(mod, w);
         switch (mod.reg & 7) {
           case 0:
@@ -830,7 +841,7 @@ InstDecoder::decodeLegacy()
       case 0xFE:
       case 0xFF: {
         int w = (opc == 0xFE) ? 1 : gprWidth(pfx_);
-        ModRm mod = parseModRm(cur_, pfx_);
+        ModRm mod = modRm();
         Operand rm = rmOperand(mod, w);
         switch (mod.reg & 7) {
           case 0: set(Mnemonic::INC, {rm}); return;
@@ -875,6 +886,22 @@ decodeOne(const std::uint8_t *data, std::size_t size, std::size_t pos)
 {
     InstDecoder dec(data, size, pos);
     return dec.run();
+}
+
+void
+canonicalForm(const std::uint8_t *bytes, const DecodedInst &d,
+              std::uint8_t *out)
+{
+    std::memcpy(out, bytes, d.length);
+    std::uint8_t *imm = out + d.length - d.immWidth;
+    std::memset(imm, 0, d.immWidth);
+    std::uint8_t *disp = imm - d.dispWidth;
+    bool nonzero = false;
+    for (int i = 0; i < d.dispWidth; ++i)
+        nonzero |= disp[i] != 0;
+    std::memset(disp, 0, d.dispWidth);
+    if (nonzero)
+        disp[0] = 1; // little-endian 1 in either width
 }
 
 std::vector<DecodedInst>

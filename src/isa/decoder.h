@@ -39,6 +39,19 @@ struct DecodedInst
     std::uint8_t length = 0;       ///< total encoded length in bytes
     std::uint8_t opcodeOffset = 0; ///< offset of the nominal opcode byte
     bool lcp = false;              ///< has a length-changing prefix
+    /**
+     * Displacement bytes (ModRM mod 01 -> 1, mod 10 -> 4, else 0). They
+     * directly precede the immediate.
+     */
+    std::uint8_t dispWidth = 0;
+    /**
+     * Immediate bytes, always the trailing immWidth bytes of the
+     * encoding. Relative branch targets count; the implicit 1 of the
+     * D0/D1 shift-by-one forms has no bytes and does not. Both widths
+     * locate the bytes isa::canonicalForm masks; snapshot images do not
+     * store them, so records served from an image carry 0.
+     */
+    std::uint8_t immWidth = 0;
 };
 
 /**
@@ -47,6 +60,18 @@ struct DecodedInst
  */
 DecodedInst decodeOne(const std::uint8_t *data, std::size_t size,
                       std::size_t pos = 0);
+
+/**
+ * Write the canonical instance of @p d's *form* to @p out
+ * (d.length bytes): the encoding at @p bytes with the immediate bytes
+ * zeroed and the displacement bytes set to 0 if the displacement is 0,
+ * else to 1. Instructions of one form differ only in immediate and
+ * displacement values, which no timing fact depends on except whether
+ * the displacement is 0 (a 3-component LEA is slow iff it is not); the
+ * canonical instance decodes to the same form with those values.
+ */
+void canonicalForm(const std::uint8_t *bytes, const DecodedInst &d,
+                   std::uint8_t *out);
 
 /** Decode a whole byte buffer into consecutive instructions. */
 std::vector<DecodedInst> decodeBlock(const std::vector<std::uint8_t> &bytes);

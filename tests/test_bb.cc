@@ -151,5 +151,27 @@ TEST(BasicBlock, RoundTripThroughBytes)
     EXPECT_EQ(blk.insts[1].dec->inst.mnem, Mnemonic::VFMADD231PD);
 }
 
+TEST(BasicBlock, SourceInstShowsTheBlocksOwnValues)
+{
+    // Interned annotations describe the instruction's form, whose
+    // canonical immediate is 0 and displacement 1; printers must show
+    // the block's own values through sourceInst.
+    std::vector<Inst> insts = {
+        make(Mnemonic::ADD, {R(RAX), I(0x1234, 4)}),
+        make(Mnemonic::MOV, {R(ECX), M(mem(RBX, 0x40, 4))}),
+        backEdge(),
+    };
+    BasicBlock blk = analyze(insts, UArch::SKL);
+    ASSERT_EQ(blk.insts.size(), 3u);
+    EXPECT_EQ(blk.insts[0].dec->inst.ops[1].imm, 0);
+    EXPECT_EQ(blk.insts[1].dec->inst.ops[1].mem.disp, 1);
+    for (std::size_t i = 0; i < insts.size(); ++i) {
+        EXPECT_EQ(blk.sourceInst(i).mnem, insts[i].mnem);
+        EXPECT_EQ(blk.sourceInst(i).ops, insts[i].ops);
+    }
+    EXPECT_EQ(toString(blk.sourceInst(0)), "add rax, 4660");
+    EXPECT_EQ(toString(blk.sourceInst(1)), "mov ecx, dword ptr [rbx+64]");
+}
+
 } // namespace
 } // namespace facile::bb

@@ -221,6 +221,104 @@ TEST(Server, ConcurrentClientsBitIdentical)
     server.stop();
 }
 
+/**
+ * Fresh value variants of a few instruction forms, pipelined by several
+ * clients with explain requests on three arches: the interner keys on
+ * forms, so each first sighting of a form races with its variants on
+ * the engine lanes. Every reply must be Ok (no overload, drain or
+ * rejection) and bit-identical to analysis of the real bytes without
+ * interning.
+ */
+TEST(Server, FreshValueVariantsAllAnsweredOkAndBitIdentical)
+{
+    ServerOptions opts;
+    opts.unixPath = freshUnixPath();
+    engine::PredictionEngine eng({.numThreads = 2});
+    opts.engine = &eng;
+    PredictionServer server(opts);
+    server.start();
+
+    auto le = [](std::vector<std::uint8_t> &b, std::uint64_t v, int w) {
+        for (int i = 0; i < w; ++i)
+            b.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
+    };
+    // One block per (client, index): each value is unique to it.
+    auto block = [&](int c, int k) {
+        const std::uint64_t v =
+            0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(
+                                        c * 100003 + k + 1);
+        std::vector<std::uint8_t> b = {0x48, 0x81, 0xC0}; // add rax, i32
+        le(b, v, 4);
+        b.insert(b.end(), {0x8B, 0x8B}); // mov ecx, [rbx+d32]
+        le(b, v >> 32, 4);
+        b.insert(b.end(), {0x48, 0x8D, 0x44, 0x8B}); // lea, 3 parts
+        b.push_back(static_cast<std::uint8_t>(k % 3 == 0 ? 0 : v >> 8));
+        b.insert(b.end(), {0x66, 0x81, 0xC2}); // add dx, imm16 (LCP)
+        le(b, v >> 16, 2);
+        b.insert(b.end(), {0x48, 0xC1, 0xE6}); // shl rsi, imm8
+        b.push_back(static_cast<std::uint8_t>(v >> 40));
+        b.insert(b.end(), {0x48, 0x83, 0xF8}); // cmp rax, imm8
+        b.push_back(static_cast<std::uint8_t>(v >> 48));
+        if (k % 2) {
+            b.insert(b.end(), {0x0F, 0x85}); // jne rel32
+            le(b, v >> 20, 4);
+        } else {
+            b.insert(b.end(), {0x75}); // jne rel8
+            b.push_back(static_cast<std::uint8_t>(v >> 56));
+        }
+        return b;
+    };
+    const uarch::UArch arches[] = {uarch::UArch::SKL, uarch::UArch::ICL,
+                                   uarch::UArch::HSW};
+
+    constexpr int kClients = 4, kPerClient = 768, kWindow = 128;
+    std::atomic<int> failures{0};
+    std::vector<std::thread> clients;
+    for (int c = 0; c < kClients; ++c)
+        clients.emplace_back([&, c] {
+            try {
+                auto client = Client::connectUnix(opts.unixPath);
+                for (int base = 0; base < kPerClient; base += kWindow) {
+                    std::vector<engine::Request> reqs;
+                    for (int k = base; k < base + kWindow; ++k)
+                        reqs.push_back(
+                            {block(c, k), arches[k % 3], k % 2 == 0, {},
+                             k % 4 == 1 ? model::Payload::Full
+                                        : model::Payload::None});
+                    const auto out = client.predictMany(reqs);
+                    for (std::size_t i = 0; i < reqs.size(); ++i) {
+                        const engine::Request &r = reqs[i];
+                        model::PredictScratch scratch;
+                        const Prediction want = model::predict(
+                            bb::analyze(r.bytes, r.arch,
+                                        bb::InternMode::Off),
+                            r.loop, r.config, scratch, r.payload);
+                        if (!bitIdentical(out[i], want)) {
+                            ADD_FAILURE() << "client " << c << " block "
+                                          << base + static_cast<int>(i);
+                            ++failures;
+                        }
+                    }
+                }
+            } catch (const std::exception &e) {
+                // A non-Ok status (Overloaded, Draining, BadRequest) or
+                // a lost connection throws.
+                ADD_FAILURE() << "client " << c << ": " << e.what();
+                ++failures;
+            }
+        });
+    for (auto &t : clients)
+        t.join();
+    EXPECT_EQ(failures.load(), 0);
+
+    const ServerStats s = server.stats();
+    EXPECT_EQ(s.predictions,
+              static_cast<std::uint64_t>(kClients) * kPerClient);
+    EXPECT_EQ(s.overloadedQueue + s.overloadedConn, 0u);
+    EXPECT_EQ(s.drainSheds, 0u);
+    server.stop();
+}
+
 TEST(Server, MalformedBlockFollowsCrashProtocol)
 {
     // Undecodable bytes are a valid request: the engine's crash
