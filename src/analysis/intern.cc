@@ -7,6 +7,9 @@
 #include <mutex>
 #include <unordered_map>
 #include <utility>
+#include <vector>
+
+#include "support/per_thread_counters.h"
 
 namespace facile::analysis {
 
@@ -15,7 +18,7 @@ namespace {
 /**
  * Fixed-size key: up to 15 bytes (zero-padded) with the byte count in
  * the 16th byte, viewed as two little-endian words. Used both for the
- * canonical map (the bytes of the form's canonical instance, see
+ * canonical index (the bytes of the form's canonical instance, see
  * isa::canonicalForm) and the window cache (exact decode lookahead);
  * x86 instructions cannot exceed 15 bytes, so the mapping is injective
  * in both roles.
@@ -98,9 +101,9 @@ constexpr std::size_t kNumArchs = 9;
 
 /**
  * Per-thread direct-mapped window cache in front of the canonical
- * maps: keyed on the ≤15-byte decode lookahead, so the common case
+ * index: keyed on the ≤15-byte decode lookahead, so the common case
  * (window seen before by *this thread*) costs a key compare instead of
- * a decode plus a locked map probe. Bounded by construction — a
+ * a decode plus an index probe. Bounded by construction — a
  * collision overwrites the slot; record pointers are immortal, so
  * stale entries are merely misses, never dangling. Unlike the
  * canonical level, distinct *windows* (instruction + successor-byte
@@ -120,7 +123,7 @@ struct alignas(32) WindowEntry
  * One 2-way set per 64-byte cache line: way 0 is most recent (hits in
  * way 1 swap forward, inserts demote way 0). Two ways cut the conflict
  * rate by an order of magnitude versus direct mapping at the same
- * footprint — conflicts fall through to a decode + locked map probe.
+ * footprint — conflicts fall through to a decode + index probe.
  */
 struct alignas(64) WindowSet
 {
@@ -179,44 +182,65 @@ tlsFused(std::size_t arch)
 }
 
 /**
- * Per-thread hit counters, linked into a global list so statsAllArchs
- * can aggregate them without putting a shared atomic on the per-
- * instruction hot path. Nodes are immortal (threads in the engine pool
- * live for the process; a counter leak per short-lived thread is
- * bounded and harmless).
+ * Hit counters, per thread so the per-instruction hot path writes no
+ * shared cache line: counter 2 * arch is that arch's canonical hits
+ * (window cache + index), 2 * arch + 1 its fused-pair hits.
  */
-struct TlsCounters
+struct HitCounterTag;
+using HitCounters = support::PerThreadCounters<HitCounterTag, 2 * kNumArchs>;
+
+/**
+ * One shard's canonical index: open addressing with linear probing
+ * over immortal record pointers, compared by the key each record
+ * carries. Slots only ever go from null to a record, and a table is
+ * never freed, so readers probe with acquire loads and no lock.
+ */
+struct IndexTable
 {
-    std::atomic<std::uint64_t> windowHits[kNumArchs] = {};
-    TlsCounters *next = nullptr;
+    explicit IndexTable(std::size_t capacity)
+        : mask(capacity - 1),
+          slots(new std::atomic<const InstRecord *>[capacity]())
+    {}
+
+    const std::size_t mask;
+    const std::unique_ptr<std::atomic<const InstRecord *>[]> slots;
 };
 
-std::atomic<TlsCounters *> g_tlsCounters{nullptr};
-
-TlsCounters &
-tlsCounters()
+/** First slot of @p hash: bits above the shard selector. */
+inline std::size_t
+homeSlot(std::size_t hash, std::size_t mask)
 {
-    thread_local TlsCounters *node = [] {
-        auto *n = new TlsCounters;
-        n->next = g_tlsCounters.load(std::memory_order_relaxed);
-        while (!g_tlsCounters.compare_exchange_weak(
-            n->next, n, std::memory_order_release,
-            std::memory_order_relaxed)) {
-        }
-        return n;
-    }();
-    return *node;
+    return (hash >> 4) & mask;
 }
 
-std::uint64_t
-sumWindowHits(std::size_t archIndex)
+bool
+keyEquals(const InstRecord &rec, const InstKey &key)
 {
-    std::uint64_t total = 0;
-    for (TlsCounters *n = g_tlsCounters.load(std::memory_order_acquire); n;
-         n = n->next)
-        total += n->windowHits[archIndex].load(std::memory_order_relaxed);
-    return total;
+    return rec.key[0] == key.lo && rec.key[1] == key.hi;
 }
+
+/** Lock-free probe; a miss may be stale (see Impl::Shard). */
+const InstRecord *
+probe(const IndexTable &t, std::size_t hash, const InstKey &key)
+{
+    for (std::size_t i = homeSlot(hash, t.mask);; i = (i + 1) & t.mask) {
+        const InstRecord *rec = t.slots[i].load(std::memory_order_acquire);
+        if (!rec || keyEquals(*rec, key))
+            return rec;
+    }
+}
+
+/** Fill the first free slot from @p hash's home (writers only). */
+void
+place(IndexTable &t, std::size_t hash, const InstRecord *rec)
+{
+    std::size_t i = homeSlot(hash, t.mask);
+    while (t.slots[i].load(std::memory_order_relaxed))
+        i = (i + 1) & t.mask;
+    t.slots[i].store(rec, std::memory_order_release);
+}
+
+constexpr std::size_t kIndexInitialSlots = 16; // power of two
 
 } // namespace
 
@@ -225,11 +249,39 @@ struct InstInterner::Impl
     const uarch::MicroArchConfig &cfg;
     std::size_t archIndex;
 
+    /**
+     * Readers probe `index` without a lock. Writers hold `mu`, insert
+     * into the current table and, past half full, publish a doubled
+     * one; the old tables stay alive for readers still probing them
+     * (their sizes sum to less than the live one). A probe that misses
+     * on a superseded table is only a stale miss: the writer path
+     * probes again under the lock before it publishes.
+     */
     struct Shard
     {
-        std::mutex mu;
-        std::unordered_map<InstKey, const InstRecord *, InstKeyHash> map;
+        alignas(64) std::atomic<IndexTable *> index;
+        alignas(64) std::mutex mu;
+        std::size_t count = 0;        ///< records in the index
         std::deque<InstRecord> arena; ///< append-only, pointer-stable
+        std::vector<std::unique_ptr<IndexTable>> tables; ///< [back] live
+
+        Shard()
+        {
+            tables.push_back(
+                std::make_unique<IndexTable>(kIndexInitialSlots));
+            index.store(tables.back().get(), std::memory_order_relaxed);
+        }
+
+        /** Probe under mu. */
+        const InstRecord *
+        find(std::size_t hash, const InstKey &key) const
+        {
+            return probe(*tables.back(), hash, key);
+        }
+
+        /** Append @p rec under @p key (absent, mu held). */
+        const InstRecord *publish(std::size_t hash, const InstKey &key,
+                                  InstRecord &&rec);
     };
     Shard shards[kInternShards];
 
@@ -241,8 +293,7 @@ struct InstInterner::Impl
     };
     FusedShard fused;
 
-    std::atomic<std::uint64_t> hits{0}, misses{0};
-    std::atomic<std::uint64_t> fusedHits{0}, fusedMisses{0};
+    std::atomic<std::uint64_t> misses{0}, fusedMisses{0};
     std::atomic<std::uint64_t> borrowed{0};
     /** Published records; incremented under the publishing lock. */
     std::atomic<std::uint64_t> records{0}, fusedRecords{0};
@@ -255,6 +306,30 @@ struct InstInterner::Impl
           archIndex(static_cast<std::size_t>(arch))
     {}
 };
+
+const InstRecord *
+InstInterner::Impl::Shard::publish(std::size_t hash, const InstKey &key,
+                                   InstRecord &&rec)
+{
+    IndexTable *t = tables.back().get();
+    if (2 * (count + 1) > t->mask + 1) {
+        auto grown = std::make_unique<IndexTable>(2 * (t->mask + 1));
+        for (std::size_t i = 0; i <= t->mask; ++i)
+            if (const InstRecord *r =
+                    t->slots[i].load(std::memory_order_relaxed))
+                place(*grown, InstKeyHash{}(InstKey{r->key[0], r->key[1]}),
+                      r);
+        t = grown.get();
+        tables.push_back(std::move(grown));
+        index.store(t, std::memory_order_release);
+    }
+    rec.key[0] = key.lo;
+    rec.key[1] = key.hi;
+    arena.push_back(std::move(rec));
+    place(*t, hash, &arena.back());
+    ++count;
+    return &arena.back();
+}
 
 InstInterner::InstInterner(uarch::UArch arch) : impl_(new Impl(arch)) {}
 
@@ -295,13 +370,11 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
     WindowSet *wc = tlsWindows(arch);
     WindowSet &ws = wc[InstKeyHash{}(winKey) & (kWindowSets - 1)];
     if (ws.way[0].rec && ws.way[0].key == winKey) {
-        tlsCounters().windowHits[arch].fetch_add(
-            1, std::memory_order_relaxed);
+        HitCounters::add(2 * arch);
         return ws.way[0].rec;
     }
     if (ws.way[1].rec && ws.way[1].key == winKey) {
-        tlsCounters().windowHits[arch].fetch_add(
-            1, std::memory_order_relaxed);
+        HitCounters::add(2 * arch);
         std::swap(ws.way[0], ws.way[1]); // MRU to the front
         return ws.way[0].rec;
     }
@@ -313,19 +386,14 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
     std::uint8_t canon[15];
     isa::canonicalForm(data + pos, dec, canon);
     const InstKey key = makeKey(canon, dec.length);
-    Impl::Shard &shard = impl_->shards[InstKeyHash{}(key) % kInternShards];
+    const std::size_t hash = InstKeyHash{}(key);
+    Impl::Shard &shard = impl_->shards[hash % kInternShards];
 
-    const InstRecord *rec = nullptr;
-    {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(key);
-        if (it != shard.map.end()) {
-            impl_->hits.fetch_add(1, std::memory_order_relaxed);
-            rec = it->second;
-        }
-    }
-
-    if (!rec) {
+    const InstRecord *rec =
+        probe(*shard.index.load(std::memory_order_acquire), hash, key);
+    if (rec) {
+        HitCounters::add(2 * arch);
+    } else {
         // Borrowed store first: an mmap'd snapshot image can hand us
         // the full analysis results for the canonical bytes, skipping
         // uops::lookup + isa::instRw entirely. A source miss (or a
@@ -351,14 +419,12 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
         impl_->misses.fetch_add(1, std::memory_order_relaxed);
 
         std::lock_guard<std::mutex> lock(shard.mu);
-        auto it = shard.map.find(key);
-        if (it == shard.map.end()) {
-            shard.arena.push_back(std::move(fresh));
-            it = shard.map.emplace(key, &shard.arena.back()).first;
+        rec = shard.find(hash, key);
+        // (On a lost race: use the already-published record.)
+        if (!rec) {
+            rec = shard.publish(hash, key, std::move(fresh));
             impl_->records.fetch_add(1, std::memory_order_relaxed);
         }
-        // (On a lost race: use the already-published record.)
-        rec = it->second;
     }
 
     ws.way[1] = ws.way[0];
@@ -478,7 +544,7 @@ InstInterner::internFused(const InstRecord *first, const InstRecord *second)
 
     FusedEntry &fe = tlsFused(arch)[PairKeyHash{}(key) & (kFusedSlots - 1)];
     if (fe.rec.first && fe.key == key) {
-        impl_->fusedHits.fetch_add(1, std::memory_order_relaxed);
+        HitCounters::add(2 * arch + 1);
         return fe.rec;
     }
 
@@ -486,7 +552,7 @@ InstInterner::internFused(const InstRecord *first, const InstRecord *second)
         std::lock_guard<std::mutex> lock(fs.mu);
         auto it = fs.map.find(key);
         if (it != fs.map.end()) {
-            impl_->fusedHits.fetch_add(1, std::memory_order_relaxed);
+            HitCounters::add(2 * arch + 1);
             fe.key = key;
             fe.rec = it->second;
             return it->second;
@@ -579,19 +645,10 @@ InstInterner::exportRecords(
     for (std::size_t s = 0; s < kInternShards; ++s) {
         Impl::Shard &shard = impl_->shards[s];
         std::lock_guard<std::mutex> lock(shard.mu);
-        // Arena order is insertion order (deterministic per traffic);
-        // recover each record's key from the map.
-        std::unordered_map<const InstRecord *, const InstKey *> keyOf;
-        keyOf.reserve(shard.map.size());
-        for (const auto &[key, rec] : shard.map)
-            keyOf.emplace(rec, &key);
+        // Arena order is insertion order (deterministic per traffic).
         for (const InstRecord &rec : shard.arena) {
-            auto it = keyOf.find(&rec);
-            if (it == keyOf.end())
-                continue; // unreachable: every arena record is mapped
             std::uint8_t buf[16];
-            std::memcpy(buf, &it->second->lo, 8);
-            std::memcpy(buf + 8, &it->second->hi, 8);
+            std::memcpy(buf, rec.key, 16);
             visit(buf, buf[15], rec);
         }
     }
@@ -615,20 +672,18 @@ InstInterner::importRecord(const std::uint8_t *bytes, std::size_t len,
                            InstRecord &&rec, bool *inserted)
 {
     const InstKey key = makeKey(bytes, len);
-    Impl::Shard &shard = impl_->shards[InstKeyHash{}(key) % kInternShards];
+    const std::size_t hash = InstKeyHash{}(key);
+    Impl::Shard &shard = impl_->shards[hash % kInternShards];
     std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it != shard.map.end()) {
+    if (const InstRecord *live = shard.find(hash, key)) {
         if (inserted)
             *inserted = false;
-        return it->second; // warm process: the live record wins
+        return live; // warm process: the live record wins
     }
-    shard.arena.push_back(std::move(rec));
-    shard.map.emplace(key, &shard.arena.back());
-    impl_->records.fetch_add(1, std::memory_order_relaxed);
     if (inserted)
         *inserted = true;
-    return &shard.arena.back();
+    impl_->records.fetch_add(1, std::memory_order_relaxed);
+    return shard.publish(hash, key, std::move(rec));
 }
 
 void
@@ -658,10 +713,9 @@ InternStats
 InstInterner::stats() const
 {
     InternStats st;
-    st.hits = impl_->hits.load(std::memory_order_relaxed) +
-              sumWindowHits(impl_->archIndex);
+    st.hits = HitCounters::sum(2 * impl_->archIndex);
     st.misses = impl_->misses.load(std::memory_order_relaxed);
-    st.fusedHits = impl_->fusedHits.load(std::memory_order_relaxed);
+    st.fusedHits = HitCounters::sum(2 * impl_->archIndex + 1);
     st.fusedMisses = impl_->fusedMisses.load(std::memory_order_relaxed);
     st.borrowed = impl_->borrowed.load(std::memory_order_relaxed);
     st.records = impl_->records.load(std::memory_order_relaxed);

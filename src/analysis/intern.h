@@ -34,15 +34,24 @@
  *     bytes and the decoder is position-independent, so equal windows
  *     decode equally). A hit skips even the decode; collisions simply
  *     overwrite — it is a pure accelerator;
- *   - the canonical sharded map keyed on the form's canonical bytes
- *     (≤ 15 B) + µarch, one interner per µarch. A shard is a mutex, a
- *     hash map, and a std::deque arena (pointer-stable growth). This is
- *     the durable, deduplicating level. It grows with the instruction
- *     universe, not with the traffic: on the inproc_cold workload
- *     (seed 1) the 1.12M exact encodings of a 15 s run collapse to
- *     136k forms, and forms level off (+5.5k per 10 segments at 60
- *     segments) while exact encodings keep growing by ~250k. A record
- *     costs about 0.72 KB; InternStats::records counts them.
+ *   - the canonical sharded index keyed on the form's canonical bytes
+ *     (≤ 15 B) + µarch, one interner per µarch. A shard is a flat
+ *     open-addressed table of record pointers, a mutex and a
+ *     std::deque arena (pointer-stable growth). Readers probe the
+ *     table with acquire loads and take no lock: each slot is null or
+ *     an immortal record, and the probe compares its key with
+ *     InstRecord::key. Writers take the mutex, probe again, append to
+ *     the arena and fill a slot; past half full they publish a table
+ *     of twice the size and keep the old one alive for readers still
+ *     on it (old tables sum to less than the live one). Per record
+ *     that is 16 B of key plus 16-32 B of live slots (at most 64 B
+ *     with the old tables). This is the durable, deduplicating level.
+ *     It grows with the instruction universe, not with the traffic:
+ *     on the inproc_cold workload (seed 1) the 1.12M exact encodings
+ *     of a 15 s run collapse to 136k forms, and forms level off
+ *     (+5.5k per 10 segments at 60 segments) while exact encodings
+ *     keep growing by ~250k. A record costs about 0.72 KB;
+ *     InternStats::records counts them.
  *
  * Ownership and lifetime: arenas are append-only and process-lifetime
  * (never evicted). Returned pointers are therefore stable forever and
@@ -98,6 +107,14 @@ enum class FuseClass : std::uint8_t {
 /** Everything block analysis derives from one (instruction, µarch). */
 struct InstRecord
 {
+    /**
+     * The interner's key for this record: the form's canonical bytes
+     * zero-padded to 15, then their count, as two little-endian words.
+     * Set when the record is published; the lock-free canonical index
+     * compares probes against it, so an index slot is just a pointer.
+     */
+    std::uint64_t key[2] = {0, 0};
+
     isa::DecodedInst dec;
     uops::InstrInfo info;
     isa::RwSets rw;
@@ -155,15 +172,24 @@ fusesWith(const InstRecord &first, const InstRecord &second)
     return false;
 }
 
-/** Hit/miss counters of one interner (monotonic, process lifetime). */
+/**
+ * Hit/miss counters of one interner (monotonic, process lifetime).
+ * Every internAt call that returns counts once in hits + misses, every
+ * internFused call once in fusedHits + fusedMisses.
+ */
 struct InternStats
 {
-    std::uint64_t hits = 0; ///< window-cache + canonical-map hits
+    /**
+     * Window-cache + canonical-index hits, counted per thread (see
+     * support/per_thread_counters.h) and summed when read.
+     */
+    std::uint64_t hits = 0;
+    /** internAt calls that reached the cold path (lost races too). */
     std::uint64_t misses = 0;
     std::uint64_t fusedHits = 0;
     std::uint64_t fusedMisses = 0;
     /**
-     * Canonical-map misses satisfied by the bound RecordSource (an
+     * Canonical-index misses satisfied by the bound RecordSource (an
      * mmap'd snapshot image) instead of the decode + uops::lookup cold
      * path. Always <= misses.
      */
@@ -190,7 +216,7 @@ struct FusedRecords
 
 /**
  * A borrowed, read-only record store consulted by internAt between the
- * canonical-map miss and the cold analysis path — the binding that
+ * canonical-index miss and the cold analysis path — the binding that
  * makes an mmap'd snapshot v2 image (src/analysis/snapshot.h) lazily
  * materialize records on first touch instead of parsing every record
  * at load time. A successful lookup must fill @p out with a record
@@ -287,7 +313,7 @@ class InstInterner
     // valid and immutable throughout.
 
     /**
-     * Visit every canonical record with its map key: the canonical
+     * Visit every canonical record with its key: the canonical
      * bytes of its form (or, for records imported from an image saved
      * before keys were canonical, that image's exact bytes).
      * Deterministic shard-major, insertion-order walk; shard locks are
@@ -323,7 +349,7 @@ class InstInterner
 
     /**
      * Bind @p source as this interner's borrowed record store (see
-     * RecordSource). internAt consults it on every canonical-map miss
+     * RecordSource). internAt consults it on every canonical-index miss
      * before falling back to decode + analysis, so records of an
      * mmap'd snapshot materialize on first touch — O(1) work at bind
      * time regardless of universe size. @p source must outlive the

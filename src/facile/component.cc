@@ -1,11 +1,11 @@
 #include "facile/component.h"
 
-#include <atomic>
 #include <limits>
 #include <stdexcept>
 #include <utility>
 
 #include "facile/simple_components.h"
+#include "support/per_thread_counters.h"
 #include "uarch/config.h"
 
 namespace facile::model {
@@ -14,19 +14,25 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-// Process-wide pipeline counters (relaxed: they are statistics, not
-// synchronization; a couple of increments per prediction is noise next
-// to the component math).
-std::atomic<std::uint64_t> gBoundPredicts{0};
-std::atomic<std::uint64_t> gFullPredicts{0};
-std::atomic<std::uint64_t> gExplainCalls{0};
-std::atomic<std::uint64_t> gPrecedenceEvals{0};
-std::atomic<std::uint64_t> gPrecedenceShortCircuits{0};
+// Process-wide pipeline counters, kept per thread and summed by
+// predictCounters(): engine lanes predict concurrently, and a shared
+// counter would bounce its cache line between them on every predict.
+enum Counter : std::size_t {
+    kBoundPredicts,
+    kFullPredicts,
+    kExplainCalls,
+    kPrecedenceEvals,
+    kPrecedenceShortCircuits,
+    kNumCounters
+};
+struct PredictCounterTag;
+using PredictCounters =
+    support::PerThreadCounters<PredictCounterTag, kNumCounters>;
 
 inline void
-bump(std::atomic<std::uint64_t> &c)
+bump(Counter c)
 {
-    c.fetch_add(1, std::memory_order_relaxed);
+    PredictCounters::add(c);
 }
 
 // ---- the component singletons ---------------------------------------------
@@ -202,9 +208,9 @@ class PrecedenceComponent final : public ComponentPredictor
         bool shortCircuited = false;
         const double v = precedenceBound(ctx.blk, ctx.scratch.precedence,
                                          &shortCircuited);
-        bump(gPrecedenceEvals);
+        bump(kPrecedenceEvals);
         if (shortCircuited)
-            bump(gPrecedenceShortCircuits);
+            bump(kPrecedenceShortCircuits);
         return v;
     }
 
@@ -221,7 +227,7 @@ class PrecedenceComponent final : public ComponentPredictor
     {
         PrecedenceResult pr = precedence(ctx.blk, ctx.scratch.precedence);
         out.criticalChain = std::move(pr.criticalChain);
-        bump(gPrecedenceEvals);
+        bump(kPrecedenceEvals);
         return pr.throughput;
     }
 
@@ -411,12 +417,11 @@ PredictCountersSnapshot
 predictCounters()
 {
     PredictCountersSnapshot s;
-    s.boundPredicts = gBoundPredicts.load(std::memory_order_relaxed);
-    s.fullPredicts = gFullPredicts.load(std::memory_order_relaxed);
-    s.explainCalls = gExplainCalls.load(std::memory_order_relaxed);
-    s.precedenceEvals = gPrecedenceEvals.load(std::memory_order_relaxed);
-    s.precedenceShortCircuits =
-        gPrecedenceShortCircuits.load(std::memory_order_relaxed);
+    s.boundPredicts = PredictCounters::sum(kBoundPredicts);
+    s.fullPredicts = PredictCounters::sum(kFullPredicts);
+    s.explainCalls = PredictCounters::sum(kExplainCalls);
+    s.precedenceEvals = PredictCounters::sum(kPrecedenceEvals);
+    s.precedenceShortCircuits = PredictCounters::sum(kPrecedenceShortCircuits);
     return s;
 }
 
@@ -425,13 +430,13 @@ namespace detail {
 void
 countPredict(Payload payload)
 {
-    bump(payload == Payload::Full ? gFullPredicts : gBoundPredicts);
+    bump(payload == Payload::Full ? kFullPredicts : kBoundPredicts);
 }
 
 void
 countExplain()
 {
-    bump(gExplainCalls);
+    bump(kExplainCalls);
 }
 
 } // namespace detail

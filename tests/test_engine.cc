@@ -8,15 +8,20 @@
  */
 #include <gtest/gtest.h>
 
+#include <time.h>
+
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
+#include <filesystem>
 #include <set>
 #include <stdexcept>
 #include <thread>
 
 #include "bhive/generator.h"
 #include "engine/engine.h"
+#include "engine/thread_pool.h"
 #include "facile/component.h"
 #include "facile/predictor.h"
 
@@ -441,6 +446,143 @@ TEST(Engine, ParallelForCoversAllIndices)
                     [&](std::size_t i) { hits[i] += 1; });
     for (std::size_t i = 0; i < hits.size(); ++i)
         ASSERT_EQ(hits[i], 1) << "index " << i;
+}
+
+
+// ---- ThreadPool: wake, join and spin ---------------------------------------
+
+/** Threads of this process, from /proc/self/task. */
+std::size_t
+processThreads()
+{
+    std::size_t n = 0;
+    for (const auto &e :
+         std::filesystem::directory_iterator("/proc/self/task")) {
+        (void)e;
+        ++n;
+    }
+    return n;
+}
+
+double
+processCpuSeconds()
+{
+    timespec ts{};
+    clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+    return static_cast<double>(ts.tv_sec) + ts.tv_nsec / 1e9;
+}
+
+TEST(ThreadPool, BackToBackTinyRegionsCoverEveryIndex)
+{
+    // Regions follow each other faster than the spin bound, so pool
+    // threads join most of them straight from the spin (pools narrower
+    // than the machine spin) and the caller rarely sleeps: a lane must
+    // never run an index of a region it did not join, nor miss one of
+    // the region it did.
+    for (int lanes : {2, 3}) {
+        ThreadPool pool(lanes);
+        std::vector<std::atomic<int>> hits(16);
+        std::atomic<int> wrongLane{0};
+        for (int region = 0; region < 10000; ++region) {
+            const std::size_t n = 2 + region % 15;
+            for (auto &h : hits)
+                h.store(0, std::memory_order_relaxed);
+            pool.parallelForWorker(n, [&](int lane, std::size_t i) {
+                hits[i].fetch_add(1, std::memory_order_relaxed);
+                if (lane < 0 || lane >= lanes)
+                    ++wrongLane;
+            });
+            for (std::size_t i = 0; i < hits.size(); ++i)
+                ASSERT_EQ(hits[i].load(), i < n ? 1 : 0)
+                    << lanes << " lanes, region " << region << " index "
+                    << i;
+        }
+        EXPECT_EQ(wrongLane.load(), 0);
+    }
+}
+
+TEST(ThreadPool, DestroyedRightAfterARegionExitsAtOnce)
+{
+    // The pool thread is spinning for the next region when the pool
+    // dies: it must see stop at once, not sleep through it or touch
+    // the pool after the destructor returns.
+    for (int round = 0; round < 200; ++round) {
+        std::atomic<int> count{0};
+        auto pool = std::make_unique<ThreadPool>(2);
+        pool->parallelForWorker(8, [&](int, std::size_t) { ++count; });
+        const auto t0 = std::chrono::steady_clock::now();
+        pool.reset();
+        EXPECT_LT(std::chrono::steady_clock::now() - t0,
+                  std::chrono::milliseconds(500))
+            << "round " << round;
+        ASSERT_EQ(count.load(), 8);
+    }
+}
+
+TEST(ThreadPool, ThrowingRegionThenNormalRegion)
+{
+    ThreadPool pool(3);
+    for (int round = 0; round < 200; ++round) {
+        // Some pool lane, or the caller, throws part-way through.
+        EXPECT_THROW(pool.parallelForWorker(
+                         64,
+                         [&](int, std::size_t i) {
+                             if (i == static_cast<std::size_t>(round % 64))
+                                 throw std::runtime_error("boom");
+                         }),
+                     std::runtime_error);
+        std::vector<int> hits(64, 0);
+        pool.parallelForWorker(hits.size(),
+                               [&](int, std::size_t i) { hits[i] += 1; });
+        for (std::size_t i = 0; i < hits.size(); ++i)
+            ASSERT_EQ(hits[i], 1) << "round " << round << " index " << i;
+    }
+}
+
+TEST(ThreadPool, NestedRegionsRunInlineOnTheLane)
+{
+    ThreadPool pool(2);
+    std::atomic<int> inner{0}, wrong{0};
+    for (int round = 0; round < 100; ++round)
+        pool.parallelForWorker(8, [&](int lane, std::size_t) {
+            const auto self = std::this_thread::get_id();
+            pool.parallelForWorker(3, [&](int innerLane, std::size_t) {
+                if (innerLane != lane || std::this_thread::get_id() != self)
+                    ++wrong;
+                ++inner;
+            });
+        });
+    EXPECT_EQ(inner.load(), 100 * 8 * 3);
+    EXPECT_EQ(wrong.load(), 0);
+}
+
+TEST(ThreadPool, OneLanePoolStartsNoThreadAndNeverSpins)
+{
+    const std::size_t threadsBefore = processThreads();
+    ThreadPool pool(1);
+    EXPECT_EQ(processThreads(), threadsBefore);
+    const auto caller = std::this_thread::get_id();
+    std::size_t offCaller = 0;
+    for (int region = 0; region < 1000; ++region)
+        pool.parallelForWorker(64, [&](int lane, std::size_t) {
+            offCaller += lane != 0 || std::this_thread::get_id() != caller;
+        });
+    EXPECT_EQ(offCaller, 0u);
+    EXPECT_EQ(processThreads(), threadsBefore);
+}
+
+TEST(ThreadPool, IdlePoolThreadsSleepAfterTheSpinBound)
+{
+    // After its last region a pool thread spins at most kSpin, then
+    // sleeps: an idle pool costs no CPU.
+    ThreadPool pool(3);
+    for (int region = 0; region < 100; ++region)
+        pool.parallelForWorker(16, [](int, std::size_t) {});
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    const double cpu0 = processCpuSeconds();
+    std::this_thread::sleep_for(std::chrono::milliseconds(200));
+    // Two spinning threads would burn ~0.4 s here.
+    EXPECT_LT(processCpuSeconds() - cpu0, 0.05);
 }
 
 } // namespace

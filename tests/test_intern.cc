@@ -610,5 +610,184 @@ TEST(InternForms, SnapshotIsIndependentOfInstanceOrder)
                             << rev.size() << " bytes";
 }
 
+
+/**
+ * Distinct instruction forms `op r, [base+index*scale+disp]`, differing
+ * in opcode, REX.W, destination, base, index, scale and displacement
+ * width (none, disp8, disp32).
+ */
+std::vector<Bytes>
+memoryForms(std::size_t count)
+{
+    const std::uint8_t ops[] = {0x8B, 0x03, 0x2B, 0x33,
+                                0x23, 0x0B, 0x3B, 0x85};
+    std::vector<Bytes> forms;
+    for (std::uint32_t n = 0; forms.size() < count; ++n) {
+        const int dispKind = n % 3;
+        const int sc = (n / 3) % 4;
+        const int idx = (n / 12) % 16;
+        const int bas = (n / 192) % 16;
+        const int dst = (n / 3072) % 16;
+        const int w = (n / 49152) % 2;
+        const std::uint8_t op = ops[(n / 98304) % 8];
+        // No-index and base-less SIB encodings are other shapes.
+        if (idx == 4 || (dispKind == 0 && (bas & 7) == 5))
+            continue;
+        Bytes f{static_cast<std::uint8_t>(0x40 | w << 3 | (dst >> 3) << 2 |
+                                          (idx >> 3) << 1 | bas >> 3),
+                op,
+                static_cast<std::uint8_t>(dispKind << 6 | (dst & 7) << 3 | 4),
+                static_cast<std::uint8_t>(sc << 6 | (idx & 7) << 3 |
+                                          (bas & 7))};
+        if (dispKind == 1)
+            f.push_back(0x10);
+        else if (dispKind == 2)
+            f.insert(f.end(), {0x00, 0x10, 0x00, 0x00});
+        forms.push_back(std::move(f));
+    }
+    return forms;
+}
+
+/**
+ * internAt on form @p f followed by filler bytes derived from @p salt:
+ * a different salt is a different decode window, so the call misses
+ * the thread's window cache and probes the canonical index.
+ */
+const analysis::InstRecord *
+internSalted(analysis::InstInterner &in, const Bytes &f, std::uint32_t salt)
+{
+    Bytes buf = f;
+    for (int k = 0; k < 15; ++k)
+        buf.push_back(static_cast<std::uint8_t>(salt >> (8 * (k % 4)) ^ k));
+    return in.internAt(buf.data(), buf.size(), 0);
+}
+
+/**
+ * Readers probe the lock-free canonical index while a writer publishes
+ * thousands of never-seen forms, enough to double every shard's table
+ * several times. Every reader gets the record the serial reference
+ * names, each form costs exactly one record, and every call counts as
+ * exactly one hit or miss.
+ */
+TEST(InternIndex, ReadersRacingGrowthGetThePublishedRecord)
+{
+    const uarch::UArch arch = uarch::UArch::IVB;
+    analysis::InstInterner &in = analysis::InstInterner::forArch(arch);
+    const auto known = internedKeys(arch);
+    std::vector<Bytes> forms;
+    for (Bytes &f : memoryForms(4096))
+        if (!known.count(formKey(f)))
+            forms.push_back(std::move(f));
+    // About 190 per shard: five doublings of a 16-slot table.
+    ASSERT_GE(forms.size(), 3000u);
+    const analysis::InternStats before = in.stats();
+
+    constexpr int kReaders = 3;
+    std::atomic<std::size_t> published{0};
+    std::atomic<bool> writerDone{false};
+    std::vector<const analysis::InstRecord *> byWriter(forms.size());
+    std::vector<std::vector<std::pair<std::size_t,
+                                      const analysis::InstRecord *>>>
+        byReader(kReaders);
+    std::vector<std::thread> threads;
+    threads.emplace_back([&] {
+        for (std::size_t i = 0; i < forms.size(); ++i) {
+            byWriter[i] =
+                internSalted(in, forms[i], static_cast<std::uint32_t>(i));
+            published.store(i + 1, std::memory_order_release);
+        }
+        writerDone.store(true);
+    });
+    for (int r = 0; r < kReaders; ++r)
+        threads.emplace_back([&, r] {
+            std::uint32_t salt = 0x9e3779b9u * (r + 1);
+            for (std::uint64_t k = 0; !writerDone.load(); ++k) {
+                const std::size_t n = published.load(std::memory_order_acquire);
+                // Mostly forms already published (possibly moved by a
+                // growth since), sometimes the writer's next ones.
+                const std::size_t i =
+                    k % 4 == 3 || n == 0
+                        ? std::min(n + static_cast<std::size_t>(r),
+                                   forms.size() - 1)
+                        : (k * 7919) % n;
+                byReader[r].emplace_back(
+                    i, internSalted(in, forms[i], ++salt));
+            }
+        });
+    for (auto &th : threads)
+        th.join();
+
+    std::uint64_t calls = forms.size();
+    std::size_t wrong = 0;
+    for (std::size_t i = 0; i < forms.size(); ++i) {
+        const analysis::InstRecord *ref =
+            internSalted(in, forms[i], 0xffffffffu - i);
+        ++calls;
+        ASSERT_EQ(byWriter[i], ref) << "form " << i;
+        ASSERT_EQ(std::memcmp(ref->key, formKey(forms[i]).data(), 16), 0)
+            << "form " << i;
+    }
+    for (const auto &seen : byReader) {
+        calls += seen.size();
+        for (const auto &[i, rec] : seen)
+            wrong += rec != byWriter[i];
+    }
+    EXPECT_EQ(wrong, 0u);
+    EXPECT_GT(calls, 2 * forms.size());
+
+    const analysis::InternStats after = in.stats();
+    EXPECT_EQ(after.records - before.records, forms.size());
+    EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+              calls);
+}
+
+/**
+ * Four threads intern blocks and fused pairs on one arch: the per-
+ * thread hit counters and the shared miss counters add up to exactly
+ * one count per call.
+ */
+TEST(InternIndex, HitsPlusMissesCountEveryCallAcrossThreads)
+{
+    analysis::InstInterner &in =
+        analysis::InstInterner::forArch(uarch::UArch::HSW);
+    const Bytes cmp{0x39, 0xD8}; // cmp eax, ebx
+    const Bytes jne{0x75, 0x10}; // jne rel8
+    const analysis::InternStats before = in.stats();
+
+    constexpr int kThreads = 4;
+    constexpr int kFused = 500;
+    std::vector<std::uint64_t> calls(kThreads, 0);
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t)
+        threads.emplace_back([&, t] {
+            for (int rep = 0; rep < 3; ++rep)
+                for (const auto &b : randomSuite())
+                    for (std::size_t pos = 0; pos < b.bytesU.size();
+                         ++calls[t])
+                        pos += in.internAt(b.bytesU.data(), b.bytesU.size(),
+                                           pos)
+                                   ->dec.length;
+            const analysis::InstRecord *first =
+                in.internAt(cmp.data(), cmp.size(), 0);
+            const analysis::InstRecord *second =
+                in.internAt(jne.data(), jne.size(), 0);
+            calls[t] += 2;
+            for (int k = 0; k < kFused; ++k)
+                in.internFused(first, second);
+        });
+    for (auto &th : threads)
+        th.join();
+
+    std::uint64_t total = 0;
+    for (std::uint64_t c : calls)
+        total += c;
+    const analysis::InternStats after = in.stats();
+    EXPECT_EQ((after.hits + after.misses) - (before.hits + before.misses),
+              total);
+    EXPECT_EQ((after.fusedHits + after.fusedMisses) -
+                  (before.fusedHits + before.fusedMisses),
+              static_cast<std::uint64_t>(kThreads * kFused));
+}
+
 } // namespace
 } // namespace facile
