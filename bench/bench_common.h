@@ -1,20 +1,16 @@
 /**
  * @file
- * Shared helpers for the table/figure reproduction binaries and the
- * perf benches: the evaluation suite (with a CI quick mode), the
- * bit-identity oracle, and the machine-readable BENCH_<name>.json
- * report writer that populates the repo's perf trajectory.
+ * Shared helpers for the table/figure reproduction binaries: the
+ * evaluation suite (with a quick mode), its per-arch prepared ground
+ * truth, and the bit-identity oracle.
  */
 #ifndef FACILE_BENCH_COMMON_H
 #define FACILE_BENCH_COMMON_H
 
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <map>
-#include <string>
-#include <utility>
 #include <vector>
 
 #include "eval/harness.h"
@@ -23,9 +19,8 @@
 namespace facile::bench {
 
 /**
- * CI quick mode: FACILE_BENCH_QUICK=1 shrinks the suite so perf smoke
- * jobs finish fast. Timings from quick runs are indicative only; the
- * bit-identity exit codes remain authoritative.
+ * Quick mode: FACILE_BENCH_QUICK=1 shrinks the suite so a table or
+ * figure finishes fast. Its numbers are indicative only.
  */
 inline bool
 quickMode()
@@ -71,137 +66,6 @@ printRule(int width = 78)
 
 /** Bit-identity oracle (defined once in eval/harness.h). */
 using eval::samePrediction;
-
-/**
- * Machine-readable benchmark report, written as BENCH_<name>.json into
- * $FACILE_BENCH_JSON_DIR (default: the current directory) so the
- * repo's perf trajectory can be tracked run over run.
- *
- * Shape: a flat object of scalars plus a "rows" array of measurement
- * rows ({"label": ..., metrics...}), in insertion order. Typical
- * metrics: blocks_per_sec, threads, cache_hit_rate, p50_us, p99_us.
- */
-class BenchReport
-{
-  public:
-    explicit BenchReport(std::string name) : name_(std::move(name)) {}
-
-    void
-    scalar(const std::string &key, double value)
-    {
-        scalars_.push_back({key, Value::number(value)});
-    }
-
-    void
-    scalar(const std::string &key, const std::string &value)
-    {
-        scalars_.push_back({key, Value::string(value)});
-    }
-
-    void
-    boolean(const std::string &key, bool value)
-    {
-        scalars_.push_back({key, Value::boolean(value)});
-    }
-
-    /** Start a measurement row; metric() calls apply to the last row. */
-    void
-    row(const std::string &label)
-    {
-        rows_.push_back({label, {}});
-    }
-
-    void
-    metric(const std::string &key, double value)
-    {
-        rows_.back().metrics.push_back({key, value});
-    }
-
-    /** Write BENCH_<name>.json; returns false (with a note) on error. */
-    bool
-    write() const
-    {
-        std::string dir;
-        if (const char *d = std::getenv("FACILE_BENCH_JSON_DIR"))
-            dir = std::string(d) + "/";
-        const std::string path = dir + "BENCH_" + name_ + ".json";
-        std::FILE *f = std::fopen(path.c_str(), "w");
-        if (!f) {
-            std::fprintf(stderr, "note: cannot write %s\n", path.c_str());
-            return false;
-        }
-        std::fprintf(f, "{\n  \"bench\": \"%s\"", name_.c_str());
-        for (const auto &[key, v] : scalars_) {
-            std::fprintf(f, ",\n  \"%s\": ", key.c_str());
-            printValue(f, v);
-        }
-        std::fprintf(f, ",\n  \"rows\": [");
-        for (std::size_t i = 0; i < rows_.size(); ++i) {
-            std::fprintf(f, "%s\n    {\"label\": \"%s\"",
-                         i ? "," : "", rows_[i].label.c_str());
-            for (const auto &[key, v] : rows_[i].metrics) {
-                std::fprintf(f, ", \"%s\": ", key.c_str());
-                printNumber(f, v);
-            }
-            std::fputc('}', f);
-        }
-        std::fprintf(f, "\n  ]\n}\n");
-        std::fclose(f);
-        std::printf("wrote %s\n", path.c_str());
-        return true;
-    }
-
-  private:
-    struct Value
-    {
-        enum class Kind { Number, String, Bool } kind;
-        double num = 0.0;
-        std::string str;
-        bool b = false;
-
-        static Value number(double v) { return {Kind::Number, v, {}, false}; }
-        static Value string(std::string v)
-        {
-            return {Kind::String, 0.0, std::move(v), false};
-        }
-        static Value boolean(bool v) { return {Kind::Bool, 0.0, {}, v}; }
-    };
-
-    static void
-    printNumber(std::FILE *f, double v)
-    {
-        if (std::isnan(v) || std::isinf(v))
-            std::fprintf(f, "null");
-        else
-            std::fprintf(f, "%.10g", v);
-    }
-
-    static void
-    printValue(std::FILE *f, const Value &v)
-    {
-        switch (v.kind) {
-          case Value::Kind::Number:
-            printNumber(f, v.num);
-            break;
-          case Value::Kind::String:
-            std::fprintf(f, "\"%s\"", v.str.c_str());
-            break;
-          case Value::Kind::Bool:
-            std::fprintf(f, v.b ? "true" : "false");
-            break;
-        }
-    }
-
-    struct Row
-    {
-        std::string label;
-        std::vector<std::pair<std::string, double>> metrics;
-    };
-
-    std::string name_;
-    std::vector<std::pair<std::string, Value>> scalars_;
-    std::vector<Row> rows_;
-};
 
 } // namespace facile::bench
 

@@ -55,8 +55,8 @@ main()
     std::printf("\nFacile vs reference simulator speedup (TPU): %.0fx\n",
                 simU / facileU);
 
-    // End-to-end serving rate through the batch engine (same harness
-    // code path as bench_throughput). Caches off: with them on, every
+    // End-to-end serving rate through the batch engine (the harness's
+    // eval::measureEngineThroughput). Caches off: with them on, every
     // timed pass over the identical batch would be a pure cache lookup
     // and overstate prediction throughput by an order of magnitude.
     engine::PredictionEngine::Options eopts;

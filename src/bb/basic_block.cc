@@ -83,7 +83,7 @@ namespace {
  * InternMode::Off record source: fresh per-instruction decode and
  * lookups stored in the block's own deque — behaviorally the
  * pre-interning path, used by tests to certify that interning changes
- * nothing and by bench_coldpath as the before/after baseline. Read/
+ * nothing. Read/
  * write sets are deliberately NOT precomputed (rw stays null on the
  * annotation): the pre-interning code computed them per consumer call,
  * and the consumers' fallback reproduces exactly that.

@@ -229,10 +229,10 @@ struct AblationVariant
 std::vector<AblationVariant> ablationVariants();
 
 /**
- * Monotonic process-wide counters for the staged pipeline, used by the
- * perf benches to report the precedence-skip rate and the lazy-payload
- * split machine-readably (BENCH_*.json). Take a snapshot before and
- * after a measured region and subtract.
+ * Monotonic process-wide counters for the staged pipeline, read by
+ * perfbench to report the precedence-skip rate and the lazy-payload
+ * split. Take a snapshot before and after a measured region and
+ * subtract.
  */
 struct PredictCountersSnapshot
 {

@@ -160,9 +160,8 @@ ports(const bb::BasicBlock &blk, PortsScratch &s, bool collectContending)
 
     // Memo probe: the bound depends only on the histogram. Cross-
     // request memoization is an interning-family optimization, so
-    // InternMode::Off blocks (the pre-interning baseline in
-    // bench_coldpath) skip it and pay the full search like the
-    // historical code did.
+    // InternMode::Off blocks (the pre-interning reference) skip it and
+    // pay the full search like the historical code did.
     const bool interned =
         !blk.insts.empty() && blk.insts.front().rec != nullptr;
     const std::size_t nDistinct = s.pcs.size();

@@ -605,8 +605,20 @@ TEST(Bootstrap, WireFetchBitIdenticalToLocalSave)
     const analysis::SnapshotStats st =
         analysis::loadSnapshot(path, {&fresh});
     EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2);
-    EXPECT_GT(st.predictions, 0u);
     std::remove(path.c_str());
+
+    // The bootstrapped engine answers the whole suite from the
+    // prediction cache it received, bit-identical to serial predict.
+    std::vector<engine::Request> reqs;
+    for (const auto &b : suite())
+        reqs.push_back({b.bytesL, uarch::UArch::SKL, true, {}});
+    engine::BatchStats bs;
+    const std::vector<Prediction> out = fresh.predictBatch(reqs, &bs);
+    EXPECT_EQ(st.predictions, reqs.size());
+    EXPECT_EQ(bs.predictionCacheHits, reqs.size());
+    for (std::size_t i = 0; i < reqs.size(); ++i)
+        EXPECT_TRUE(bitIdentical(out[i], serialPredict(reqs[i])))
+            << "request " << i;
 }
 
 TEST(Bootstrap, TornImageIsRejectedBeforeTouchingDisk)

@@ -174,19 +174,22 @@ TEST(Engine, EachNotionOfOneBlockIsAnalyzedAfresh)
 
 TEST(Engine, CacheDisabledStillMatchesSerial)
 {
-    PredictionEngine::Options opts;
-    opts.numThreads = 4;
-    opts.cacheEnabled = false;
-    PredictionEngine eng(opts);
+    const auto batch = makeBatch();
+    for (int lanes : {1, 2, 4, 8}) {
+        SCOPED_TRACE(testing::Message() << lanes << " lanes");
+        PredictionEngine::Options opts;
+        opts.numThreads = lanes;
+        opts.cacheEnabled = false;
+        PredictionEngine eng(opts);
 
-    auto batch = makeBatch();
-    BatchStats stats;
-    auto out = eng.predictBatch(batch, &stats);
-    EXPECT_EQ(stats.predictionCacheHits, 0u);
-    EXPECT_EQ(stats.analyzed, batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_TRUE(bitIdentical(out[i], serialPredict(batch[i])))
-            << "request " << i;
+        BatchStats stats;
+        auto out = eng.predictBatch(batch, &stats);
+        EXPECT_EQ(stats.predictionCacheHits, 0u);
+        EXPECT_EQ(stats.analyzed, batch.size());
+        for (std::size_t i = 0; i < batch.size(); ++i)
+            EXPECT_TRUE(bitIdentical(out[i], serialPredict(batch[i])))
+                << "request " << i;
+    }
 }
 
 TEST(Engine, PerArchCacheKeysDoNotCollide)

@@ -14,6 +14,7 @@
  */
 #include <gtest/gtest.h>
 
+#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,6 +23,8 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -72,27 +75,97 @@ tmpPath(const char *tag)
            std::to_string(::getpid()) + ".bin";
 }
 
-/** Bit-sensitive digest over TPL+TPU predictions of the whole suite. */
+/** TPU and TPL requests for the whole suite on every arch. */
+std::vector<engine::Request>
+suiteRequests()
+{
+    std::vector<engine::Request> reqs;
+    for (uarch::UArch arch : uarch::allUArchs())
+        for (const auto &b : snapshotSuite())
+            for (bool loop : {false, true})
+                reqs.push_back({loop ? b.bytesL : b.bytesU, arch, loop, {}});
+    return reqs;
+}
+
+/** Order- and bit-sensitive digest of a prediction sequence. */
+std::uint64_t
+digestOf(const std::vector<model::Prediction> &preds)
+{
+    std::uint64_t h = 0xcbf29ce484222325ULL;
+    for (const model::Prediction &p : preds) {
+        h = analysis::fnv1a64(
+            reinterpret_cast<const std::uint8_t *>(&p.throughput), 8, h);
+        h = analysis::fnv1a64(
+            reinterpret_cast<const std::uint8_t *>(p.componentValue.data()),
+            sizeof(double) * p.componentValue.size(), h);
+    }
+    return h;
+}
+
+/** @p v as 16 hex digits, the form the probe children write. */
+std::string
+hex16(std::uint64_t v)
+{
+    char buf[17];
+    std::snprintf(buf, sizeof buf, "%016llx",
+                  static_cast<unsigned long long>(v));
+    return buf;
+}
+
+/** Digest of serial predictions over suiteRequests(). */
 std::uint64_t
 suiteDigest()
 {
-    std::uint64_t h = 0xcbf29ce484222325ULL;
     model::PredictScratch &scratch = model::tlsPredictScratch();
-    for (uarch::UArch arch : uarch::allUArchs())
-        for (const auto &b : snapshotSuite())
-            for (bool loop : {false, true}) {
-                const model::Prediction p = model::predict(
-                    bb::analyze(loop ? b.bytesL : b.bytesU, arch), loop,
-                    {}, scratch);
-                h = analysis::fnv1a64(
-                    reinterpret_cast<const std::uint8_t *>(&p.throughput),
-                    8, h);
-                h = analysis::fnv1a64(
-                    reinterpret_cast<const std::uint8_t *>(
-                        p.componentValue.data()),
-                    sizeof(double) * p.componentValue.size(), h);
-            }
-    return h;
+    std::vector<model::Prediction> preds;
+    for (const engine::Request &r : suiteRequests())
+        preds.push_back(model::predict(bb::analyze(r.bytes, r.arch), r.loop,
+                                       r.config, scratch));
+    return digestOf(preds);
+}
+
+/**
+ * Run the probe test @p filter of this binary in a fresh child process
+ * whose interners are empty, with @p env (`NAME='value' ` pairs) plus
+ * FACILE_SNAPSHOT_PROBE_OUT naming a file for the child's answer.
+ * Returns what the child wrote there, or "" if it failed.
+ */
+std::string
+runProbe(const std::string &env, const char *filter = "SnapshotProbe.Emit")
+{
+    // Resolved here: inside std::system's shell child /proc/self/exe
+    // would name the shell, not this binary.
+    char self[4096];
+    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
+    if (n <= 0)
+        return "";
+    self[n] = '\0';
+    static int probes = 0;
+    const std::string out =
+        tmpPath(("probe_out_" + std::to_string(probes++)).c_str());
+    const std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' " +
+                            env + "'" + self + "' --gtest_filter=" +
+                            filter + " >/dev/null 2>&1";
+    std::string text;
+    if (std::system(cmd.c_str()) == 0)
+        if (std::FILE *f = std::fopen(out.c_str(), "r")) {
+            char buf[256];
+            while (std::fgets(buf, sizeof buf, f))
+                text += buf;
+            std::fclose(f);
+        }
+    std::remove(out.c_str());
+    return text;
+}
+
+/** The suite digest a SnapshotProbe.Emit child wrote (nullopt: failed). */
+std::optional<std::uint64_t>
+probeDigest(const std::string &env)
+{
+    unsigned long long d = 0;
+    if (std::sscanf(runProbe(env).c_str(), "%llx", &d) != 1)
+        return std::nullopt;
+    return d;
 }
 
 bool
@@ -341,23 +414,40 @@ TEST(Snapshot, ForgedRecordCountCannotBloatMemory)
 }
 
 /**
- * Child half of the fresh-process property: when the probe env vars
- * are set (by FreshProcessBitIdentity, in a *child* process whose
- * interners are empty), optionally load the snapshot, predict the
- * whole suite, and write the digest for the parent. In a normal test
- * run the env vars are unset and this is a skip.
+ * Child half of the fresh-process properties: when the probe env vars
+ * are set (by runProbe, in a *child* process whose interners are
+ * empty), optionally load the snapshot, predict the whole suite, and
+ * write the digest for the parent. In a normal test run the env vars
+ * are unset and this is a skip.
+ *
+ *   FACILE_SNAPSHOT_PROBE_SNAP    load this image first
+ *   FACILE_SNAPSHOT_PROBE_EAGER   ... with SnapshotOptions::eagerLoad
+ *   FACILE_SNAPSHOT_PROBE_ENGINE  ... into a 1-lane engine, and first
+ *                                 serve the suite through it; also
+ *                                 writes that digest and the engine's
+ *                                 prediction-cache hit count
+ *   FACILE_SNAPSHOT_PROBE_RESAVE  save again before predicting
  */
 TEST(SnapshotProbe, Emit)
 {
     const char *out = std::getenv("FACILE_SNAPSHOT_PROBE_OUT");
     if (!out)
-        GTEST_SKIP() << "probe mode only (spawned by "
-                        "FreshProcessBitIdentity)";
+        GTEST_SKIP() << "probe mode only (spawned by runProbe)";
+    const std::vector<engine::Request> reqs = suiteRequests();
+    engine::PredictionEngine eng({.numThreads = 1});
+    const bool viaEngine =
+        std::getenv("FACILE_SNAPSHOT_PROBE_ENGINE") != nullptr;
     if (const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP")) {
-        const analysis::SnapshotStats st = analysis::loadSnapshot(snap);
+        analysis::SnapshotOptions so;
+        so.engine = viaEngine ? &eng : nullptr;
+        so.eagerLoad = std::getenv("FACILE_SNAPSHOT_PROBE_EAGER") != nullptr;
+        const analysis::SnapshotStats st = analysis::loadSnapshot(snap, so);
         // A fresh process appends every record — nothing pre-existing.
         // Under the lazy v2 mmap bind nothing is appended at load
         // time at all; records materialize on first touch instead.
+        if (so.eagerLoad) {
+            ASSERT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2);
+        }
         if (st.loadMode == analysis::SnapshotLoadMode::MmapV2) {
             ASSERT_EQ(st.newRecords, 0u);
         } else {
@@ -375,60 +465,58 @@ TEST(SnapshotProbe, Emit)
             ASSERT_EQ(rs.fusedPairs, st.fusedPairs);
         }
     }
-    const std::uint64_t digest = suiteDigest();
+    std::string answer;
+    if (viaEngine) {
+        // Served from the restored prediction cache alone, before any
+        // serial prediction touches a record.
+        engine::BatchStats bs;
+        const std::uint64_t d = digestOf(eng.predictBatch(reqs, &bs));
+        answer = " " + hex16(d) + " " + std::to_string(bs.predictionCacheHits);
+    }
+    answer = hex16(suiteDigest()) + answer + "\n";
     std::FILE *f = std::fopen(out, "w");
     ASSERT_NE(f, nullptr);
-    std::fprintf(f, "%016llx\n",
-                 static_cast<unsigned long long>(digest));
+    std::fputs(answer.c_str(), f);
     std::fclose(f);
 }
 
 /**
  * The headline property: a fresh process warm-started from a snapshot
  * produces bit-identical predictions (all nine arches, both notions)
- * to a fresh cold process. Runs this test binary twice as a child via
- * /proc/self/exe — each child is a genuinely cold process.
+ * to a fresh cold process, whether its records come through the mmap
+ * bind, the eager parse or its restored prediction cache. Each probe
+ * runs this test binary as a child — a genuinely cold process.
  */
 TEST(Snapshot, FreshProcessBitIdentity)
 {
     populateInterners();
+    const std::vector<engine::Request> reqs = suiteRequests();
+    engine::PredictionEngine eng({.numThreads = 1});
+    eng.predictBatch(reqs); // fill the prediction cache the image carries
     const std::string snap = tmpPath("fresh");
-    analysis::saveSnapshot(snap);
+    const analysis::SnapshotStats saved =
+        analysis::saveSnapshot(snap, {&eng, 1});
+    ASSERT_EQ(saved.predictions, reqs.size());
 
-    // /proc/self/exe must be resolved here: inside std::system's shell
-    // child it would name the shell, not this binary.
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    auto probe = [&](bool warm, std::uint64_t &digest) {
-        const std::string out =
-            tmpPath(warm ? "digest_warm" : "digest_cold");
-        std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
-        if (warm)
-            cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-        cmd += "'" + std::string(self) +
-               "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
-        if (std::system(cmd.c_str()) != 0)
-            return false;
-        std::FILE *f = std::fopen(out.c_str(), "r");
-        if (!f)
-            return false;
-        unsigned long long d = 0;
-        const bool ok = std::fscanf(f, "%llx", &d) == 1;
-        std::fclose(f);
-        std::remove(out.c_str());
-        digest = d;
-        return ok;
-    };
-
-    std::uint64_t cold = 0, warm = 1;
-    ASSERT_TRUE(probe(false, cold));
-    ASSERT_TRUE(probe(true, warm));
-    EXPECT_EQ(cold, warm);
-    // And both match this (differently warmed) process.
-    EXPECT_EQ(cold, suiteDigest());
+    const std::string at = "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
+    const std::optional<std::uint64_t> cold = probeDigest("");
+    const std::optional<std::uint64_t> eager =
+        probeDigest(at + "FACILE_SNAPSHOT_PROBE_EAGER=1 ");
+    const std::string warm =
+        runProbe(at + "FACILE_SNAPSHOT_PROBE_ENGINE=1 ");
+    unsigned long long mmapDigest = 0, engineDigest = 1;
+    std::size_t hits = 0;
+    ASSERT_EQ(std::sscanf(warm.c_str(), "%llx %llx %zu", &mmapDigest,
+                          &engineDigest, &hits),
+              3)
+        << "warm child failed";
+    ASSERT_TRUE(cold && eager);
+    EXPECT_EQ(mmapDigest, *cold) << "mmap warm start";
+    EXPECT_EQ(*eager, mmapDigest) << "eager load vs mmap bind";
+    EXPECT_EQ(engineDigest, *cold) << "restored prediction cache";
+    EXPECT_EQ(hits, reqs.size()) << "requests the restored cache answered";
+    // And all match this (differently warmed) process.
+    EXPECT_EQ(*cold, suiteDigest());
     std::remove(snap.c_str());
 }
 
@@ -556,36 +644,11 @@ TEST(SnapshotCrashSafety, FallbackWarmStartIsBitIdenticalInFreshProcess)
         writeTorn(snap, primary, primary.size() / 2);
     }
 
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    auto probe = [&](bool warm, std::uint64_t &digest) {
-        const std::string out =
-            tmpPath(warm ? "fb_digest_warm" : "fb_digest_cold");
-        std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
-        if (warm)
-            cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-        cmd += "'" + std::string(self) +
-               "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
-        if (std::system(cmd.c_str()) != 0)
-            return false;
-        std::FILE *f = std::fopen(out.c_str(), "r");
-        if (!f)
-            return false;
-        unsigned long long d = 0;
-        const bool ok = std::fscanf(f, "%llx", &d) == 1;
-        std::fclose(f);
-        std::remove(out.c_str());
-        digest = d;
-        return ok;
-    };
-
-    std::uint64_t cold = 0, warm = 1;
-    ASSERT_TRUE(probe(false, cold));
-    ASSERT_TRUE(probe(true, warm));
-    EXPECT_EQ(cold, warm);
+    const std::optional<std::uint64_t> cold = probeDigest("");
+    const std::optional<std::uint64_t> warm =
+        probeDigest("FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ");
+    ASSERT_TRUE(cold && warm);
+    EXPECT_EQ(*cold, *warm);
     removeGenerations(snap);
 }
 
@@ -946,36 +1009,11 @@ TEST(SnapshotV2, BitFlippedRecordsStayBitIdenticalInFreshProcess)
         writeFile(snap, img);
     }
 
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    auto probe = [&](bool warm, std::uint64_t &digest) {
-        const std::string out =
-            tmpPath(warm ? "poison_digest_warm" : "poison_digest_cold");
-        std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' ";
-        if (warm)
-            cmd += "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-        cmd += "'" + std::string(self) +
-               "' --gtest_filter=SnapshotProbe.Emit >/dev/null 2>&1";
-        if (std::system(cmd.c_str()) != 0)
-            return false;
-        std::FILE *f = std::fopen(out.c_str(), "r");
-        if (!f)
-            return false;
-        unsigned long long d = 0;
-        const bool ok = std::fscanf(f, "%llx", &d) == 1;
-        std::fclose(f);
-        std::remove(out.c_str());
-        digest = d;
-        return ok;
-    };
-
-    std::uint64_t cold = 0, warm = 1;
-    ASSERT_TRUE(probe(false, cold));
-    ASSERT_TRUE(probe(true, warm));
-    EXPECT_EQ(cold, warm);
+    const std::optional<std::uint64_t> cold = probeDigest("");
+    const std::optional<std::uint64_t> warm =
+        probeDigest("FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ");
+    ASSERT_TRUE(cold && warm);
+    EXPECT_EQ(*cold, *warm);
     removeGenerations(snap);
 }
 
@@ -996,21 +1034,11 @@ TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
     std::remove(resaved.c_str());
     const analysis::SnapshotStats saved = analysis::saveSnapshot(snap);
 
-    char self[4096];
-    const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
-    ASSERT_GT(n, 0);
-    self[n] = '\0';
-
-    const std::string out = tmpPath("v2_resave_out");
-    const std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out +
-                            "' FACILE_SNAPSHOT_PROBE_SNAP='" + snap +
-                            "' FACILE_SNAPSHOT_PROBE_RESAVE='" + resaved +
-                            "' '" + std::string(self) +
-                            "' --gtest_filter=SnapshotProbe.Emit "
-                            ">/dev/null 2>&1";
-    ASSERT_EQ(std::system(cmd.c_str()), 0)
+    ASSERT_FALSE(runProbe("FACILE_SNAPSHOT_PROBE_SNAP='" + snap +
+                          "' FACILE_SNAPSHOT_PROBE_RESAVE='" + resaved +
+                          "' ")
+                     .empty())
         << "child probe failed (load or resave assertions)";
-    std::remove(out.c_str());
 
     // The child's resave carries the full universe, not just the
     // records it happened to touch.
@@ -1026,6 +1054,162 @@ TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
     EXPECT_EQ(pairs, saved.fusedPairs);
     std::remove(resaved.c_str());
     removeGenerations(snap);
+}
+
+/**
+ * Intern distinct memory-operand forms `op r, [base+index*scale+disp]`
+ * (opcode, REX.W, destination, base, index, scale, displacement width)
+ * on @p arch, eight per analyzed block, until @p count new records
+ * have been published.
+ */
+void
+growFormUniverse(uarch::UArch arch, std::uint64_t count)
+{
+    const std::uint8_t ops[] = {0x8B, 0x03, 0x2B, 0x33,
+                                0x23, 0x0B, 0x3B, 0x85};
+    const std::uint64_t target =
+        analysis::InstInterner::statsAllArchs().records + count;
+    std::vector<std::uint8_t> block;
+    int inBlock = 0;
+    for (std::uint32_t n = 0; n < 8 * 98304; ++n) {
+        const int dispKind = n % 3;
+        const int sc = (n / 3) % 4;
+        const int idx = (n / 12) % 16;
+        const int bas = (n / 192) % 16;
+        const int dst = (n / 3072) % 16;
+        const int w = (n / 49152) % 2;
+        // No-index and base-less SIB encodings are other shapes.
+        if (idx == 4 || (dispKind == 0 && (bas & 7) == 5))
+            continue;
+        block.insert(block.end(),
+                     {static_cast<std::uint8_t>(0x40 | w << 3 |
+                                                (dst >> 3) << 2 |
+                                                (idx >> 3) << 1 | bas >> 3),
+                      ops[n / 98304],
+                      static_cast<std::uint8_t>(dispKind << 6 |
+                                                (dst & 7) << 3 | 4),
+                      static_cast<std::uint8_t>(sc << 6 | (idx & 7) << 3 |
+                                                (bas & 7))});
+        if (dispKind == 1)
+            block.push_back(0x10);
+        else if (dispKind == 2)
+            block.insert(block.end(), {0x00, 0x10, 0x00, 0x00});
+        if (++inBlock < 8)
+            continue;
+        bb::analyze(block, arch);
+        block.clear();
+        inBlock = 0;
+        if (analysis::InstInterner::statsAllArchs().records >= target)
+            return;
+    }
+    throw std::runtime_error("form generator exhausted");
+}
+
+/**
+ * Child half of MmapLoadPublishesOnlyWhatOnePredictionTouches: load
+ * FACILE_SNAPSHOT_PROBE_SNAP (eagerly with FACILE_SNAPSHOT_PROBE_EAGER),
+ * predict one SKL block, and write the load mode, the image's record
+ * count, the records published and borrowed from the image since
+ * before the load, the block's instruction count and the records
+ * sections verified.
+ */
+TEST(SnapshotProbe, FirstPredictCounts)
+{
+    const char *out = std::getenv("FACILE_SNAPSHOT_PROBE_OUT");
+    const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP");
+    if (!out || !snap)
+        GTEST_SKIP() << "probe mode only (spawned by runProbe)";
+    const analysis::InternStats s0 = analysis::InstInterner::statsAllArchs();
+    const std::uint64_t v0 = analysis::snapshotSourceStats().sectionsVerified;
+    analysis::SnapshotOptions so;
+    so.eagerLoad = std::getenv("FACILE_SNAPSHOT_PROBE_EAGER") != nullptr;
+    const analysis::SnapshotStats st = analysis::loadSnapshot(snap, so);
+    const bb::BasicBlock blk =
+        bb::analyze(snapshotSuite().front().bytesL, uarch::UArch::SKL);
+    (void)model::predict(blk, true, {}, model::tlsPredictScratch());
+    const analysis::InternStats s1 = analysis::InstInterner::statsAllArchs();
+    std::FILE *f = std::fopen(out, "w");
+    ASSERT_NE(f, nullptr);
+    std::fprintf(
+        f, "%d %zu %llu %llu %zu %llu\n", static_cast<int>(st.loadMode),
+        st.records, static_cast<unsigned long long>(s1.records - s0.records),
+        static_cast<unsigned long long>(s1.borrowed - s0.borrowed),
+        blk.insts.size(),
+        static_cast<unsigned long long>(
+            analysis::snapshotSourceStats().sectionsVerified - v0));
+    std::fclose(f);
+}
+
+/**
+ * The mmap load's cost follows what is touched, not the image size,
+ * checked by counts in fresh processes: after an mmap load and one
+ * block's prediction, at most that block's records are published, all
+ * borrowed from the image, and one records section is verified — also
+ * when the image's form universe is ten times larger. An eager load of
+ * the same image publishes every record.
+ */
+TEST(SnapshotV2, MmapLoadPublishesOnlyWhatOnePredictionTouches)
+{
+    populateInterners();
+    const std::string small = tmpPath("forms_1x");
+    const std::string big = tmpPath("forms_10x");
+    const analysis::SnapshotStats saved =
+        analysis::saveSnapshot(small, {.generations = 1});
+    // Grow the universe in a forked child so this process keeps its own.
+    const pid_t pid = ::fork();
+    ASSERT_GE(pid, 0);
+    if (pid == 0) {
+        int rc = 1;
+        try {
+            growFormUniverse(uarch::UArch::SKL, 9 * saved.records);
+            analysis::saveSnapshot(big, {.generations = 1});
+            rc = 0;
+        } catch (...) {
+        }
+        ::_exit(rc);
+    }
+    int status = 0;
+    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
+
+    struct Counts
+    {
+        int mode = -1;
+        std::size_t image = 0, insts = 0;
+        unsigned long long published = 0, borrowed = 0, verified = 0;
+    };
+    auto probe = [](const std::string &path, bool eager) {
+        Counts c;
+        const std::string text = runProbe(
+            "FACILE_SNAPSHOT_PROBE_SNAP='" + path + "' " +
+                (eager ? "FACILE_SNAPSHOT_PROBE_EAGER=1 " : ""),
+            "SnapshotProbe.FirstPredictCounts");
+        EXPECT_EQ(std::sscanf(text.c_str(), "%d %zu %llu %llu %zu %llu",
+                              &c.mode, &c.image, &c.published,
+                              &c.borrowed, &c.insts, &c.verified),
+                  6)
+            << "child failed on " << path;
+        return c;
+    };
+    const Counts one = probe(small, false);
+    const Counts ten = probe(big, false);
+    const Counts eager = probe(big, true);
+    std::remove(small.c_str());
+    std::remove(big.c_str());
+
+    EXPECT_EQ(one.image, saved.records);
+    EXPECT_GE(ten.image, 10 * one.image);
+    for (const Counts &c : {one, ten}) {
+        EXPECT_EQ(c.mode,
+                  static_cast<int>(analysis::SnapshotLoadMode::MmapV2));
+        EXPECT_GE(c.published, 1u);
+        EXPECT_LE(c.published, c.insts);
+        EXPECT_EQ(c.borrowed, c.published);
+        EXPECT_EQ(c.verified, 1u);
+    }
+    EXPECT_EQ(eager.mode,
+              static_cast<int>(analysis::SnapshotLoadMode::EagerV2));
+    EXPECT_EQ(eager.published, eager.image);
 }
 
 TEST(SnapshotV2, ModelRoundTripIsByteIdentical)
