@@ -15,10 +15,10 @@
  * Predict mode streams the corpus into one engine batch, prints
  * throughput (blocks/s) and the accuracy table, and optionally writes
  * a CSV (index, arch, loop, bytes, predicted, measured). With
- * --snapshot-load the process starts from a warm-start snapshot
- * (src/analysis/snapshot.h) instead of paying the instruction-
- * interning cold path; --snapshot-save persists the arenas (and the
- * engine's prediction cache) after the run.
+ * --snapshot-load the engine starts from a warm-start snapshot
+ * (src/analysis/snapshot.h), so blocks a previous run predicted are
+ * cache hits; --snapshot-save persists the engine's prediction cache
+ * after the run.
  *
  * With --server the predictions come from a running facile_server via
  * the pipelined client (bit-identical to the local engine), so a
@@ -243,10 +243,8 @@ main(int argc, char **argv)
             const analysis::SnapshotStats st =
                 analysis::loadSnapshot(snapLoad, {&*eng});
             std::fprintf(stderr,
-                         "[snapshot] loaded %s: %zu records (%zu new), "
-                         "%zu fused pairs, %zu cached predictions\n",
-                         snapLoad.c_str(), st.records, st.newRecords,
-                         st.fusedPairs, st.predictions);
+                         "[snapshot] loaded %s: %zu cached predictions\n",
+                         snapLoad.c_str(), st.predictions);
         } catch (const analysis::SnapshotError &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;
@@ -391,10 +389,9 @@ main(int argc, char **argv)
         try {
             const analysis::SnapshotStats st =
                 analysis::saveSnapshot(snapSave, {&*eng});
-            std::printf("[snapshot] saved %s: %zu records, %zu fused "
-                        "pairs, %zu cached predictions (%zu bytes)\n",
-                        snapSave.c_str(), st.records, st.fusedPairs,
-                        st.predictions, st.bytes);
+            std::printf("[snapshot] saved %s: %zu cached predictions "
+                        "(%zu bytes)\n",
+                        snapSave.c_str(), st.predictions, st.bytes);
         } catch (const analysis::SnapshotError &e) {
             std::fprintf(stderr, "%s\n", e.what());
             return 1;

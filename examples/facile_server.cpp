@@ -39,8 +39,7 @@
  * the shutdown summary / STATS frame.
  *
  * Warm-start snapshots (src/analysis/snapshot.h): --snapshot-load
- * restores the instruction intern arenas and the engine's prediction
- * cache before the first request, so a restarted server serves warm
+ * restores the engine's prediction cache before the first request, so a restarted server serves warm
  * immediately — falling back through rotated generations when the
  * newest file is torn (e.g. the previous process was SIGKILLed mid-
  * save), and starting cold if none loads. --snapshot-save configures
@@ -48,8 +47,7 @@
  * admin frame (server::Client::snapshot()), and once more on clean
  * shutdown. Saves are atomic (temp + fsync + rename), so a crash
  * never leaves the destination unloadable. Point both flags at the
- * same file for crash-restart round trips. Saves write the mmap-native
- * sectioned image, which restarts bind in O(pages touched).
+ * same file for crash-restart round trips.
  */
 #include <atomic>
 #include <chrono>

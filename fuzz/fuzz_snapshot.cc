@@ -4,11 +4,10 @@
  * (src/analysis/snapshot.h) — images can arrive from disk or over an
  * operator channel, so the parser must withstand arbitrary bytes.
  *
- * Drives validateSnapshot(), which runs the complete phase-1
- * parse-and-validate staging pass and commits nothing: the process-
- * wide intern arenas stay untouched whatever the input, which keeps
- * iterations independent. The harness asserts exactly that
- * (newRecords must stay 0) plus the reported size.
+ * Drives validateSnapshot(), which runs the complete validation and
+ * decodes every prediction entry but imports nothing, which keeps
+ * iterations independent. The harness asserts that it reports no load
+ * (loadMode None) plus the reported size.
  */
 #include <cstddef>
 #include <cstdint>
@@ -21,8 +20,8 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
     using namespace facile::analysis;
     try {
         const SnapshotStats st = validateSnapshot(data, size);
-        if (st.newRecords != 0)
-            __builtin_trap(); // validation must commit nothing
+        if (st.loadMode != SnapshotLoadMode::None)
+            __builtin_trap(); // validation must import nothing
         if (st.bytes != size)
             __builtin_trap();
     } catch (const SnapshotError &) {

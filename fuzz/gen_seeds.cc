@@ -16,9 +16,9 @@
 #include <vector>
 
 #include "analysis/snapshot.h"
-#include "bb/basic_block.h"
 #include "bhive/generator.h"
 #include "corpus/corpus.h"
+#include "engine/engine.h"
 #include "server/protocol.h"
 #include "uarch/config.h"
 
@@ -108,16 +108,21 @@ main(int argc, char **argv)
 
     // ---- snapshot: a real saved image --------------------------------------
     // The same seed feeds the snaptool harness (model parse + rebuild).
+    // The checked-in two_arch_image_v2 files are images of the retired
+    // version 2 and stay as rejected-input seeds.
     {
-        // Populate the intern arenas so the snapshot has sections.
+        // Fill an engine's prediction cache on two arches, both notions.
+        engine::PredictionEngine eng({.numThreads = 1});
+        std::vector<engine::Request> reqs;
         for (const auto &b : suite) {
-            bb::analyze(b.bytesU, uarch::UArch::SKL);
-            bb::analyze(b.bytesL, uarch::UArch::HSW);
+            reqs.push_back({b.bytesU, uarch::UArch::SKL, false, {}});
+            reqs.push_back({b.bytesL, uarch::UArch::HSW, true, {}});
         }
+        eng.predictBatch(reqs);
         const std::vector<std::uint8_t> img =
-            analysis::saveSnapshotToMemory();
-        writeSeed(out / "snapshot", "two_arch_image_v2", img);
-        writeSeed(out / "snaptool", "two_arch_image_v2", img);
+            analysis::saveSnapshotToMemory({&eng});
+        writeSeed(out / "snapshot", "two_arch_predictions_v3", img);
+        writeSeed(out / "snaptool", "two_arch_predictions_v3", img);
     }
 
     // ---- corpus: a closed two-record file ----------------------------------

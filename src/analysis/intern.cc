@@ -294,12 +294,8 @@ struct InstInterner::Impl
     FusedShard fused;
 
     std::atomic<std::uint64_t> misses{0}, fusedMisses{0};
-    std::atomic<std::uint64_t> borrowed{0};
     /** Published records; incremented under the publishing lock. */
     std::atomic<std::uint64_t> records{0}, fusedRecords{0};
-
-    /** Borrowed record store (mmap'd snapshot), nullptr when unbound. */
-    std::atomic<RecordSource *> source{nullptr};
 
     explicit Impl(uarch::UArch arch)
         : cfg(uarch::config(arch)),
@@ -394,28 +390,13 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
     if (rec) {
         HitCounters::add(2 * arch);
     } else {
-        // Borrowed store first: an mmap'd snapshot image can hand us
-        // the full analysis results for the canonical bytes, skipping
-        // uops::lookup + isa::instRw entirely. A source miss (or a
-        // poisoned/corrupt image) falls through to the cold path, so
-        // correctness never depends on the image.
+        // The record is the analysis of the canonical instance, so it
+        // is a pure function of the key whichever instance of the form
+        // arrived first.
+        if (std::memcmp(canon, data + pos, dec.length) != 0)
+            dec = isa::decodeOne(canon, dec.length);
         InstRecord fresh;
-        bool haveFresh = false;
-        if (RecordSource *src =
-                impl_->source.load(std::memory_order_acquire)) {
-            if (src->lookup(canon, dec.length, fresh)) {
-                impl_->borrowed.fetch_add(1, std::memory_order_relaxed);
-                haveFresh = true;
-            }
-        }
-        if (!haveFresh) {
-            // The record is the analysis of the canonical instance, so
-            // it is a pure function of the key whichever instance of
-            // the form arrived first.
-            if (std::memcmp(canon, data + pos, dec.length) != 0)
-                dec = isa::decodeOne(canon, dec.length);
-            analyzeCold(dec, fresh);
-        }
+        analyzeCold(dec, fresh);
         impl_->misses.fetch_add(1, std::memory_order_relaxed);
 
         std::lock_guard<std::mutex> lock(shard.mu);
@@ -435,8 +416,7 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
 
 /**
  * The analysis cold path: everything derived from one decoded
- * instruction on this µarch. Factored out of internAt so the borrowed
- * (snapshot-backed) path can bypass it wholesale. Consumes @p dec.
+ * instruction on this µarch. Consumes @p dec.
  */
 void
 InstInterner::analyzeCold(isa::DecodedInst &dec, InstRecord &fresh)
@@ -654,61 +634,6 @@ InstInterner::exportRecords(
     }
 }
 
-void
-InstInterner::exportFusedPairs(
-    const std::function<void(const InstRecord *first,
-                             const InstRecord *second)> &visit) const
-{
-    Impl::FusedShard &fs = impl_->fused;
-    std::lock_guard<std::mutex> lock(fs.mu);
-    for (const auto &[key, recs] : fs.map) {
-        (void)recs;
-        visit(key.first, key.second);
-    }
-}
-
-const InstRecord *
-InstInterner::importRecord(const std::uint8_t *bytes, std::size_t len,
-                           InstRecord &&rec, bool *inserted)
-{
-    const InstKey key = makeKey(bytes, len);
-    const std::size_t hash = InstKeyHash{}(key);
-    Impl::Shard &shard = impl_->shards[hash % kInternShards];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (const InstRecord *live = shard.find(hash, key)) {
-        if (inserted)
-            *inserted = false;
-        return live; // warm process: the live record wins
-    }
-    if (inserted)
-        *inserted = true;
-    impl_->records.fetch_add(1, std::memory_order_relaxed);
-    return shard.publish(hash, key, std::move(rec));
-}
-
-void
-InstInterner::bindRecordSource(RecordSource *source)
-{
-    impl_->source.store(source, std::memory_order_release);
-}
-
-void
-InstInterner::materializeBoundSource()
-{
-    RecordSource *src = impl_->source.load(std::memory_order_acquire);
-    if (!src)
-        return;
-    std::vector<const InstRecord *> byIndex;
-    src->visitAll([&](const std::uint8_t *bytes, std::size_t len,
-                      InstRecord &&rec) {
-        byIndex.push_back(importRecord(bytes, len, std::move(rec)));
-    });
-    src->visitAllPairs([&](std::uint32_t fi, std::uint32_t si) {
-        if (fi < byIndex.size() && si < byIndex.size())
-            internFused(byIndex[fi], byIndex[si]);
-    });
-}
-
 InternStats
 InstInterner::stats() const
 {
@@ -717,7 +642,6 @@ InstInterner::stats() const
     st.misses = impl_->misses.load(std::memory_order_relaxed);
     st.fusedHits = HitCounters::sum(2 * impl_->archIndex + 1);
     st.fusedMisses = impl_->fusedMisses.load(std::memory_order_relaxed);
-    st.borrowed = impl_->borrowed.load(std::memory_order_relaxed);
     st.records = impl_->records.load(std::memory_order_relaxed);
     st.fusedRecords = impl_->fusedRecords.load(std::memory_order_relaxed);
     return st;
@@ -733,7 +657,6 @@ InstInterner::statsAllArchs()
         total.misses += st.misses;
         total.fusedHits += st.fusedHits;
         total.fusedMisses += st.fusedMisses;
-        total.borrowed += st.borrowed;
         total.records += st.records;
         total.fusedRecords += st.fusedRecords;
     }

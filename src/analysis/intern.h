@@ -188,13 +188,7 @@ struct InternStats
     std::uint64_t misses = 0;
     std::uint64_t fusedHits = 0;
     std::uint64_t fusedMisses = 0;
-    /**
-     * Canonical-index misses satisfied by the bound RecordSource (an
-     * mmap'd snapshot image) instead of the decode + uops::lookup cold
-     * path. Always <= misses.
-     */
-    std::uint64_t borrowed = 0;
-    /** Canonical records published (cold path, borrowed or imported). */
+    /** Canonical records published. */
     std::uint64_t records = 0;
     /** Fused-variant records published (two per interned pair). */
     std::uint64_t fusedRecords = 0;
@@ -212,61 +206,6 @@ struct FusedRecords
 {
     const InstRecord *first = nullptr;  ///< merged combined unit
     const InstRecord *second = nullptr; ///< stripped fused branch
-};
-
-/**
- * A borrowed, read-only record store consulted by internAt between the
- * canonical-index miss and the cold analysis path — the binding that
- * makes an mmap'd snapshot v2 image (src/analysis/snapshot.h) lazily
- * materialize records on first touch instead of parsing every record
- * at load time. A successful lookup must fill @p out with a record
- * bit-identical to what the cold path would derive for the same bytes
- * (snapshot images store the full analysis results, so this holds by
- * construction); returning false simply falls through to the cold
- * path, which keeps predictions correct even when the source is
- * corrupt, poisoned, or incomplete.
- *
- * Implementations must be thread-safe and immortal (the interner
- * keeps a raw pointer for the process lifetime; rebinding replaces
- * the pointer but never frees the previous source).
- */
-class RecordSource
-{
-  public:
-    virtual ~RecordSource() = default;
-
-    /**
-     * Look up the record for the encoded instruction @p bytes
-     * (@p len <= 15). internAt passes a form's canonical bytes (see
-     * isa::canonicalForm). @return true and fill @p out on a hit.
-     */
-    virtual bool lookup(const std::uint8_t *bytes, std::size_t len,
-                        InstRecord &out) = 0;
-
-    /**
-     * Enumerate every record the source can serve, in the source's
-     * storage order. materializeBoundSource (and through it
-     * saveSnapshot) uses this so a save taken after an mmap warm
-     * start persists the image's *whole* universe, not just the
-     * records touched so far. A poisoned or non-enumerable source
-     * visits nothing — its records are simply absent, as if the
-     * process had started cold.
-     */
-    virtual void
-    visitAll(const std::function<void(const std::uint8_t *bytes,
-                                      std::size_t len, InstRecord &&rec)>
-                 & /*visit*/)
-    {}
-
-    /**
-     * Enumerate the source's macro-fused pairs as index pairs into
-     * the visitAll enumeration order.
-     */
-    virtual void
-    visitAllPairs(const std::function<void(std::uint32_t first,
-                                           std::uint32_t second)>
-                      & /*visit*/)
-    {}
 };
 
 class InstInterner
@@ -304,74 +243,16 @@ class InstInterner
     /** Aggregated counters over all nine per-arch interners. */
     static InternStats statsAllArchs();
 
-    // ---- snapshot support (src/analysis/snapshot.h) -----------------------
-    //
-    // The warm-start snapshot serializes the canonical arenas so a new
-    // process can skip the decode + uops::lookup cold path entirely.
-    // Export walks the existing state; import appends — the arenas stay
-    // append-only, so every published `const InstRecord *` remains
-    // valid and immutable throughout.
-
     /**
-     * Visit every canonical record with its key: the canonical
-     * bytes of its form (or, for records imported from an image saved
-     * before keys were canonical, that image's exact bytes).
-     * Deterministic shard-major, insertion-order walk; shard locks are
-     * held for the duration of each shard's visits, so visitors must
-     * not re-enter this interner.
+     * Visit every canonical record with its key: the canonical bytes
+     * of its form. Deterministic shard-major, insertion-order walk;
+     * shard locks are held for the duration of each shard's visits, so
+     * visitors must not re-enter this interner.
      */
     void exportRecords(
         const std::function<void(const std::uint8_t *bytes,
                                  std::size_t len, const InstRecord &rec)>
             &visit) const;
-
-    /**
-     * Visit every interned macro-fused pair as its canonical
-     * base-record pointers (the derived variants are re-derived on
-     * import via internFused, bit-identically).
-     */
-    void exportFusedPairs(
-        const std::function<void(const InstRecord *first,
-                                 const InstRecord *second)> &visit) const;
-
-    /**
-     * Publish @p rec under the encoded bytes (@p bytes, @p len) as
-     * given, without decoding or analyzing anything. Records under
-     * non-canonical keys (older images) are correct but never probed.
-     * If the key is already interned the existing record wins (and
-     * @p rec is dropped), so a snapshot loaded into a warm process
-     * never invalidates published pointers. Returns the canonical record; @p inserted (optional)
-     * reports whether @p rec was appended.
-     */
-    const InstRecord *importRecord(const std::uint8_t *bytes,
-                                   std::size_t len, InstRecord &&rec,
-                                   bool *inserted = nullptr);
-
-    /**
-     * Bind @p source as this interner's borrowed record store (see
-     * RecordSource). internAt consults it on every canonical-index miss
-     * before falling back to decode + analysis, so records of an
-     * mmap'd snapshot materialize on first touch — O(1) work at bind
-     * time regardless of universe size. @p source must outlive the
-     * process (snapshot images are immortal once bound); passing
-     * nullptr unbinds. Rebinding replaces the previous source for
-     * *future* misses; already-materialized records are unaffected
-     * (arenas stay append-only).
-     */
-    void bindRecordSource(RecordSource *source);
-
-    /**
-     * Import every record (and fused pair) the bound source can
-     * enumerate into the canonical arenas, deduplicating through the
-     * usual importRecord path (live records win). No-op without a
-     * bound source. saveSnapshot calls this before exporting so a
-     * process warm-started from an mmap'd image saves the full
-     * universe — the lazy views are invisible to exportRecords, and
-     * without this step a save-after-mmap-start would silently shrink
-     * the snapshot to the records touched so far. O(records) time and
-     * memory, which a save already pays to write the file.
-     */
-    void materializeBoundSource();
 
     InstInterner(const InstInterner &) = delete;
     InstInterner &operator=(const InstInterner &) = delete;

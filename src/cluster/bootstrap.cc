@@ -52,23 +52,14 @@ convergeWithImage(const std::uint8_t *data, std::size_t size,
                   engine::PredictionEngine *engine)
 {
     try {
-        const analysis::SnapshotModel peer =
-            analysis::parseSnapshotModel(data, size);
-        const std::vector<std::uint8_t> localImg =
-            analysis::saveSnapshotToMemory({engine, 1});
-        const analysis::SnapshotModel local =
-            analysis::parseSnapshotModel(localImg.data(),
-                                         localImg.size());
-        analysis::SnapshotModelSet set;
-        set.accumulate(local, "local");
-        set.accumulate(peer, "peer");
-        const std::vector<std::uint8_t> merged =
-            analysis::buildSnapshotImage(set.canonical());
+        // Conflict check first: a key both sides hold must carry one
+        // payload, or the peer runs a different model build.
+        analysis::mergeSnapshotModels(
+            {analysis::snapshotModelOf(engine),
+             analysis::parseSnapshotModel(data, size)});
         // Append-only fold: keys we already hold keep their live
-        // records, the peer's novelty is interned, its cached
-        // predictions land in the engine's cache.
-        analysis::loadSnapshotFromMemory(merged.data(), merged.size(),
-                                         {engine});
+        // entries, the peer's novel predictions land in our cache.
+        analysis::loadSnapshotFromMemory(data, size, {engine});
         return true;
     } catch (const std::exception &e) {
         std::fprintf(stderr, "convergence: round aborted: %s\n",

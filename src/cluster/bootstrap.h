@@ -2,31 +2,31 @@
  * @file
  * Replica bootstrap and convergence: the two snapshot-over-the-wire
  * consumers that turn N independent prediction servers into a fleet
- * with a shared warm universe.
+ * with a shared warm prediction cache.
  *
- * Bootstrap: a starting replica fetches a peer's live v2 image over
+ * Bootstrap: a starting replica fetches a peer's live image over
  * the SNAPSHOT-fetch admin op (Client::fetchSnapshot, retried through
  * ResilientClient — the peer may itself be starting or shedding) and
  * stages it to its own snapshot path via the same atomic temp-file +
  * fsync + generation-rotation writer the save path uses. The staged
  * bytes are exactly what the peer's saveSnapshot would have written,
- * so the replica's ordinary loadSnapshot() — mmap bind, lazy
- * materialization, the whole PR 6 fallback ladder — serves the warm
- * start unchanged, in milliseconds. A torn or corrupted fetch is
+ * so the replica's ordinary loadSnapshot() — validation and the
+ * generation fallback ladder — serves the warm start unchanged, in
+ * milliseconds. A torn or corrupted fetch is
  * rejected by the full deep validation BEFORE anything touches disk:
  * the replica falls back to a cold start, never to a poisoned one.
  *
- * Convergence: replicas behind a hashing router each analyze only
- * their shard of the instruction universe. The ConvergenceLoop is the
- * background cadence that periodically fetches each peer's image and
- * folds the UNION into the local process through the snapshot model
- * set (SnapshotModelSet — order-independent, commutative, the same
- * layer facile_snaptool merge drives), then loads the merged image
- * back through the append-only loadSnapshotFromMemory path: records
- * already interned keep their live pointers, new ones appear, nothing
- * is ever dropped. Conflicts (two replicas carrying different records
- * behind one key — impossible unless they run different analysis
- * code) abort that round and are counted, not propagated.
+ * Convergence: replicas behind a hashing router each predict only
+ * their shard of the traffic. The ConvergenceLoop is the background
+ * cadence that periodically fetches each peer's image and folds it
+ * into the local engine through the append-only
+ * loadSnapshotFromMemory path: keys already cached keep their live
+ * entries, new ones appear, nothing is ever dropped. Before the fold,
+ * mergeSnapshotModels (the union facile_snaptool merge drives) checks
+ * the peer's entries against the local cache; a conflict (two
+ * replicas carrying different predictions behind one key — impossible
+ * unless they run different model builds) aborts that round and is
+ * counted, not propagated.
  */
 #ifndef FACILE_CLUSTER_BOOTSTRAP_H
 #define FACILE_CLUSTER_BOOTSTRAP_H
@@ -81,12 +81,11 @@ struct ConvergenceStats
 };
 
 /**
- * Fold one peer image into this process: parse it, parse our own live
- * state (saveSnapshotToMemory), union both through SnapshotModelSet,
- * and load the canonical merged image back through the append-only
- * in-memory path — existing records keep their published pointers,
- * the peer's novel records and cached predictions appear. Returns
- * false (and folds nothing) on a malformed image or a merge conflict.
+ * Fold one peer image into @p engine: parse it, check it against the
+ * engine's cache (mergeSnapshotModels over snapshotModelOf), and load
+ * it through the append-only in-memory path — existing entries stay,
+ * the peer's novel predictions appear. Returns false (and folds
+ * nothing) on a malformed image or a merge conflict.
  */
 bool convergeWithImage(const std::uint8_t *data, std::size_t size,
                        engine::PredictionEngine *engine);

@@ -1,8 +1,6 @@
 #include "corpus/sections.h"
 
 #include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -119,93 +117,6 @@ xxh64(const void *data, std::size_t len, std::uint64_t seed)
     return h;
 }
 
-Xxh64State::Xxh64State(std::uint64_t seed) : seed_(seed)
-{
-    v_[0] = seed + kPrime1 + kPrime2;
-    v_[1] = seed + kPrime2;
-    v_[2] = seed;
-    v_[3] = seed - kPrime1;
-}
-
-void
-Xxh64State::update(const void *data, std::size_t len)
-{
-    const auto *p = static_cast<const std::uint8_t *>(data);
-    total_ += len;
-
-    if (bufLen_ + len < 32) {
-        std::memcpy(buf_ + bufLen_, p, len);
-        bufLen_ += len;
-        return;
-    }
-    if (bufLen_ > 0) {
-        // Complete the pending 32-byte stripe from the new input.
-        const std::size_t fill = 32 - bufLen_;
-        std::memcpy(buf_ + bufLen_, p, fill);
-        v_[0] = round1(v_[0], readU64(buf_));
-        v_[1] = round1(v_[1], readU64(buf_ + 8));
-        v_[2] = round1(v_[2], readU64(buf_ + 16));
-        v_[3] = round1(v_[3], readU64(buf_ + 24));
-        p += fill;
-        len -= fill;
-        bufLen_ = 0;
-    }
-    while (len >= 32) {
-        v_[0] = round1(v_[0], readU64(p));
-        v_[1] = round1(v_[1], readU64(p + 8));
-        v_[2] = round1(v_[2], readU64(p + 16));
-        v_[3] = round1(v_[3], readU64(p + 24));
-        p += 32;
-        len -= 32;
-    }
-    if (len > 0) {
-        std::memcpy(buf_, p, len);
-        bufLen_ = len;
-    }
-}
-
-std::uint64_t
-Xxh64State::digest() const
-{
-    std::uint64_t h;
-    if (total_ >= 32) {
-        h = rotl64(v_[0], 1) + rotl64(v_[1], 7) + rotl64(v_[2], 12) +
-            rotl64(v_[3], 18);
-        h = mergeRound(h, v_[0]);
-        h = mergeRound(h, v_[1]);
-        h = mergeRound(h, v_[2]);
-        h = mergeRound(h, v_[3]);
-    } else {
-        h = seed_ + kPrime5;
-    }
-    h += total_;
-
-    const std::uint8_t *p = buf_;
-    const std::uint8_t *const end = buf_ + bufLen_;
-    while (p + 8 <= end) {
-        h ^= round1(0, readU64(p));
-        h = rotl64(h, 27) * kPrime1 + kPrime4;
-        p += 8;
-    }
-    if (p + 4 <= end) {
-        h ^= static_cast<std::uint64_t>(readU32(p)) * kPrime1;
-        h = rotl64(h, 23) * kPrime2 + kPrime3;
-        p += 4;
-    }
-    while (p < end) {
-        h ^= static_cast<std::uint64_t>(*p) * kPrime5;
-        h = rotl64(h, 11) * kPrime1;
-        ++p;
-    }
-
-    h ^= h >> 33;
-    h *= kPrime2;
-    h ^= h >> 29;
-    h *= kPrime3;
-    h ^= h >> 32;
-    return h;
-}
-
 // ---- section table codec ---------------------------------------------------
 
 std::vector<std::uint8_t>
@@ -236,7 +147,7 @@ decodeSectionTable(const std::uint8_t *data, std::size_t size,
     return entries;
 }
 
-// ---- durable streaming writer ----------------------------------------------
+// ---- durable buffered writer -----------------------------------------------
 
 std::string
 generationPath(const std::string &path, int gen)
@@ -306,7 +217,6 @@ AtomicFileWriter::write(const void *data, std::size_t len)
         buf_.insert(buf_.end(), p, p + take);
         p += take;
         len -= take;
-        offset_ += take;
     }
 }
 
@@ -333,46 +243,6 @@ AtomicFileWriter::flush()
         throw SectionError("short write on " + tmp_);
     }
     buf_.clear();
-}
-
-void
-AtomicFileWriter::padTo(std::uint64_t align)
-{
-    static const std::uint8_t zeros[512] = {};
-    std::uint64_t need = alignUp(offset_, align) - offset_;
-    while (need > 0) {
-        const std::size_t n =
-            static_cast<std::size_t>(std::min<std::uint64_t>(
-                need, sizeof zeros));
-        write(zeros, n);
-        need -= n;
-    }
-}
-
-void
-AtomicFileWriter::writeAt(std::uint64_t off, const void *data,
-                          std::size_t len)
-{
-    if (off + len > offset_) {
-        abort();
-        throw SectionError("patch past end of " + tmp_);
-    }
-    flush(); // the patched range must already be in the file
-    const auto fa = testing::faultPoint((site_ + ".write").c_str(), len);
-    bool ok;
-    if (fa.err) {
-        errno = fa.err;
-        ok = false;
-    } else {
-        const std::size_t n = std::min(len, fa.clamp);
-        ok = std::fseek(f_, static_cast<long>(off), SEEK_SET) == 0 &&
-             std::fwrite(data, 1, n, f_) == n && n == len &&
-             std::fseek(f_, static_cast<long>(offset_), SEEK_SET) == 0;
-    }
-    if (!ok) {
-        abort();
-        throw SectionError("short patch write on " + tmp_);
-    }
 }
 
 void
@@ -441,84 +311,6 @@ AtomicFileWriter::commit()
     }
     fsyncParentDir(path_);
     committed_ = true;
-}
-
-// ---- MappedFile ------------------------------------------------------------
-
-MappedFile::~MappedFile()
-{
-    close();
-}
-
-MappedFile::MappedFile(MappedFile &&o) noexcept
-    : base_(o.base_), size_(o.size_)
-{
-    o.base_ = nullptr;
-    o.size_ = 0;
-}
-
-MappedFile &
-MappedFile::operator=(MappedFile &&o) noexcept
-{
-    if (this != &o) {
-        close();
-        base_ = o.base_;
-        size_ = o.size_;
-        o.base_ = nullptr;
-        o.size_ = 0;
-    }
-    return *this;
-}
-
-void
-MappedFile::close() noexcept
-{
-    if (base_) {
-        ::munmap(base_, size_);
-        base_ = nullptr;
-        size_ = 0;
-    }
-}
-
-bool
-MappedFile::open(const std::string &path, const char *faultSite)
-{
-    const int fd = ::open(path.c_str(), O_RDONLY);
-    if (fd < 0)
-        return false;
-    struct ::stat sb;
-    if (::fstat(fd, &sb) != 0 || sb.st_size <= 0) {
-        ::close(fd);
-        return false;
-    }
-    void *p;
-    const auto fa = testing::faultPoint(faultSite, 0);
-    if (fa.err) {
-        errno = fa.err;
-        p = MAP_FAILED;
-    } else {
-        p = ::mmap(nullptr, static_cast<std::size_t>(sb.st_size),
-                   PROT_READ, MAP_PRIVATE, fd, 0);
-    }
-    ::close(fd); // the mapping keeps its own reference
-    if (p == MAP_FAILED)
-        throw SectionError("cannot mmap " + path);
-    base_ = static_cast<std::uint8_t *>(p);
-    size_ = static_cast<std::size_t>(sb.st_size);
-    return true;
-}
-
-void
-MappedFile::willNeed(std::uint64_t off, std::uint64_t len) const
-{
-    if (!base_ || off >= size_)
-        return;
-    const std::uint64_t page = kSectionAlign;
-    const std::uint64_t start = off & ~(page - 1);
-    const std::uint64_t end =
-        std::min<std::uint64_t>(size_, alignUp(off + len, page));
-    ::madvise(base_ + start, static_cast<std::size_t>(end - start),
-              MADV_WILLNEED);
 }
 
 } // namespace facile::corpus

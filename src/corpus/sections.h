@@ -1,12 +1,11 @@
 /**
  * @file
- * Shared building blocks for sectioned container files (the mmap-able
- * snapshot v2 image today; sectioned corpora next): a 64-bit xxHash,
- * a fixed 64-byte section-table entry with page-aligned payload
- * offsets and a per-section hash, and a streaming atomic file writer
- * that keeps the crash-safety contract of snapshot saves (temp file →
- * incremental writes → fsync → generation rotation → rename → parent
- * dir fsync) without ever materializing the whole image in memory.
+ * Shared building blocks for sectioned container files (the snapshot
+ * image today; sectioned corpora next): a 64-bit xxHash, a fixed
+ * 64-byte section-table entry with page-aligned payload offsets and a
+ * per-section hash, and a buffered atomic file writer that keeps the
+ * crash-safety contract of snapshot saves (temp file → writes → fsync
+ * → generation rotation → rename → parent dir fsync).
  *
  * Everything here is format-agnostic: the container owner supplies the
  * magic/header layout and the meaning of SectionEntry::type/tag; this
@@ -38,11 +37,7 @@ class SectionError : public std::runtime_error
     {}
 };
 
-/**
- * Section payloads start on this boundary so a file mapped at a
- * page-aligned base address yields page-aligned (hence safely
- * memcpy/overlay-able) section views on every mainstream kernel.
- */
+/** Section payloads start on this boundary. */
 inline constexpr std::uint64_t kSectionAlign = 4096;
 
 /** Value all sectioned containers stamp as their endianness witness. */
@@ -62,30 +57,6 @@ alignUp(std::uint64_t v, std::uint64_t align)
  */
 std::uint64_t xxh64(const void *data, std::size_t len,
                     std::uint64_t seed = 0);
-
-/**
- * Streaming XXH64: feed bytes incrementally, digest() at any point.
- * digest(state fed X) == xxh64(X) for every split of X — the property
- * that lets writers checksum sections while streaming them to disk
- * instead of materializing them in memory.
- */
-class Xxh64State
-{
-  public:
-    explicit Xxh64State(std::uint64_t seed = 0);
-
-    void update(const void *data, std::size_t len);
-
-    /** Hash of everything fed so far (does not consume the state). */
-    std::uint64_t digest() const;
-
-  private:
-    std::uint64_t v_[4];
-    std::uint64_t total_ = 0;
-    std::uint64_t seed_;
-    std::uint8_t buf_[32];
-    std::size_t bufLen_ = 0;
-};
 
 /**
  * One section-table entry, exactly 64 bytes on disk and in memory
@@ -120,15 +91,15 @@ encodeSectionTable(const std::vector<SectionEntry> &entries);
 /**
  * Decode a section table of @p count entries from @p data (@p size
  * bytes) and validate every entry against the containing file size:
- * payload in bounds, no overflow, mappable offsets aligned when
- * @p requireAligned. @throws SectionError.
+ * payload in bounds, no overflow, reserved fields zero.
+ * @throws SectionError.
  */
 std::vector<SectionEntry>
 decodeSectionTable(const std::uint8_t *data, std::size_t size,
                    std::uint32_t count, std::uint64_t fileBytes);
 
 /**
- * Streaming durable writer with the snapshot crash-safety contract.
+ * Buffered durable writer with the snapshot crash-safety contract.
  * Bytes go to `path.tmp.<pid>`; commit() fsyncs, rotates existing
  * generations (`path` → `path.g1` → ...), renames the temp file over
  * @p path and fsyncs the parent directory. Abandoning the writer
@@ -137,13 +108,11 @@ decodeSectionTable(const std::uint8_t *data, std::size_t size,
  *
  * Fault injection: each syscall boundary consults the named hook
  * `<sitePrefix>.{open,write,fsync,rotate,rename}` via
- * testing::faultPoint, so the existing torn-write / failed-rename
- * matrices exercise v2 saves identically to v1. Appends are staged
- * through a fixed buffer and the write hook fires once per flushed
- * chunk, not once per append — a streamed save hits the fault site
- * O(bytes / kWriteBuf) times like the old whole-image write did, so
- * seeded chaos (1-in-N per hit) doesn't make large saves
- * statistically impossible.
+ * testing::faultPoint, which the torn-write / failed-rename matrices
+ * arm. Appends are staged through a fixed buffer and the write hook
+ * fires once per flushed chunk, not once per append — a save hits the
+ * fault site O(bytes / kWriteBuf) times, so seeded chaos (1-in-N per
+ * hit) doesn't make large saves statistically impossible.
  */
 class AtomicFileWriter
 {
@@ -157,20 +126,6 @@ class AtomicFileWriter
 
     /** Append @p len bytes at the current offset. @throws SectionError. */
     void write(const void *data, std::size_t len);
-
-    /** Zero-fill forward until offset() is @p align-aligned. */
-    void padTo(std::uint64_t align);
-
-    /**
-     * Overwrite @p len bytes at absolute offset @p off (must already
-     * have been written) — used to patch headers and tables whose
-     * contents are only known once the payload has streamed out.
-     * Restores the append position.
-     */
-    void writeAt(std::uint64_t off, const void *data, std::size_t len);
-
-    /** Bytes appended so far (== the final file size at commit). */
-    std::uint64_t offset() const { return offset_; }
 
     /** Flush + fsync + rotate + rename + dir fsync. @throws SectionError. */
     void commit();
@@ -187,7 +142,6 @@ class AtomicFileWriter
     std::string site_;
     int generations_;
     std::FILE *f_ = nullptr;
-    std::uint64_t offset_ = 0; ///< logical bytes appended (incl. buffered)
     std::vector<std::uint8_t> buf_;
     bool committed_ = false;
 };
@@ -200,47 +154,6 @@ std::string generationPath(const std::string &path, int gen);
  * rename itself may not survive power loss). Failure is ignored.
  */
 void fsyncParentDir(const std::string &path);
-
-/**
- * A read-only mmap(2) view of a whole file. open() returns false when
- * the file cannot be opened; it throws SectionError when the file
- * exists but cannot be mapped (callers fall back to a read() path).
- * The mapping is MAP_PRIVATE: on-disk mutation after open never
- * changes the view's validity, only its contents (which per-section
- * hashes catch).
- */
-class MappedFile
-{
-  public:
-    MappedFile() = default;
-    ~MappedFile();
-
-    MappedFile(const MappedFile &) = delete;
-    MappedFile &operator=(const MappedFile &) = delete;
-    MappedFile(MappedFile &&o) noexcept;
-    MappedFile &operator=(MappedFile &&o) noexcept;
-
-    /**
-     * Map @p path read-only. @p faultSite names the injection hook
-     * consulted before the mmap syscall. @return false when the file
-     * cannot be opened or stat'd; @throws SectionError when mmap
-     * itself fails (fallback-worthy, not fatal).
-     */
-    bool open(const std::string &path, const char *faultSite);
-
-    /** Hint the kernel to prefetch [off, off+len) of the mapping. */
-    void willNeed(std::uint64_t off, std::uint64_t len) const;
-
-    const std::uint8_t *data() const { return base_; }
-    std::size_t size() const { return size_; }
-    bool valid() const { return base_ != nullptr; }
-
-  private:
-    void close() noexcept;
-
-    std::uint8_t *base_ = nullptr;
-    std::size_t size_ = 0;
-};
 
 } // namespace facile::corpus
 

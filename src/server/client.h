@@ -103,13 +103,13 @@ class Client
     bool snapshot();
 
     /**
-     * Fetch the server's live universe as a v2 snapshot image (the
-     * SNAPSHOT-fetch subop): the chunk stream is reassembled and the
-     * whole image returned, ready for analysis::loadSnapshotFromMemory
-     * or an AtomicFileWriter spill to disk for the mmap warm-start
-     * path. The image digests identically to a local v2 save of the
-     * same server state. Throws ProtocolError against servers too old
-     * to know the subop (they answer BadRequest).
+     * Fetch the server's live prediction cache as a snapshot image
+     * (the SNAPSHOT-fetch subop): the chunk stream is reassembled and
+     * the whole image returned, ready for
+     * analysis::loadSnapshotFromMemory or an AtomicFileWriter spill to
+     * disk for a warm start. The image is byte-identical to a local
+     * save of the same server state. Throws ProtocolError against
+     * servers too old to know the subop (they answer BadRequest).
      */
     std::vector<std::uint8_t> fetchSnapshot();
 

@@ -66,12 +66,12 @@
  * SNAPSHOT subops (the first request-payload byte; an empty payload
  * means SAVE for compatibility with pre-cluster clients):
  *
- *   0 = SAVE   persist a warm-start snapshot — intern arenas +
- *              prediction cache — to the operator-configured
+ *   0 = SAVE   persist a warm-start snapshot (the prediction
+ *              cache) to the operator-configured
  *              snapshotPath; answers BAD_REQUEST when no path is
  *              configured or the save fails. The path is never taken
  *              from the wire.
- *   1 = FETCH  stream the live snapshot image (always format v2) to
+ *   1 = FETCH  stream the live snapshot image (format version 3) to
  *              the caller: the response is a SEQUENCE of frames, all
  *              carrying the request id, op SNAPSHOT, status OK, each
  *              with a chunk payload
@@ -84,7 +84,7 @@
  *              totalBytes (a zero-byte image is one data-less chunk).
  *              This is how a new replica bootstraps: fetch a peer's
  *              image, validate, land it on disk, and warm-start
- *              bit-identically through the normal mmap load path.
+ *              bit-identically through the normal load path.
  *              Servers that predate the subop answer BAD_REQUEST —
  *              callers fall back to a cold start.
  *
@@ -276,11 +276,11 @@ struct ServerStats
     std::uint64_t drainSheds = 0;        ///< PREDICTs answered DRAINING
     std::uint64_t snapshotFallbacks = 0; ///< warm-start generations skipped
 
-    // Appended in PR 9 (mmap-native snapshot v2).
+    // Appended after the fault-tolerance counters.
     /**
-     * How the warm-start snapshot was brought in, as the numeric
-     * value of analysis::SnapshotLoadMode: 0 none/cold, 2 eager v2
-     * parse, 3 v2 mmap bind (O(pages-touched) start). 1 is retired.
+     * Whether a warm-start snapshot was loaded, as the numeric value
+     * of analysis::SnapshotLoadMode: 0 none/cold, 2 loaded. 1 and 3
+     * are retired.
      */
     std::uint64_t snapshotLoadMode = 0;
 

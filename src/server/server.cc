@@ -590,27 +590,17 @@ struct PredictionServer::Impl : LoopHandler
                 opts.snapshotLoadPath, {engine, opts.snapshotGenerations});
             snapshotFallbacks.fetch_add(st.generation,
                                         std::memory_order_relaxed);
-            // An image that could not be mmap-bound (failed mmap,
-            // unaligned foreign image) still warm-starts via the
-            // eager parse — count the lost O(pages-touched) start as
-            // a degradation alongside generation fallbacks.
-            if (st.loadMode == analysis::SnapshotLoadMode::EagerV2)
-                snapshotFallbacks.fetch_add(1, std::memory_order_relaxed);
             snapshotLoadMode.store(
                 static_cast<std::uint64_t>(st.loadMode),
                 std::memory_order_relaxed);
             std::fprintf(
                 stderr,
-                "warm start: %zu records, %zu predictions from %s"
-                " (generation %zu, %s)\n",
-                st.records, st.predictions,
+                "warm start: %zu predictions from %s (generation %zu)\n",
+                st.predictions,
                 analysis::snapshotGenerationPath(
                     opts.snapshotLoadPath, static_cast<int>(st.generation))
                     .c_str(),
-                st.generation,
-                st.loadMode == analysis::SnapshotLoadMode::MmapV2
-                    ? "v2 mmap"
-                    : "v2 eager parse");
+                st.generation);
         } catch (const std::exception &e) {
             snapshotFallbacks.fetch_add(
                 static_cast<std::uint64_t>(

@@ -147,8 +147,8 @@ struct ServerOptions
     /**
      * Warm-start snapshot destination (src/analysis/snapshot.h). When
      * non-empty, saveSnapshot() — reachable via the SNAPSHOT admin
-     * frame or the operator's signal handler — persists the intern
-     * arenas and the serving engine's prediction cache there. Empty
+     * frame or the operator's signal handler — persists the serving
+     * engine's prediction cache there. Empty
      * disables the op (SNAPSHOT answers BAD_REQUEST): the path is
      * always operator-chosen, never taken from the wire. Saves are
      * atomic and generation-rotated (see snapshot.h "Crash safety").

@@ -2,16 +2,17 @@
  * @file
  * facile_snaptool — offline snapshot surgery (src/tools/README.md).
  *
- * Works on the parsed SnapshotModel (analysis/snapshot.h): every
- * mutating subcommand rebuilds a deterministic image from that model,
- * so an unchanged model rebuilds to the same bytes.
+ * Works on the parsed SnapshotModel (analysis/snapshot.h), a list of
+ * (engine cache key, prediction payload) entries: diff, merge and
+ * compact are set operations over those entries, and every mutating
+ * subcommand rebuilds a deterministic image from the result.
  *
  * Subcommands:
- *   dump <file> [--hex]                    layout + per-arch stats
+ *   dump <file> [--hex]                    layout + stats
  *   verify <file>...                       deep validation, CI-friendly
- *   diff <a> <b>                           logical comparison
- *   merge <out> <in>... [--dry-run]
- *   compact <in> [--out P] [--drop-predictions] [--dry-run]
+ *   diff <a> <b>                           set comparison
+ *   merge <out> <in>... [--dry-run]        sorted union
+ *   compact <in> [--out P] [--dry-run]     sorted, deduplicated rewrite
  *
  * Exit codes: 0 success (verify: all valid; diff: identical),
  * 1 semantic failure (invalid image, diff mismatch, merge conflict),
@@ -22,18 +23,14 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstring>
 #include <map>
-#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
 #include "corpus/sections.h"
-#include "uarch/config.h"
 
 namespace {
 
@@ -88,26 +85,16 @@ writeAtomic(const std::string &path, const std::vector<std::uint8_t> &bytes)
     }
 }
 
-const char *
-archName(std::uint32_t archWord)
-{
-    const auto &all = facile::uarch::allUArchs();
-    if (archWord >= all.size())
-        return "?";
-    return facile::uarch::config(all[archWord]).abbrev;
-}
-
-// ---- canonical model (merge / compact) -------------------------------------
-//
-// The set/union layer itself lives in the library
-// (analysis::SnapshotModelSet) — it doubles as the cluster-mode
-// replica-convergence primitive, so the tool and the ConvergenceLoop
-// merge identically by construction.
-
-using ModelSet = facile::analysis::SnapshotModelSet;
-using ArchSet = ModelSet::ArchSet;
-
 // ---- subcommands -----------------------------------------------------------
+
+/** An image's entries keyed for set comparison. */
+std::map<std::string, std::vector<std::uint8_t>>
+entriesOf(const std::vector<std::uint8_t> &img)
+{
+    const SnapshotModel m =
+        facile::analysis::parseSnapshotModel(img.data(), img.size());
+    return {m.predictions.begin(), m.predictions.end()};
+}
 
 int
 cmdDump(const std::vector<std::string> &args)
@@ -129,36 +116,21 @@ cmdDump(const std::vector<std::string> &args)
     const facile::analysis::SnapshotStats st =
         facile::analysis::validateSnapshot(img.data(), img.size());
     std::printf("file:        %s\n", path.c_str());
-    std::printf("format:      v2\n");
+    std::printf("format:      v%u\n", facile::analysis::kSnapshotVersion);
     std::printf("bytes:       %zu\n", img.size());
-    std::printf("records:     %zu\n", st.records);
-    std::printf("fused pairs: %zu\n", st.fusedPairs);
     std::printf("predictions: %zu\n", st.predictions);
 
-    const SnapshotModel m =
-        facile::analysis::parseSnapshotModel(img.data(), img.size());
-    for (const SnapshotModel::Arch &a : m.arches)
-        std::printf("  arch %-4s records %-6zu pairs %zu\n",
-                    archName(a.arch), a.records.size(),
-                    a.fusedPairs.size());
-
-    std::uint32_t count = 0;
-    std::memcpy(&count, img.data() + 20, 4);
-    const auto table = facile::corpus::decodeSectionTable(
-        img.data() + 64, img.size() - 64, count, img.size());
-    std::printf("sections:    %u\n", count);
-    for (const facile::corpus::SectionEntry &e : table) {
-        static const char *kTypes[] = {"?", "records", "pairs",
-                                       "predictions"};
-        std::printf("  %-11s tag %-4s offset %-10llu length %-10llu "
+    const auto table =
+        facile::corpus::decodeSectionTable(img.data() + 64,
+                                           img.size() - 64, 1, img.size());
+    std::printf("sections:    %zu\n", table.size());
+    for (const facile::corpus::SectionEntry &e : table)
+        std::printf("  predictions offset %-10llu length %-10llu "
                     "items %-6llu hash %016llx\n",
-                    e.type < 4 ? kTypes[e.type] : "?",
-                    e.type == 3 ? "-" : archName(e.tag),
                     static_cast<unsigned long long>(e.offset),
                     static_cast<unsigned long long>(e.length),
                     static_cast<unsigned long long>(e.itemCount),
                     static_cast<unsigned long long>(e.hash));
-    }
 
     if (hex) {
         const std::size_t n = std::min<std::size_t>(img.size(), 64);
@@ -185,9 +157,8 @@ cmdVerify(const std::vector<std::string> &args)
             const facile::analysis::SnapshotStats st =
                 facile::analysis::validateSnapshot(img.data(),
                                                    img.size());
-            std::printf("OK   %s  v2, %zu records, %zu pairs, "
-                        "%zu predictions\n",
-                        path.c_str(), st.records, st.fusedPairs,
+            std::printf("OK   %s  v%u, %zu predictions\n", path.c_str(),
+                        facile::analysis::kSnapshotVersion,
                         st.predictions);
         } catch (const std::exception &e) {
             std::printf("FAIL %s  %s\n", path.c_str(), e.what());
@@ -202,85 +173,29 @@ cmdDiff(const std::vector<std::string> &args)
 {
     if (args.size() != 2)
         throw UsageError("diff takes exactly two files");
-    const std::vector<std::uint8_t> ia = slurp(args[0]);
-    const std::vector<std::uint8_t> ib = slurp(args[1]);
-    ModelSet sa, sb;
-    sa.accumulate(facile::analysis::parseSnapshotModel(ia.data(),
-                                                       ia.size()),
-                  args[0]);
-    sb.accumulate(facile::analysis::parseSnapshotModel(ib.data(),
-                                                       ib.size()),
-                  args[1]);
+    const auto a = entriesOf(slurp(args[0]));
+    const auto b = entriesOf(slurp(args[1]));
 
-    std::size_t differences = 0;
-    auto report = [&](const char *what, std::size_t n, const char *dir) {
-        if (n == 0)
-            return;
-        differences += n;
-        std::printf("%s: %zu %s\n", what, n, dir);
-    };
-
-    std::set<std::uint32_t> archWords;
-    for (const auto &[w, _] : sa.arches)
-        archWords.insert(w);
-    for (const auto &[w, _] : sb.arches)
-        archWords.insert(w);
-    for (std::uint32_t w : archWords) {
-        const ArchSet empty;
-        const ArchSet &a = sa.arches.count(w) ? sa.arches[w] : empty;
-        const ArchSet &b = sb.arches.count(w) ? sb.arches[w] : empty;
-        std::size_t onlyA = 0, onlyB = 0, changed = 0;
-        for (const auto &[key, enc] : a.records) {
-            auto it = b.records.find(key);
-            if (it == b.records.end())
-                ++onlyA;
-            else if (it->second.first != enc.first)
-                ++changed;
-        }
-        for (const auto &[key, enc] : b.records)
-            if (!a.records.count(key))
-                ++onlyB;
-        std::size_t pairsOnlyA = 0, pairsOnlyB = 0;
-        for (const auto &p : a.pairs)
-            pairsOnlyA += !b.pairs.count(p);
-        for (const auto &p : b.pairs)
-            pairsOnlyB += !a.pairs.count(p);
-        if (onlyA + onlyB + changed + pairsOnlyA + pairsOnlyB) {
-            std::printf("arch %s:\n", archName(w));
-            report("  records", onlyA, "only in A");
-            report("  records", onlyB, "only in B");
-            report("  records", changed, "changed");
-            report("  pairs", pairsOnlyA, "only in A");
-            report("  pairs", pairsOnlyB, "only in B");
-        }
-    }
-
-    std::size_t pOnlyA = 0, pOnlyB = 0, pChanged = 0;
-    for (const auto &[key, payload] : sa.predictions) {
-        auto it = sb.predictions.find(key);
-        if (it == sb.predictions.end())
-            ++pOnlyA;
+    std::size_t onlyA = 0, onlyB = 0, changed = 0;
+    for (const auto &[key, payload] : a) {
+        const auto it = b.find(key);
+        if (it == b.end())
+            ++onlyA;
         else if (it->second != payload)
-            ++pChanged;
+            ++changed;
     }
-    for (const auto &[key, _] : sb.predictions)
-        if (!sa.predictions.count(key))
-            ++pOnlyB;
-    report("predictions", pOnlyA, "only in A");
-    report("predictions", pOnlyB, "only in B");
-    report("predictions", pChanged, "changed");
+    for (const auto &[key, _] : b)
+        onlyB += !a.count(key);
 
-    if (differences == 0) {
-        std::printf("identical: %zu records, %zu predictions\n",
-                    [&] {
-                        std::size_t n = 0;
-                        for (const auto &[_, a] : sa.arches)
-                            n += a.records.size();
-                        return n;
-                    }(),
-                    sa.predictions.size());
+    if (onlyA + onlyB + changed == 0) {
+        std::printf("identical: %zu predictions\n", a.size());
         return 0;
     }
+    for (const auto &[n, what] : {std::pair{onlyA, "only in A"},
+                                  std::pair{onlyB, "only in B"},
+                                  std::pair{changed, "changed"}})
+        if (n)
+            std::printf("predictions: %zu %s\n", n, what);
     return 1;
 }
 
@@ -291,10 +206,9 @@ emitImage(const std::vector<std::uint8_t> &img, const std::string &out,
 {
     const facile::analysis::SnapshotStats st =
         facile::analysis::validateSnapshot(img.data(), img.size());
-    std::printf("%s%s: %zu bytes, %zu records, %zu pairs, "
-                "%zu predictions\n",
+    std::printf("%s%s: %zu bytes, %zu predictions\n",
                 dryRun ? "would write " : "wrote ", out.c_str(),
-                img.size(), st.records, st.fusedPairs, st.predictions);
+                img.size(), st.predictions);
     if (!dryRun)
         writeAtomic(out, img);
     return 0;
@@ -317,14 +231,14 @@ cmdMerge(const std::vector<std::string> &args)
     if (out.empty() || inputs.empty())
         throw UsageError("merge <out> <in>... [--dry-run]");
 
-    ModelSet set;
+    std::vector<SnapshotModel> models;
     for (const std::string &in : inputs) {
         const std::vector<std::uint8_t> img = slurp(in);
-        set.accumulate(facile::analysis::parseSnapshotModel(img.data(),
-                                                            img.size()),
-                       in);
+        models.push_back(
+            facile::analysis::parseSnapshotModel(img.data(), img.size()));
     }
-    return emitImage(facile::analysis::buildSnapshotImage(set.canonical()),
+    return emitImage(facile::analysis::buildSnapshotImage(
+                         facile::analysis::mergeSnapshotModels(models)),
                      out, dryRun);
 }
 
@@ -332,12 +246,10 @@ int
 cmdCompact(const std::vector<std::string> &args)
 {
     std::string in, out;
-    bool dropPredictions = false, dryRun = false;
+    bool dryRun = false;
     for (std::size_t i = 0; i < args.size(); ++i) {
         if (args[i] == "--out" && i + 1 < args.size())
             out = args[++i];
-        else if (args[i] == "--drop-predictions")
-            dropPredictions = true;
         else if (args[i] == "--dry-run")
             dryRun = true;
         else if (!in.empty())
@@ -346,22 +258,16 @@ cmdCompact(const std::vector<std::string> &args)
             in = args[i];
     }
     if (in.empty())
-        throw UsageError(
-            "compact <in> [--out P] [--drop-predictions] [--dry-run]");
+        throw UsageError("compact <in> [--out P] [--dry-run]");
     if (out.empty())
         out = in;
 
     const std::vector<std::uint8_t> img = slurp(in);
-    ModelSet set;
-    set.accumulate(facile::analysis::parseSnapshotModel(img.data(),
-                                                        img.size()),
-                   in);
-    if (dropPredictions) {
-        set.hasPredictions = false;
-        set.predictions.clear();
-    }
     const std::vector<std::uint8_t> rebuilt =
-        facile::analysis::buildSnapshotImage(set.canonical());
+        facile::analysis::buildSnapshotImage(
+            facile::analysis::mergeSnapshotModels(
+                {facile::analysis::parseSnapshotModel(img.data(),
+                                                      img.size())}));
     std::printf("compact %s: %zu -> %zu bytes\n", in.c_str(), img.size(),
                 rebuilt.size());
     return emitImage(rebuilt, out, dryRun);
@@ -377,7 +283,7 @@ usage(std::FILE *to)
         "  verify <file>...               validate deeply; exit 0/1\n"
         "  diff <a> <b>                   compare contents; exit 0/1\n"
         "  merge <out> <in>... [--dry-run]\n"
-        "  compact <in> [--out P] [--drop-predictions] [--dry-run]\n");
+        "  compact <in> [--out P] [--dry-run]\n");
     return to == stdout ? 0 : 2;
 }
 

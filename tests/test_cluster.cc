@@ -604,7 +604,8 @@ TEST(Bootstrap, WireFetchBitIdenticalToLocalSave)
     engine::PredictionEngine fresh({.numThreads = 1});
     const analysis::SnapshotStats st =
         analysis::loadSnapshot(path, {&fresh});
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2);
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Loaded);
+    EXPECT_EQ(st.generation, 0u);
     std::remove(path.c_str());
 
     // The bootstrapped engine answers the whole suite from the

@@ -2,19 +2,18 @@
  * @file
  * Tests for the warm-start snapshot (src/analysis/snapshot.h).
  *
- * The core contracts: (1) a saved image round-trips every InstRecord
- * field bit-for-bit on all nine arches; (2) save → load in the same
- * process is an append-only
- * no-op (existing records win; predictions stay bit-identical); (3) a
- * *fresh process* started from a snapshot produces bit-identical
- * predictions to a cold process over the full suite on all nine
- * arches (child-process probes); (4) corrupted, truncated, or
- * version-mismatched files are rejected without importing anything;
- * (5) a restored engine prediction cache serves hits immediately.
+ * The core contracts: (1) a saved image restores an engine's
+ * prediction cache entry for entry, and the restored entries are
+ * bit-identical to serial predictions; (2) a load into a warm engine
+ * is an append-only no-op; (3) a *fresh process* started from a
+ * snapshot serves the whole suite from the restored cache,
+ * bit-identical to a cold process (child-process probes); (4)
+ * corrupted, truncated, forged or old-version files are rejected
+ * without importing anything, and the generation walk falls back past
+ * them.
  */
 #include <gtest/gtest.h>
 
-#include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -22,22 +21,19 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <map>
 #include <optional>
-#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
-#include "corpus/sections.h"
-#include "testing/fault.h"
 #include "bb/basic_block.h"
 #include "bhive/generator.h"
+#include "corpus/sections.h"
 #include "engine/engine.h"
 #include "eval/harness.h"
 #include "facile/predictor.h"
+#include "testing/fault.h"
 
 namespace facile {
 namespace {
@@ -51,21 +47,6 @@ snapshotSuite()
     static const std::vector<bhive::Benchmark> suite =
         bhive::generateSuite(0x5eedfac5a9ULL, 5);
     return suite;
-}
-
-/** Analyze the suite on every arch so the interners have content. */
-void
-populateInterners()
-{
-    static const bool done = [] {
-        for (uarch::UArch arch : uarch::allUArchs())
-            for (const auto &b : snapshotSuite()) {
-                bb::analyze(b.bytesU, arch);
-                bb::analyze(b.bytesL, arch);
-            }
-        return true;
-    }();
-    (void)done;
 }
 
 std::string
@@ -85,6 +66,18 @@ suiteRequests()
             for (bool loop : {false, true})
                 reqs.push_back({loop ? b.bytesL : b.bytesU, arch, loop, {}});
     return reqs;
+}
+
+/** A one-lane engine whose prediction cache holds the whole suite. */
+engine::PredictionEngine &
+warmEngine()
+{
+    static engine::PredictionEngine *eng = [] {
+        auto *e = new engine::PredictionEngine({.numThreads = 1});
+        e->predictBatch(suiteRequests());
+        return e;
+    }();
+    return *eng;
 }
 
 /** Order- and bit-sensitive digest of a prediction sequence. */
@@ -124,129 +117,213 @@ suiteDigest()
     return digestOf(preds);
 }
 
+/** What a SnapshotProbe.Emit child reports. */
+struct ProbeAnswer
+{
+    std::uint64_t serial = 0; ///< serial model::predict digest
+    std::uint64_t served = 0; ///< digest of the engine's answers
+    std::size_t hits = 0;     ///< of those, prediction-cache hits
+};
+
 /**
- * Run the probe test @p filter of this binary in a fresh child process
- * whose interners are empty, with @p env (`NAME='value' ` pairs) plus
- * FACILE_SNAPSHOT_PROBE_OUT naming a file for the child's answer.
- * Returns what the child wrote there, or "" if it failed.
+ * Run SnapshotProbe.Emit in a fresh child process of this binary with
+ * @p env (`NAME='value' ` pairs) plus FACILE_SNAPSHOT_PROBE_OUT naming
+ * a file for the child's answer. nullopt if the child failed.
  */
-std::string
-runProbe(const std::string &env, const char *filter = "SnapshotProbe.Emit")
+std::optional<ProbeAnswer>
+runProbe(const std::string &env)
 {
     // Resolved here: inside std::system's shell child /proc/self/exe
     // would name the shell, not this binary.
     char self[4096];
     const ssize_t n = ::readlink("/proc/self/exe", self, sizeof self - 1);
     if (n <= 0)
-        return "";
+        return std::nullopt;
     self[n] = '\0';
     static int probes = 0;
     const std::string out =
         tmpPath(("probe_out_" + std::to_string(probes++)).c_str());
     const std::string cmd = "FACILE_SNAPSHOT_PROBE_OUT='" + out + "' " +
-                            env + "'" + self + "' --gtest_filter=" +
-                            filter + " >/dev/null 2>&1";
-    std::string text;
+                            env + "'" + self +
+                            "' --gtest_filter=SnapshotProbe.Emit"
+                            " >/dev/null 2>&1";
+    std::optional<ProbeAnswer> answer;
     if (std::system(cmd.c_str()) == 0)
         if (std::FILE *f = std::fopen(out.c_str(), "r")) {
-            char buf[256];
-            while (std::fgets(buf, sizeof buf, f))
-                text += buf;
+            unsigned long long serial = 0, served = 0;
+            ProbeAnswer a;
+            if (std::fscanf(f, "%llx %llx %zu", &serial, &served,
+                            &a.hits) == 3) {
+                a.serial = serial;
+                a.served = served;
+                answer = a;
+            }
             std::fclose(f);
         }
     std::remove(out.c_str());
-    return text;
+    return answer;
 }
 
-/** The suite digest a SnapshotProbe.Emit child wrote (nullopt: failed). */
-std::optional<std::uint64_t>
-probeDigest(const std::string &env)
+/**
+ * Child half of the fresh-process properties: when the probe env vars
+ * are set (by runProbe, in a *child* process), warm-start a one-lane
+ * engine from FACILE_SNAPSHOT_PROBE_SNAP if given — starting cold,
+ * as the server does, when no generation loads — serve the whole
+ * suite through it, and write the serial digest, the served digest
+ * and the engine's prediction-cache hit count for the parent. In a
+ * normal test run the env vars are unset and this is a skip.
+ */
+TEST(SnapshotProbe, Emit)
 {
-    unsigned long long d = 0;
-    if (std::sscanf(runProbe(env).c_str(), "%llx", &d) != 1)
-        return std::nullopt;
-    return d;
+    const char *out = std::getenv("FACILE_SNAPSHOT_PROBE_OUT");
+    if (!out)
+        GTEST_SKIP() << "probe mode only (spawned by runProbe)";
+    engine::PredictionEngine eng({.numThreads = 1});
+    if (const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP")) {
+        try {
+            analysis::loadSnapshot(snap, {&eng});
+        } catch (const analysis::SnapshotError &) {
+        }
+    }
+    engine::BatchStats bs;
+    const std::uint64_t served =
+        digestOf(eng.predictBatch(suiteRequests(), &bs));
+    const std::string answer = hex16(suiteDigest()) + " " + hex16(served) +
+                               " " + std::to_string(bs.predictionCacheHits) +
+                               "\n";
+    std::FILE *f = std::fopen(out, "w");
+    ASSERT_NE(f, nullptr);
+    std::fputs(answer.c_str(), f);
+    std::fclose(f);
+}
+
+/** Read the whole file (for the in-memory entry-point tests). */
+std::vector<std::uint8_t>
+slurpFile(const std::string &path)
+{
+    std::FILE *f = std::fopen(path.c_str(), "rb");
+    EXPECT_NE(f, nullptr) << path;
+    if (!f)
+        return {};
+    std::fseek(f, 0, SEEK_END);
+    std::vector<std::uint8_t> buf(
+        static_cast<std::size_t>(std::ftell(f)));
+    std::fseek(f, 0, SEEK_SET);
+    EXPECT_EQ(std::fread(buf.data(), 1, buf.size(), f), buf.size());
+    std::fclose(f);
+    return buf;
+}
+
+/** Overwrite @p path with @p bytes. */
+void
+writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+{
+    std::FILE *f = std::fopen(path.c_str(), "wb");
+    ASSERT_NE(f, nullptr);
+    if (!bytes.empty()) {
+        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
+                  bytes.size());
+    }
+    std::fclose(f);
 }
 
 bool
-sameRecord(const analysis::InstRecord &a, const analysis::InstRecord &b)
+fileExists(const std::string &p)
 {
-    if (a.dec.inst.mnem != b.dec.inst.mnem ||
-        a.dec.inst.cc != b.dec.inst.cc ||
-        a.dec.inst.nopLen != b.dec.inst.nopLen ||
-        a.dec.inst.ops != b.dec.inst.ops ||
-        a.dec.length != b.dec.length ||
-        a.dec.opcodeOffset != b.dec.opcodeOffset ||
-        a.dec.lcp != b.dec.lcp)
-        return false;
-    if (a.info.fusedUops != b.info.fusedUops ||
-        a.info.issueUops != b.info.issueUops ||
-        a.info.latency != b.info.latency ||
-        a.info.needsComplexDecoder != b.info.needsComplexDecoder ||
-        a.info.nAvailableSimpleDecoders !=
-            b.info.nAvailableSimpleDecoders ||
-        a.info.macroFusible != b.info.macroFusible ||
-        a.info.eliminated != b.info.eliminated ||
-        a.info.portUops.size() != b.info.portUops.size())
-        return false;
-    for (std::size_t i = 0; i < a.info.portUops.size(); ++i)
-        if (a.info.portUops[i].ports != b.info.portUops[i].ports ||
-            a.info.portUops[i].kind != b.info.portUops[i].kind)
-            return false;
-    if (a.rw.reads != b.rw.reads || a.rw.writes != b.rw.writes ||
-        a.rw.depBreaking != b.rw.depBreaking)
-        return false;
-    if (a.depReads.size() != b.depReads.size())
-        return false;
-    for (std::size_t i = 0; i < a.depReads.size(); ++i)
-        if (a.depReads[i].value != b.depReads[i].value ||
-            std::memcmp(&a.depReads[i].latency, &b.depReads[i].latency,
-                        sizeof(double)) != 0)
-            return false;
-    if (a.portMasks != b.portMasks || a.stackOp != b.stackOp ||
-        a.depBreaking != b.depBreaking ||
-        a.nWritesInl != b.nWritesInl || a.nDepInl != b.nDepInl)
-        return false;
-    if (a.nWritesInl != analysis::InstRecord::kSpilled)
-        for (std::uint8_t i = 0; i < a.nWritesInl; ++i)
-            if (a.writesInl[i] != b.writesInl[i])
-                return false;
-    if (a.nDepInl != analysis::InstRecord::kSpilled)
-        for (std::uint8_t i = 0; i < a.nDepInl; ++i)
-            if (a.depInl[i].value != b.depInl[i].value ||
-                std::memcmp(&a.depInl[i].latency, &b.depInl[i].latency,
-                            sizeof(double)) != 0)
-                return false;
-    return a.fuseClass == b.fuseClass && a.isJcc == b.isJcc &&
-           a.jccReadsCf == b.jccReadsCf &&
-           a.jccTestsSOP == b.jccTestsSOP;
+    std::FILE *f = std::fopen(p.c_str(), "rb");
+    if (f)
+        std::fclose(f);
+    return f != nullptr;
+}
+
+void
+removeGenerations(const std::string &path)
+{
+    for (int g = 0; g < analysis::kSnapshotGenerations + 1; ++g)
+        std::remove(analysis::snapshotGenerationPath(path, g).c_str());
+}
+
+/** Save warmEngine() to @p path, rotating generations. */
+analysis::SnapshotStats
+saveWarm(const std::string &path)
+{
+    return analysis::saveSnapshot(path, {&warmEngine()});
+}
+
+/** The section table of an image (validated against its size). */
+std::vector<corpus::SectionEntry>
+imageTable(const std::vector<std::uint8_t> &img)
+{
+    EXPECT_GE(img.size(), 64u);
+    std::uint32_t count = 0;
+    std::memcpy(&count, img.data() + 20, 4);
+    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
+                                      count, img.size());
+}
+
+/** Re-stamp the header hash after forging header bytes [0, 48). */
+void
+restampHeader(std::vector<std::uint8_t> &img)
+{
+    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
+    std::memcpy(img.data() + 48, &headerHash, 8);
+}
+
+/**
+ * Re-stamp the section hash, table, file size, table hash and header
+ * hash of @p img after forging bytes of its predictions section, so
+ * the forged image passes every checksum.
+ */
+void
+restamp(std::vector<std::uint8_t> &img)
+{
+    std::vector<corpus::SectionEntry> table = imageTable(img);
+    table.front().length = img.size() - table.front().offset;
+    table.front().hash = corpus::xxh64(img.data() + table.front().offset,
+                                       table.front().length);
+    const std::vector<std::uint8_t> tbl = corpus::encodeSectionTable(table);
+    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
+    const std::uint64_t fileBytes = img.size();
+    std::memcpy(img.data() + 24, &fileBytes, 8);
+    const std::uint64_t tableHash = corpus::xxh64(tbl.data(), tbl.size());
+    std::memcpy(img.data() + 40, &tableHash, 8);
+    restampHeader(img);
+}
+
+/** Number of entries in @p eng's prediction cache. */
+std::size_t
+cacheEntries(const engine::PredictionEngine &eng)
+{
+    return eng.exportPredictionCache(
+        [](const std::string &, const model::Prediction &) {});
 }
 
 TEST(Snapshot, SaveLoadSameProcessIsAppendOnlyNoOp)
 {
-    populateInterners();
-    const std::uint64_t before = suiteDigest();
+    engine::PredictionEngine &eng = warmEngine();
+    const std::vector<engine::Request> reqs = suiteRequests();
+    const std::uint64_t before = digestOf(eng.predictBatch(reqs));
+    const std::size_t entries = cacheEntries(eng);
     const std::string path = tmpPath("noop");
 
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    EXPECT_GT(saved.records, 1000u);
-    EXPECT_GT(saved.fusedPairs, 0u);
+    const analysis::SnapshotStats saved =
+        analysis::saveSnapshot(path, {&eng, 1});
+    EXPECT_EQ(saved.predictions, reqs.size());
     EXPECT_GT(saved.bytes, 0u);
 
-    const analysis::SnapshotStats loaded = analysis::loadSnapshot(path);
-    EXPECT_EQ(loaded.records, saved.records);
-    EXPECT_EQ(loaded.fusedPairs, saved.fusedPairs);
-    // Same process: every key is already interned; nothing may append.
-    EXPECT_EQ(loaded.newRecords, 0u);
-
-    // Predictions after the load are bit-identical to before.
-    EXPECT_EQ(before, suiteDigest());
+    const analysis::SnapshotStats loaded =
+        analysis::loadSnapshot(path, {&eng, 1});
+    EXPECT_EQ(loaded.predictions, saved.predictions);
+    // Every key is already cached; nothing may be added or replaced.
+    EXPECT_EQ(cacheEntries(eng), entries);
+    engine::BatchStats bs;
+    EXPECT_EQ(before, digestOf(eng.predictBatch(reqs, &bs)));
+    EXPECT_EQ(bs.predictionCacheHits, reqs.size());
     std::remove(path.c_str());
 }
 
 TEST(Snapshot, EnginePredictionCacheRoundTrip)
 {
-    populateInterners();
     std::vector<engine::Request> batch;
     for (const auto &b : snapshotSuite())
         batch.push_back({b.bytesL, uarch::UArch::SKL, true, {}});
@@ -274,262 +351,165 @@ TEST(Snapshot, EnginePredictionCacheRoundTrip)
     EXPECT_EQ(bs.analyzed, 0u);
     for (std::size_t i = 0; i < batch.size(); ++i)
         EXPECT_TRUE(samePrediction(out[i], expected[i])) << i;
-    std::remove(path.c_str());
-}
-
-/** Read the whole file (for the in-memory entry-point tests). */
-std::vector<std::uint8_t>
-slurpFile(const std::string &path)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    EXPECT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    std::vector<std::uint8_t> buf(
-        static_cast<std::size_t>(std::ftell(f)));
-    std::fseek(f, 0, SEEK_SET);
-    EXPECT_EQ(std::fread(buf.data(), 1, buf.size(), f), buf.size());
-    std::fclose(f);
-    return buf;
-}
-
-/** Decode the section table of a v2 image (validated, file order). */
-std::vector<corpus::SectionEntry>
-v2Table(const std::vector<std::uint8_t> &img)
-{
-    EXPECT_GE(img.size(), 64u);
-    std::uint32_t count = 0;
-    std::memcpy(&count, img.data() + 20, 4);
-    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
-                                      count, img.size());
-}
-
-/** Re-stamp the header hash after forging header bytes [0, 48). */
-void
-restampHeader(std::vector<std::uint8_t> &img)
-{
-    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
-    std::memcpy(img.data() + 48, &headerHash, 8);
-}
-
-/**
- * Write @p entries as the section table of @p img and re-stamp the
- * file size, table hash and header hash, so the forged image passes
- * every header check.
- */
-void
-restampTable(std::vector<std::uint8_t> &img,
-             const std::vector<corpus::SectionEntry> &entries)
-{
-    const std::vector<std::uint8_t> tbl =
-        corpus::encodeSectionTable(entries);
-    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
-    const std::uint64_t fileBytes = img.size();
-    std::memcpy(img.data() + 24, &fileBytes, 8);
-    const std::uint64_t tableHash =
-        corpus::xxh64(img.data() + 64, tbl.size());
-    std::memcpy(img.data() + 40, &tableHash, 8);
-    restampHeader(img);
-}
-
-/** Count canonical records currently interned for @p arch. */
-std::size_t
-recordCount(uarch::UArch arch)
-{
-    std::size_t n = 0;
-    analysis::InstInterner::forArch(arch).exportRecords(
-        [&](const std::uint8_t *, std::size_t,
-            const analysis::InstRecord &) { ++n; });
-    return n;
+    removeGenerations(path);
 }
 
 TEST(Snapshot, MemoryLoadMatchesFileLoad)
 {
-    populateInterners();
     const std::string path = tmpPath("memload");
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-
+    const analysis::SnapshotStats saved =
+        analysis::saveSnapshot(path, {&warmEngine(), 1});
     const std::vector<std::uint8_t> img = slurpFile(path);
+    EXPECT_EQ(img, analysis::saveSnapshotToMemory({&warmEngine()}));
+
+    engine::PredictionEngine fromFile({.numThreads = 1});
+    engine::PredictionEngine fromMemory({.numThreads = 1});
+    const analysis::SnapshotStats f =
+        analysis::loadSnapshot(path, {&fromFile, 1});
+    const analysis::SnapshotStats m = analysis::loadSnapshotFromMemory(
+        img.data(), img.size(), {&fromMemory});
     std::remove(path.c_str());
-    const analysis::SnapshotStats st =
-        analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
-    EXPECT_EQ(st.bytes, img.size());
-    // Same process: every key already interned, nothing appended.
-    EXPECT_EQ(st.newRecords, 0u);
+    for (const analysis::SnapshotStats &st : {f, m}) {
+        EXPECT_EQ(st.predictions, saved.predictions);
+        EXPECT_EQ(st.bytes, img.size());
+        EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Loaded);
+    }
+    EXPECT_EQ(analysis::saveSnapshotToMemory({&fromFile}),
+              analysis::saveSnapshotToMemory({&fromMemory}));
 }
 
 TEST(Snapshot, ValidateStagesEverythingAndCommitsNothing)
 {
-    populateInterners();
-    analysis::SnapshotModel m = [] {
-        const std::vector<std::uint8_t> img =
-            analysis::saveSnapshotToMemory();
-        return analysis::parseSnapshotModel(img.data(), img.size());
-    }();
-
-    // Forge a never-seen intern key: flip the first key byte of the
-    // first record (the key is opaque to validation), so a committing
-    // load WOULD append a record.
-    ASSERT_FALSE(m.arches.empty());
-    ASSERT_FALSE(m.arches.front().records.empty());
-    m.arches.front().records.front().first[0] ^= 0xFF;
-    const auto arch = static_cast<uarch::UArch>(m.arches.front().arch);
-    const std::vector<std::uint8_t> img = analysis::buildSnapshotImage(m);
-
-    // validateSnapshot: full staging pass, zero commitment.
-    const std::size_t before = recordCount(arch);
+    const std::vector<std::uint8_t> good =
+        analysis::saveSnapshotToMemory({&warmEngine()});
     const analysis::SnapshotStats st =
-        analysis::validateSnapshot(img.data(), img.size());
-    EXPECT_GT(st.records, 0u);
-    EXPECT_EQ(st.newRecords, 0u);
-    EXPECT_EQ(recordCount(arch), before);
+        analysis::validateSnapshot(good.data(), good.size());
+    EXPECT_EQ(st.predictions, suiteRequests().size());
+    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::None);
 
-    // The same image, committed, appends the forged-key record.
-    const analysis::SnapshotStats loaded =
-        analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_GE(loaded.newRecords, 1u);
-    EXPECT_EQ(recordCount(arch), before + loaded.newRecords);
+    // Forge the LAST entry's primary bottleneck out of range, behind
+    // valid checksums: every earlier entry decodes, but a load must
+    // import none of them, because the image as a whole is invalid.
+    std::vector<std::uint8_t> bad = good;
+    const analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(good.data(), good.size());
+    bad[bad.size() - m.predictions.back().second.size() + 64] = 0xFF;
+    restamp(bad);
+    EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
+                 analysis::SnapshotError);
+    engine::PredictionEngine fresh({.numThreads = 1});
+    EXPECT_THROW(
+        analysis::loadSnapshotFromMemory(bad.data(), bad.size(), {&fresh}),
+        analysis::SnapshotError);
+    EXPECT_EQ(cacheEntries(fresh), 0u);
 }
 
-TEST(Snapshot, ForgedRecordCountCannotBloatMemory)
+TEST(Snapshot, ForgedPredictionCountsCannotBloatMemory)
 {
-    // A records section whose table entry claims 2^48 records must be
-    // rejected — and, with the clamped reserve, without first
-    // attempting a count-sized allocation (the hashes are plain
-    // xxh64, so an attacker can re-stamp them after forging any
-    // count).
-    populateInterners();
-    std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
-    std::vector<corpus::SectionEntry> table = v2Table(img);
-    ASSERT_FALSE(table.empty());
-    ASSERT_EQ(table.front().type, 1u); // records section first
-    table.front().itemCount = std::uint64_t{1} << 48;
-    restampTable(img, table);
+    // The hashes are plain xxh64, so an attacker can re-stamp them
+    // after forging any length. An item count, key length or payload
+    // length of 2^32-1 must be rejected by the bounds checks, before
+    // anything of that size is allocated.
+    const std::vector<std::uint8_t> good =
+        analysis::saveSnapshotToMemory({&warmEngine()});
+    const std::size_t sec = imageTable(good).front().offset;
+    const std::uint32_t huge = 0xFFFFFFFFu;
+    std::uint32_t keyLen = 0;
+    std::memcpy(&keyLen, good.data() + sec + 4, 4);
 
-    EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
-                 analysis::SnapshotError);
-    EXPECT_THROW(analysis::loadSnapshotFromMemory(img.data(), img.size()),
-                 analysis::SnapshotError);
-}
-
-/**
- * Child half of the fresh-process properties: when the probe env vars
- * are set (by runProbe, in a *child* process whose interners are
- * empty), optionally load the snapshot, predict the whole suite, and
- * write the digest for the parent. In a normal test run the env vars
- * are unset and this is a skip.
- *
- *   FACILE_SNAPSHOT_PROBE_SNAP    load this image first
- *   FACILE_SNAPSHOT_PROBE_EAGER   ... with SnapshotOptions::eagerLoad
- *   FACILE_SNAPSHOT_PROBE_ENGINE  ... into a 1-lane engine, and first
- *                                 serve the suite through it; also
- *                                 writes that digest and the engine's
- *                                 prediction-cache hit count
- *   FACILE_SNAPSHOT_PROBE_RESAVE  save again before predicting
- */
-TEST(SnapshotProbe, Emit)
-{
-    const char *out = std::getenv("FACILE_SNAPSHOT_PROBE_OUT");
-    if (!out)
-        GTEST_SKIP() << "probe mode only (spawned by runProbe)";
-    const std::vector<engine::Request> reqs = suiteRequests();
-    engine::PredictionEngine eng({.numThreads = 1});
-    const bool viaEngine =
-        std::getenv("FACILE_SNAPSHOT_PROBE_ENGINE") != nullptr;
-    if (const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP")) {
-        analysis::SnapshotOptions so;
-        so.engine = viaEngine ? &eng : nullptr;
-        so.eagerLoad = std::getenv("FACILE_SNAPSHOT_PROBE_EAGER") != nullptr;
-        const analysis::SnapshotStats st = analysis::loadSnapshot(snap, so);
-        // A fresh process appends every record — nothing pre-existing.
-        // Under the lazy v2 mmap bind nothing is appended at load
-        // time at all; records materialize on first touch instead.
-        if (so.eagerLoad) {
-            ASSERT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2);
+    // (offset of the forged u32, also forge the table's item count)
+    const std::pair<std::size_t, bool> forgeries[] = {
+        {sec, true},               // item count, table agrees
+        {sec, false},              // item count, table disagrees
+        {sec + 4, false},          // first key length
+        {sec + 8 + keyLen, false}, // first payload length
+    };
+    for (const auto &[off, table] : forgeries) {
+        std::vector<std::uint8_t> img = good;
+        std::memcpy(img.data() + off, &huge, 4);
+        restamp(img);
+        if (table) {
+            std::vector<corpus::SectionEntry> t = imageTable(img);
+            t.front().itemCount = huge;
+            const std::vector<std::uint8_t> tbl =
+                corpus::encodeSectionTable(t);
+            std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
+            const std::uint64_t tableHash =
+                corpus::xxh64(tbl.data(), tbl.size());
+            std::memcpy(img.data() + 40, &tableHash, 8);
+            restampHeader(img);
         }
-        if (st.loadMode == analysis::SnapshotLoadMode::MmapV2) {
-            ASSERT_EQ(st.newRecords, 0u);
-        } else {
-            ASSERT_EQ(st.newRecords, st.records);
-        }
-        ASSERT_GT(st.records, 0u);
-        // Resave *immediately* — before any prediction touches a
-        // record — so ResaveAfterMmapStartKeepsUniverse exercises the
-        // worst case: every record still behind the lazy mmap bind.
-        if (const char *re =
-                std::getenv("FACILE_SNAPSHOT_PROBE_RESAVE")) {
-            const analysis::SnapshotStats rs = analysis::saveSnapshot(
-                re, {.generations = 1});
-            ASSERT_EQ(rs.records, st.records);
-            ASSERT_EQ(rs.fusedPairs, st.fusedPairs);
-        }
+        EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
+                     analysis::SnapshotError)
+            << "forged u32 at " << off;
+        EXPECT_THROW(analysis::parseSnapshotModel(img.data(), img.size()),
+                     analysis::SnapshotError)
+            << "forged u32 at " << off;
+        engine::PredictionEngine fresh({.numThreads = 1});
+        EXPECT_THROW(analysis::loadSnapshotFromMemory(img.data(), img.size(),
+                                                      {&fresh}),
+                     analysis::SnapshotError)
+            << "forged u32 at " << off;
     }
-    std::string answer;
-    if (viaEngine) {
-        // Served from the restored prediction cache alone, before any
-        // serial prediction touches a record.
-        engine::BatchStats bs;
-        const std::uint64_t d = digestOf(eng.predictBatch(reqs, &bs));
-        answer = " " + hex16(d) + " " + std::to_string(bs.predictionCacheHits);
-    }
-    answer = hex16(suiteDigest()) + answer + "\n";
-    std::FILE *f = std::fopen(out, "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs(answer.c_str(), f);
-    std::fclose(f);
 }
 
 /**
  * The headline property: a fresh process warm-started from a snapshot
- * produces bit-identical predictions (all nine arches, both notions)
- * to a fresh cold process, whether its records come through the mmap
- * bind, the eager parse or its restored prediction cache. Each probe
- * runs this test binary as a child — a genuinely cold process.
+ * serves the whole suite (all nine arches, both notions) from its
+ * restored prediction cache, bit-identical to a fresh cold process.
+ * Each probe runs this test binary as a child — a genuinely cold
+ * process.
  */
 TEST(Snapshot, FreshProcessBitIdentity)
 {
-    populateInterners();
     const std::vector<engine::Request> reqs = suiteRequests();
-    engine::PredictionEngine eng({.numThreads = 1});
-    eng.predictBatch(reqs); // fill the prediction cache the image carries
     const std::string snap = tmpPath("fresh");
     const analysis::SnapshotStats saved =
-        analysis::saveSnapshot(snap, {&eng, 1});
+        analysis::saveSnapshot(snap, {&warmEngine(), 1});
     ASSERT_EQ(saved.predictions, reqs.size());
 
-    const std::string at = "FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ";
-    const std::optional<std::uint64_t> cold = probeDigest("");
-    const std::optional<std::uint64_t> eager =
-        probeDigest(at + "FACILE_SNAPSHOT_PROBE_EAGER=1 ");
-    const std::string warm =
-        runProbe(at + "FACILE_SNAPSHOT_PROBE_ENGINE=1 ");
-    unsigned long long mmapDigest = 0, engineDigest = 1;
-    std::size_t hits = 0;
-    ASSERT_EQ(std::sscanf(warm.c_str(), "%llx %llx %zu", &mmapDigest,
-                          &engineDigest, &hits),
-              3)
-        << "warm child failed";
-    ASSERT_TRUE(cold && eager);
-    EXPECT_EQ(mmapDigest, *cold) << "mmap warm start";
-    EXPECT_EQ(*eager, mmapDigest) << "eager load vs mmap bind";
-    EXPECT_EQ(engineDigest, *cold) << "restored prediction cache";
-    EXPECT_EQ(hits, reqs.size()) << "requests the restored cache answered";
-    // And all match this (differently warmed) process.
-    EXPECT_EQ(*cold, suiteDigest());
+    const std::optional<ProbeAnswer> cold = runProbe("");
+    const std::optional<ProbeAnswer> warm =
+        runProbe("FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ");
     std::remove(snap.c_str());
+    ASSERT_TRUE(cold && warm) << "probe child failed";
+    EXPECT_EQ(cold->hits, 0u);
+    EXPECT_EQ(cold->served, cold->serial);
+    EXPECT_EQ(warm->hits, reqs.size())
+        << "requests the restored cache answered";
+    EXPECT_EQ(warm->served, cold->serial) << "restored prediction cache";
+    EXPECT_EQ(warm->serial, cold->serial);
+    // And all match this (differently warmed) process.
+    EXPECT_EQ(cold->serial, suiteDigest());
+}
+
+TEST(Snapshot, ResaveAfterWarmStartKeepsEveryPrediction)
+{
+    // A fresh engine warm-started from an image and saved again at
+    // once, before serving anything, writes every entry it loaded.
+    const std::string snap = tmpPath("resave_src");
+    const std::string resaved = tmpPath("resave_dst");
+    const analysis::SnapshotStats saved =
+        analysis::saveSnapshot(snap, {&warmEngine(), 1});
+    engine::PredictionEngine fresh({.numThreads = 1});
+    analysis::loadSnapshot(snap, {&fresh, 1});
+    const analysis::SnapshotStats again =
+        analysis::saveSnapshot(resaved, {&fresh, 1});
+    EXPECT_EQ(again.predictions, saved.predictions);
+
+    const std::vector<std::uint8_t> a = slurpFile(snap);
+    const std::vector<std::uint8_t> b = slurpFile(resaved);
+    std::remove(snap.c_str());
+    std::remove(resaved.c_str());
+    EXPECT_EQ(analysis::mergeSnapshotModels(
+                  {analysis::parseSnapshotModel(a.data(), a.size())})
+                  .predictions,
+              analysis::mergeSnapshotModels(
+                  {analysis::parseSnapshotModel(b.data(), b.size())})
+                  .predictions);
 }
 
 // ---- crash safety: atomic writes + generation rotation + fallback ----------
-
-bool
-fileExists(const std::string &p)
-{
-    std::FILE *f = std::fopen(p.c_str(), "rb");
-    if (f)
-        std::fclose(f);
-    return f != nullptr;
-}
 
 /** Replace @p p with the first @p len bytes of @p full (a torn write). */
 void
@@ -537,19 +517,9 @@ writeTorn(const std::string &p, const std::vector<std::uint8_t> &full,
           std::size_t len)
 {
     ASSERT_LE(len, full.size());
-    std::FILE *f = std::fopen(p.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (len > 0) {
-        ASSERT_EQ(std::fwrite(full.data(), 1, len, f), len);
-    }
-    std::fclose(f);
-}
-
-void
-removeGenerations(const std::string &path)
-{
-    for (int g = 0; g < analysis::kSnapshotGenerations + 1; ++g)
-        std::remove(analysis::snapshotGenerationPath(path, g).c_str());
+    writeFile(p, std::vector<std::uint8_t>(
+                     full.begin(),
+                     full.begin() + static_cast<std::ptrdiff_t>(len)));
 }
 
 TEST(SnapshotCrashSafety, GenerationPathLayout)
@@ -564,19 +534,18 @@ TEST(SnapshotCrashSafety, GenerationPathLayout)
 
 TEST(SnapshotCrashSafety, SavesRotateGenerationsAndLeaveNoTempFiles)
 {
-    populateInterners();
     const std::string path = tmpPath("rotate");
     removeGenerations(path);
 
-    analysis::saveSnapshot(path);
+    saveWarm(path);
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".g1")) << "one save, one generation";
 
-    analysis::saveSnapshot(path);
+    saveWarm(path);
     EXPECT_TRUE(fileExists(path + ".g1"));
-    analysis::saveSnapshot(path);
+    saveWarm(path);
     EXPECT_TRUE(fileExists(path + ".g2"));
-    analysis::saveSnapshot(path);
+    saveWarm(path);
     // kSnapshotGenerations == 3: nothing rotates beyond .g2.
     EXPECT_FALSE(fileExists(path + ".g3"));
 
@@ -588,7 +557,8 @@ TEST(SnapshotCrashSafety, SavesRotateGenerationsAndLeaveNoTempFiles)
     for (int g = 0; g < analysis::kSnapshotGenerations; ++g) {
         const analysis::SnapshotStats st = analysis::loadSnapshot(
             analysis::snapshotGenerationPath(path, g), {});
-        EXPECT_GT(st.records, 0u) << "generation " << g;
+        EXPECT_EQ(st.predictions, suiteRequests().size())
+            << "generation " << g;
         EXPECT_EQ(st.generation, 0u)
             << "direct load, no fallback involved";
     }
@@ -597,12 +567,11 @@ TEST(SnapshotCrashSafety, SavesRotateGenerationsAndLeaveNoTempFiles)
 
 TEST(SnapshotCrashSafety, TornPrimaryFallsBackToPreviousGeneration)
 {
-    populateInterners();
     const std::string path = tmpPath("torn");
     removeGenerations(path);
 
-    const analysis::SnapshotStats first = analysis::saveSnapshot(path);
-    analysis::saveSnapshot(path); // rotates the first image to .g1
+    const analysis::SnapshotStats first = saveWarm(path);
+    saveWarm(path); // rotates the first image to .g1
     const std::vector<std::uint8_t> primary = slurpFile(path);
 
     // A SIGKILL mid-write (without the atomic temp) would leave a
@@ -614,10 +583,7 @@ TEST(SnapshotCrashSafety, TornPrimaryFallsBackToPreviousGeneration)
         writeTorn(path, primary, cut);
         const analysis::SnapshotStats st = analysis::loadSnapshot(path);
         EXPECT_EQ(st.generation, 1u) << "cut " << cut;
-        EXPECT_EQ(st.records, first.records) << "cut " << cut;
-        // Same process, so the fallback image appends nothing — and
-        // predictions stay bit-identical by the no-op property.
-        EXPECT_EQ(st.newRecords, 0u);
+        EXPECT_EQ(st.predictions, first.predictions) << "cut " << cut;
     }
 
     // With the fallback gone too, the walk must report the root cause.
@@ -631,25 +597,24 @@ TEST(SnapshotCrashSafety, FallbackWarmStartIsBitIdenticalInFreshProcess)
 {
     // The chaos-restart property at snapshot granularity: a fresh
     // process pointed at a torn primary with a good .g1 behind it
-    // must warm-start bit-identically to a cold run. Reuses the
-    // SnapshotProbe.Emit child (it calls loadSnapshot, which walks
-    // generations).
-    populateInterners();
+    // must serve the suite from the .g1 cache, bit-identically to a
+    // cold run.
     const std::string snap = tmpPath("fallback");
     removeGenerations(snap);
-    analysis::saveSnapshot(snap);
-    analysis::saveSnapshot(snap);
+    saveWarm(snap);
+    saveWarm(snap);
     {
         const std::vector<std::uint8_t> primary = slurpFile(snap);
         writeTorn(snap, primary, primary.size() / 2);
     }
 
-    const std::optional<std::uint64_t> cold = probeDigest("");
-    const std::optional<std::uint64_t> warm =
-        probeDigest("FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ");
-    ASSERT_TRUE(cold && warm);
-    EXPECT_EQ(*cold, *warm);
+    const std::optional<ProbeAnswer> cold = runProbe("");
+    const std::optional<ProbeAnswer> warm =
+        runProbe("FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ");
     removeGenerations(snap);
+    ASSERT_TRUE(cold && warm);
+    EXPECT_EQ(warm->hits, suiteRequests().size());
+    EXPECT_EQ(warm->served, cold->serial);
 }
 
 /**
@@ -663,11 +628,10 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
 {
     if (!testing::kFaultInjection)
         GTEST_SKIP() << "built without FACILE_FAULT_INJECT";
-    populateInterners();
     testing::resetFaults();
     const std::string path = tmpPath("inject");
     removeGenerations(path);
-    const analysis::SnapshotStats good = analysis::saveSnapshot(path);
+    const analysis::SnapshotStats good = saveWarm(path);
 
     struct Case {
         const char *site;
@@ -686,13 +650,11 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
     for (const Case &c : cases) {
         testing::resetFaults();
         testing::armFault(c.site, c.spec);
-        EXPECT_THROW(analysis::saveSnapshot(path),
-                     analysis::SnapshotError)
-            << c.site;
+        EXPECT_THROW(saveWarm(path), analysis::SnapshotError) << c.site;
         testing::resetFaults();
         // The failed save must not have torn what was there before...
         const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-        EXPECT_EQ(st.records, good.records) << c.site;
+        EXPECT_EQ(st.predictions, good.predictions) << c.site;
         // ...nor leaked its staging file.
         EXPECT_FALSE(fileExists(path + ".tmp." +
                                 std::to_string(::getpid())))
@@ -702,82 +664,79 @@ TEST(SnapshotCrashSafety, InjectedSaveFailuresNeverCorruptOnDiskState)
     // Special case: a commit-rename failure AFTER rotation leaves the
     // primary name vacant — the generation walk must still recover
     // via .g1 (the image the rotation preserved).
-    analysis::saveSnapshot(path); // ensure .g1 exists
+    saveWarm(path); // ensure .g1 exists
     testing::armFault("snapshot.rename",
                       {.firstHit = testing::faultHits("snapshot.rename"),
                        .count = 1, .err = EACCES});
-    EXPECT_THROW(analysis::saveSnapshot(path), analysis::SnapshotError);
+    EXPECT_THROW(saveWarm(path), analysis::SnapshotError);
     testing::resetFaults();
     EXPECT_FALSE(fileExists(path)) << "rotation moved the primary away";
     const analysis::SnapshotStats st = analysis::loadSnapshot(path);
     EXPECT_EQ(st.generation, 1u);
-    EXPECT_EQ(st.records, good.records);
+    EXPECT_EQ(st.predictions, good.predictions);
     removeGenerations(path);
 }
 
-// ---- snapshot v2: mmap-native sectioned image ------------------------------
-
-/** Overwrite @p path with @p bytes. */
-void
-writeFile(const std::string &path, const std::vector<std::uint8_t> &bytes)
+TEST(SnapshotCrashSafety, InjectedReadFailureFallsBackAGeneration)
 {
-    std::FILE *f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    if (!bytes.empty()) {
-        ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), f),
-                  bytes.size());
-    }
-    std::fclose(f);
-}
-
-TEST(SnapshotV2, RoundTripLoadModes)
-{
-    populateInterners();
-    const std::uint64_t before = suiteDigest();
-    const std::string path = tmpPath("v2_roundtrip");
+    // A primary that cannot be read (EIO at open) costs one step of
+    // the generation walk, like a torn one. Skips in builds without
+    // FACILE_FAULT_INJECT.
+    if (!testing::kFaultInjection)
+        GTEST_SKIP() << "built without FACILE_FAULT_INJECT";
+    const std::string path = tmpPath("readfault");
     removeGenerations(path);
-
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    EXPECT_GT(saved.records, 1000u);
-
-    // Default load: mmap + lazy bind — no records parsed, none appended.
-    const auto binds = analysis::snapshotSourceStats().imagesBound;
-    const analysis::SnapshotStats mm = analysis::loadSnapshot(path);
-    EXPECT_EQ(mm.loadMode, analysis::SnapshotLoadMode::MmapV2);
-    EXPECT_EQ(mm.records, saved.records);
-    EXPECT_EQ(mm.fusedPairs, saved.fusedPairs);
-    EXPECT_EQ(mm.newRecords, 0u);
-    EXPECT_EQ(analysis::snapshotSourceStats().imagesBound, binds + 1);
-
-    // Opting out of the mmap bind parses the same file eagerly.
-    const analysis::SnapshotStats eager =
-        analysis::loadSnapshot(path, {.eagerLoad = true});
-    EXPECT_EQ(eager.loadMode, analysis::SnapshotLoadMode::EagerV2);
-    EXPECT_EQ(eager.records, saved.records);
-    EXPECT_EQ(eager.fusedPairs, saved.fusedPairs);
-
-    // Wire images have no file behind them: always eager.
-    const std::vector<std::uint8_t> img = slurpFile(path);
-    const analysis::SnapshotStats mem =
-        analysis::loadSnapshotFromMemory(img.data(), img.size());
-    EXPECT_EQ(mem.loadMode, analysis::SnapshotLoadMode::EagerV2);
-    EXPECT_EQ(mem.records, saved.records);
-
-    // Every section payload starts on a page boundary.
-    for (const corpus::SectionEntry &e : v2Table(img))
-        EXPECT_EQ(e.offset % corpus::kSectionAlign, 0u)
-            << "section type " << e.type << " tag " << e.tag;
-
-    EXPECT_EQ(before, suiteDigest());
+    const analysis::SnapshotStats first = saveWarm(path);
+    saveWarm(path); // rotates the first image to .g1
+    testing::resetFaults();
+    testing::armFault("snapshot.read",
+                      {.firstHit = 0, .count = 1, .err = EIO});
+    const analysis::SnapshotStats st = analysis::loadSnapshot(path);
+    testing::resetFaults();
+    EXPECT_EQ(st.generation, 1u);
+    EXPECT_EQ(st.predictions, first.predictions);
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
+// ---- the image format ------------------------------------------------------
+
+TEST(SnapshotImage, LayoutAndLoadMode)
 {
-    populateInterners();
-    const std::string path = tmpPath("v2_corrupt");
+    // Header, one section table entry, one page-aligned predictions
+    // section, nothing else.
+    const std::vector<std::uint8_t> img =
+        analysis::saveSnapshotToMemory({&warmEngine()});
+    std::uint32_t version = 0;
+    std::memcpy(&version, img.data() + 8, 4);
+    EXPECT_EQ(version, analysis::kSnapshotVersion);
+    const std::vector<corpus::SectionEntry> table = imageTable(img);
+    ASSERT_EQ(table.size(), 1u);
+    EXPECT_EQ(table.front().type, 3u);
+    EXPECT_EQ(table.front().tag, 0u);
+    EXPECT_EQ(table.front().offset % corpus::kSectionAlign, 0u);
+    EXPECT_EQ(table.front().offset + table.front().length, img.size());
+    EXPECT_EQ(table.front().itemCount, suiteRequests().size());
+
+    // A load reports Loaded (STATS wire value 2), validation None.
+    EXPECT_EQ(static_cast<int>(analysis::loadSnapshotFromMemory(
+                                   img.data(), img.size())
+                                   .loadMode),
+              2);
+    EXPECT_EQ(analysis::validateSnapshot(img.data(), img.size()).loadMode,
+              analysis::SnapshotLoadMode::None);
+
+    // An engine-less save is a valid image with no entries.
+    const std::vector<std::uint8_t> empty = analysis::saveSnapshotToMemory();
+    EXPECT_EQ(analysis::validateSnapshot(empty.data(), empty.size())
+                  .predictions,
+              0u);
+}
+
+TEST(SnapshotImage, HeaderTableAndSectionCorruptionRejected)
+{
+    const std::string path = tmpPath("corrupt");
     removeGenerations(path);
-    analysis::saveSnapshot(path);
+    saveWarm(path);
     const std::vector<std::uint8_t> file = slurpFile(path);
     ASSERT_GT(file.size(), 8192u);
 
@@ -786,10 +745,7 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
          {std::size_t{0}, std::size_t{7}, std::size_t{31},
           std::size_t{63}, std::size_t{4095}, file.size() / 2,
           file.size() - 1}) {
-        std::vector<std::uint8_t> t(file.begin(),
-                                    file.begin() +
-                                        static_cast<std::ptrdiff_t>(cut));
-        writeFile(path, t);
+        writeTorn(path, file, cut);
         EXPECT_THROW(analysis::loadSnapshot(path),
                      analysis::SnapshotError)
             << "truncated to " << cut;
@@ -816,12 +772,13 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
 
     // Forged header fields behind a re-stamped header hash: the field
     // checks themselves must reject an older or newer version, a
-    // foreign endian tag and a foreign page size.
+    // foreign endian tag, a foreign page size and a second section.
     for (const auto &[off, value] :
-         {std::pair<std::size_t, std::uint32_t>{8, 1},
-          std::pair<std::size_t, std::uint32_t>{8, 3},
+         {std::pair<std::size_t, std::uint32_t>{8, 2},
+          std::pair<std::size_t, std::uint32_t>{8, 4},
           std::pair<std::size_t, std::uint32_t>{12, 0x04030201},
-          std::pair<std::size_t, std::uint32_t>{16, 8192}}) {
+          std::pair<std::size_t, std::uint32_t>{16, 8192},
+          std::pair<std::size_t, std::uint32_t>{20, 2}}) {
         std::vector<std::uint8_t> bad = file;
         std::memcpy(bad.data() + off, &value, 4);
         restampHeader(bad);
@@ -835,8 +792,7 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
     }
 
     // Table damage is caught by the table hash wherever it lands.
-    const std::size_t tableBytes = v2Table(file).size() * 64;
-    for (std::size_t off = 64; off < 64 + tableBytes; off += 13) {
+    for (std::size_t off = 64; off < 128; off += 13) {
         std::vector<std::uint8_t> bad = file;
         bad[off] ^= 0x80;
         writeFile(path, bad);
@@ -845,408 +801,192 @@ TEST(SnapshotV2, HeaderTableAndTailCorruptionRejected)
             << "table flip at " << off;
     }
 
+    // No byte escapes a check: the zero padding between the table and
+    // the section, and bytes appended after the section (behind a
+    // re-stamped file size), are rejected too.
+    for (std::size_t off : {std::size_t{128}, std::size_t{2048},
+                            std::size_t{4095}}) {
+        std::vector<std::uint8_t> bad = file;
+        bad[off] ^= 0x01;
+        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
+                     analysis::SnapshotError)
+            << "padding flip at " << off;
+    }
+    {
+        std::vector<std::uint8_t> bad = file;
+        bad.push_back(0);
+        const std::uint64_t fileBytes = bad.size();
+        std::memcpy(bad.data() + 24, &fileBytes, 8);
+        restampHeader(bad);
+        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
+                     analysis::SnapshotError)
+            << "trailing byte";
+    }
+
     // The pristine image still loads (the harness is not lossy).
     writeFile(path, file);
     EXPECT_NO_THROW(analysis::loadSnapshot(path));
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, SectionBitFlipsEagerRejectLazyPoison)
+TEST(SnapshotImage, SectionBitFlipsRejectAndWalkFallsBack)
 {
-    populateInterners();
-    const std::string path = tmpPath("v2_flip");
+    // A flip anywhere in the predictions section — count, a length, a
+    // key, a payload — fails the section hash: every entry point
+    // rejects the image, and with a good .g1 behind it the generation
+    // walk loads that instead.
+    const std::string path = tmpPath("flip");
     removeGenerations(path);
-    analysis::saveSnapshot(path);
+    const analysis::SnapshotStats first = saveWarm(path);
+    saveWarm(path); // rotates the first image to .g1
     const std::vector<std::uint8_t> file = slurpFile(path);
-    const std::vector<corpus::SectionEntry> table = v2Table(file);
+    const corpus::SectionEntry e = imageTable(file).front();
 
-    for (const corpus::SectionEntry &e : table) {
+    for (const std::size_t at :
+         {std::size_t{0}, std::size_t{4}, std::size_t{9}, e.length / 3,
+          e.length / 2, e.length - 1}) {
         std::vector<std::uint8_t> bad = file;
-        bad[e.offset + e.length / 2] ^= 0x5a;
-
-        // The deep eager walk (validateSnapshot / snaptool verify /
-        // wire images) rejects a flip in ANY section.
+        bad[e.offset + at] ^= 0x5a;
         EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
                      analysis::SnapshotError)
-            << "section type " << e.type << " tag " << e.tag;
+            << "section byte " << at;
+        engine::PredictionEngine fresh({.numThreads = 1});
+        EXPECT_THROW(analysis::loadSnapshotFromMemory(bad.data(),
+                                                      bad.size(), {&fresh}),
+                     analysis::SnapshotError)
+            << "section byte " << at;
+        EXPECT_EQ(cacheEntries(fresh), 0u);
 
         writeFile(path, bad);
-        if (e.type == 1) {
-            // Records sections are verified lazily: the mmap load
-            // itself succeeds, the damaged section is poisoned on
-            // first touch (covered end-to-end by the fresh-process
-            // test below — here every key is already interned, so
-            // the source is never consulted).
-            const analysis::SnapshotStats st =
-                analysis::loadSnapshot(path);
-            EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2)
-                << "tag " << e.tag;
-        } else {
-            // Pairs/prediction tails are verified eagerly at load.
-            EXPECT_THROW(analysis::loadSnapshot(path),
-                         analysis::SnapshotError)
-                << "section type " << e.type << " tag " << e.tag;
-        }
+        const analysis::SnapshotStats st =
+            analysis::loadSnapshot(path, {&fresh});
+        EXPECT_EQ(st.generation, 1u) << "section byte " << at;
+        EXPECT_EQ(st.predictions, first.predictions);
     }
     removeGenerations(path);
 }
 
-TEST(SnapshotV2, MisalignedImageFallsBackToEagerParse)
-{
-    populateInterners();
-    const std::string path = tmpPath("v2_misaligned");
-    removeGenerations(path);
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-    const std::vector<std::uint8_t> file = slurpFile(path);
-    const std::vector<corpus::SectionEntry> table = v2Table(file);
-
-    // Repack the image with 8-byte instead of page-aligned sections:
-    // a legal-but-unmappable layout (e.g. a foreign writer). Payload
-    // bytes are untouched, so the per-section hashes still hold; only
-    // the table offsets, file size, and the two header hashes change.
-    std::vector<corpus::SectionEntry> packed = table;
-    std::vector<std::uint8_t> img(
-        file.begin(),
-        file.begin() + 64 + static_cast<std::ptrdiff_t>(table.size() * 64));
-    for (std::size_t i = 0; i < table.size(); ++i) {
-        img.resize(corpus::alignUp(img.size(), 8), 0);
-        packed[i].offset = img.size();
-        img.insert(img.end(),
-                   file.begin() +
-                       static_cast<std::ptrdiff_t>(table[i].offset),
-                   file.begin() + static_cast<std::ptrdiff_t>(
-                                      table[i].offset + table[i].length));
-    }
-    ASSERT_LT(img.size(), file.size()) << "padding actually removed";
-    restampTable(img, packed);
-
-    writeFile(path, img);
-    const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2);
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_EQ(st.fusedPairs, saved.fusedPairs);
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, MmapFaultFallsBackToEagerParse)
-{
-    if (!testing::kFaultInjection)
-        GTEST_SKIP() << "built without FACILE_FAULT_INJECT";
-    populateInterners();
-    testing::resetFaults();
-    const std::string path = tmpPath("v2_mmapfault");
-    removeGenerations(path);
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(path);
-
-    testing::armFault("snapshot.mmap",
-                      {.firstHit = testing::faultHits("snapshot.mmap"),
-                       .count = 1, .err = ENOMEM});
-    const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    testing::resetFaults();
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::EagerV2)
-        << "failed mmap degrades to the parse path, never to an error";
-    EXPECT_EQ(st.records, saved.records);
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, V1ImageIsRejectedAndWalkFallsBack)
+TEST(SnapshotImage, OldImagesAreRejectedAndWalkFallsBack)
 {
     // The retired v1 format ("FACSNAP\n", u32 version 1, u32 sections,
     // u64 payload bytes, u64 FNV-1a checksum): this header describes
-    // a well-formed empty v1 image. It is not a v2 image, so every
-    // entry point rejects it, and the generation walk moves past it.
+    // a well-formed empty v1 image.
     std::vector<std::uint8_t> v1(32, 0);
     std::memcpy(v1.data(), "FACSNAP\n", 8);
     const std::uint32_t version = 1;
     std::memcpy(v1.data() + 8, &version, 4);
     const std::uint64_t emptyFnv = analysis::fnv1a64(nullptr, 0);
     std::memcpy(v1.data() + 24, &emptyFnv, 8);
+    // A real image of the retired record-carrying version 2, with
+    // valid hashes throughout.
+    const std::vector<std::uint8_t> v2 = slurpFile(FACILE_SNAPSHOT_V2_IMAGE);
+    ASSERT_GT(v2.size(), 64u);
 
-    EXPECT_THROW(analysis::loadSnapshotFromMemory(v1.data(), v1.size()),
-                 analysis::SnapshotError);
-    EXPECT_THROW(analysis::validateSnapshot(v1.data(), v1.size()),
-                 analysis::SnapshotError);
-    EXPECT_THROW(analysis::parseSnapshotModel(v1.data(), v1.size()),
-                 analysis::SnapshotError);
+    const std::vector<std::uint8_t> *const olds[] = {&v1, &v2};
+    for (const std::vector<std::uint8_t> *old : olds) {
+        const std::string tag = old == &v1 ? "v1" : "v2";
+        engine::PredictionEngine fresh({.numThreads = 1});
+        EXPECT_THROW(analysis::loadSnapshotFromMemory(old->data(),
+                                                      old->size(), {&fresh}),
+                     analysis::SnapshotError)
+            << tag;
+        EXPECT_THROW(analysis::validateSnapshot(old->data(), old->size()),
+                     analysis::SnapshotError)
+            << tag;
+        EXPECT_THROW(analysis::parseSnapshotModel(old->data(), old->size()),
+                     analysis::SnapshotError)
+            << tag;
+        EXPECT_EQ(cacheEntries(fresh), 0u) << tag;
 
-    populateInterners();
-    const std::string path = tmpPath("v1_primary");
-    removeGenerations(path);
-    const analysis::SnapshotStats first = analysis::saveSnapshot(path);
-    analysis::saveSnapshot(path); // rotates the first image to .g1
-    writeFile(path, v1);          // a v1 primary in front of a v2 .g1
+        // As the primary in front of a good .g1: the walk lands there.
+        const std::string path = tmpPath(("old_" + tag).c_str());
+        removeGenerations(path);
+        const analysis::SnapshotStats first = saveWarm(path);
+        saveWarm(path); // rotates the first image to .g1
+        writeFile(path, *old);
+        const analysis::SnapshotStats st =
+            analysis::loadSnapshot(path, {&fresh});
+        EXPECT_EQ(st.generation, 1u) << tag;
+        EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::Loaded) << tag;
+        EXPECT_EQ(st.predictions, first.predictions) << tag;
 
-    const analysis::SnapshotStats st = analysis::loadSnapshot(path);
-    EXPECT_EQ(st.generation, 1u);
-    EXPECT_EQ(st.loadMode, analysis::SnapshotLoadMode::MmapV2);
-    EXPECT_EQ(st.records, first.records);
-
-    std::remove((path + ".g1").c_str());
-    EXPECT_THROW(analysis::loadSnapshot(path), analysis::SnapshotError);
-    removeGenerations(path);
-}
-
-TEST(SnapshotV2, BitFlippedRecordsStayBitIdenticalInFreshProcess)
-{
-    // End-to-end poison property: a fresh process warm-started from a
-    // v2 image whose records section is silently damaged must still
-    // produce bit-identical predictions — the poisoned section falls
-    // back to cold analysis per lookup instead of serving garbage.
-    populateInterners();
-    const std::string snap = tmpPath("v2_poison");
-    removeGenerations(snap);
-    analysis::saveSnapshot(snap);
-    {
-        std::vector<std::uint8_t> img = slurpFile(snap);
-        const std::vector<corpus::SectionEntry> table = v2Table(img);
-        bool flipped = false;
-        for (const corpus::SectionEntry &e : table)
-            if (e.type == 1 && !flipped) {
-                img[e.offset + e.length / 2] ^= 0xff;
-                flipped = true;
+        // With no older generation the load fails: the caller starts
+        // cold.
+        std::remove((path + ".g1").c_str());
+        std::remove((path + ".g2").c_str());
+        EXPECT_THROW(analysis::loadSnapshot(path), analysis::SnapshotError)
+            << tag;
+        if (old == &v2) {
+            try {
+                analysis::loadSnapshot(path, {.generations = 1});
+                ADD_FAILURE() << "a v2 image loaded";
+            } catch (const analysis::SnapshotError &err) {
+                EXPECT_NE(std::string(err.what()).find(
+                              "unsupported version 2"),
+                          std::string::npos)
+                    << err.what();
             }
-        ASSERT_TRUE(flipped);
-        writeFile(snap, img);
-    }
-
-    const std::optional<std::uint64_t> cold = probeDigest("");
-    const std::optional<std::uint64_t> warm =
-        probeDigest("FACILE_SNAPSHOT_PROBE_SNAP='" + snap + "' ");
-    ASSERT_TRUE(cold && warm);
-    EXPECT_EQ(*cold, *warm);
-    removeGenerations(snap);
-}
-
-TEST(SnapshotV2, ResaveAfterMmapStartKeepsUniverse)
-{
-    // Regression: a process warm-started from an mmap'd v2 image
-    // serves records through the lazily bound RecordSource, which
-    // exportRecords cannot see — an immediate save used to persist
-    // only the (empty) canonical arenas, silently shrinking the
-    // snapshot to zero records. saveSnapshot must materialize the
-    // bound sources first, so save-after-mmap-start round-trips the
-    // whole universe. Only reproducible in a fresh child: this
-    // process's interners are already warm.
-    populateInterners();
-    const std::string snap = tmpPath("v2_resave_src");
-    const std::string resaved = tmpPath("v2_resave_dst");
-    removeGenerations(snap);
-    std::remove(resaved.c_str());
-    const analysis::SnapshotStats saved = analysis::saveSnapshot(snap);
-
-    ASSERT_FALSE(runProbe("FACILE_SNAPSHOT_PROBE_SNAP='" + snap +
-                          "' FACILE_SNAPSHOT_PROBE_RESAVE='" + resaved +
-                          "' ")
-                     .empty())
-        << "child probe failed (load or resave assertions)";
-
-    // The child's resave carries the full universe, not just the
-    // records it happened to touch.
-    const std::vector<std::uint8_t> img = slurpFile(resaved);
-    const analysis::SnapshotModel m =
-        analysis::parseSnapshotModel(img.data(), img.size());
-    std::size_t records = 0, pairs = 0;
-    for (const analysis::SnapshotModel::Arch &a : m.arches) {
-        records += a.records.size();
-        pairs += a.fusedPairs.size();
-    }
-    EXPECT_EQ(records, saved.records);
-    EXPECT_EQ(pairs, saved.fusedPairs);
-    std::remove(resaved.c_str());
-    removeGenerations(snap);
-}
-
-/**
- * Intern distinct memory-operand forms `op r, [base+index*scale+disp]`
- * (opcode, REX.W, destination, base, index, scale, displacement width)
- * on @p arch, eight per analyzed block, until @p count new records
- * have been published.
- */
-void
-growFormUniverse(uarch::UArch arch, std::uint64_t count)
-{
-    const std::uint8_t ops[] = {0x8B, 0x03, 0x2B, 0x33,
-                                0x23, 0x0B, 0x3B, 0x85};
-    const std::uint64_t target =
-        analysis::InstInterner::statsAllArchs().records + count;
-    std::vector<std::uint8_t> block;
-    int inBlock = 0;
-    for (std::uint32_t n = 0; n < 8 * 98304; ++n) {
-        const int dispKind = n % 3;
-        const int sc = (n / 3) % 4;
-        const int idx = (n / 12) % 16;
-        const int bas = (n / 192) % 16;
-        const int dst = (n / 3072) % 16;
-        const int w = (n / 49152) % 2;
-        // No-index and base-less SIB encodings are other shapes.
-        if (idx == 4 || (dispKind == 0 && (bas & 7) == 5))
-            continue;
-        block.insert(block.end(),
-                     {static_cast<std::uint8_t>(0x40 | w << 3 |
-                                                (dst >> 3) << 2 |
-                                                (idx >> 3) << 1 | bas >> 3),
-                      ops[n / 98304],
-                      static_cast<std::uint8_t>(dispKind << 6 |
-                                                (dst & 7) << 3 | 4),
-                      static_cast<std::uint8_t>(sc << 6 | (idx & 7) << 3 |
-                                                (bas & 7))});
-        if (dispKind == 1)
-            block.push_back(0x10);
-        else if (dispKind == 2)
-            block.insert(block.end(), {0x00, 0x10, 0x00, 0x00});
-        if (++inBlock < 8)
-            continue;
-        bb::analyze(block, arch);
-        block.clear();
-        inBlock = 0;
-        if (analysis::InstInterner::statsAllArchs().records >= target)
-            return;
-    }
-    throw std::runtime_error("form generator exhausted");
-}
-
-/**
- * Child half of MmapLoadPublishesOnlyWhatOnePredictionTouches: load
- * FACILE_SNAPSHOT_PROBE_SNAP (eagerly with FACILE_SNAPSHOT_PROBE_EAGER),
- * predict one SKL block, and write the load mode, the image's record
- * count, the records published and borrowed from the image since
- * before the load, the block's instruction count and the records
- * sections verified.
- */
-TEST(SnapshotProbe, FirstPredictCounts)
-{
-    const char *out = std::getenv("FACILE_SNAPSHOT_PROBE_OUT");
-    const char *snap = std::getenv("FACILE_SNAPSHOT_PROBE_SNAP");
-    if (!out || !snap)
-        GTEST_SKIP() << "probe mode only (spawned by runProbe)";
-    const analysis::InternStats s0 = analysis::InstInterner::statsAllArchs();
-    const std::uint64_t v0 = analysis::snapshotSourceStats().sectionsVerified;
-    analysis::SnapshotOptions so;
-    so.eagerLoad = std::getenv("FACILE_SNAPSHOT_PROBE_EAGER") != nullptr;
-    const analysis::SnapshotStats st = analysis::loadSnapshot(snap, so);
-    const bb::BasicBlock blk =
-        bb::analyze(snapshotSuite().front().bytesL, uarch::UArch::SKL);
-    (void)model::predict(blk, true, {}, model::tlsPredictScratch());
-    const analysis::InternStats s1 = analysis::InstInterner::statsAllArchs();
-    std::FILE *f = std::fopen(out, "w");
-    ASSERT_NE(f, nullptr);
-    std::fprintf(
-        f, "%d %zu %llu %llu %zu %llu\n", static_cast<int>(st.loadMode),
-        st.records, static_cast<unsigned long long>(s1.records - s0.records),
-        static_cast<unsigned long long>(s1.borrowed - s0.borrowed),
-        blk.insts.size(),
-        static_cast<unsigned long long>(
-            analysis::snapshotSourceStats().sectionsVerified - v0));
-    std::fclose(f);
-}
-
-/**
- * The mmap load's cost follows what is touched, not the image size,
- * checked by counts in fresh processes: after an mmap load and one
- * block's prediction, at most that block's records are published, all
- * borrowed from the image, and one records section is verified — also
- * when the image's form universe is ten times larger. An eager load of
- * the same image publishes every record.
- */
-TEST(SnapshotV2, MmapLoadPublishesOnlyWhatOnePredictionTouches)
-{
-    populateInterners();
-    const std::string small = tmpPath("forms_1x");
-    const std::string big = tmpPath("forms_10x");
-    const analysis::SnapshotStats saved =
-        analysis::saveSnapshot(small, {.generations = 1});
-    // Grow the universe in a forked child so this process keeps its own.
-    const pid_t pid = ::fork();
-    ASSERT_GE(pid, 0);
-    if (pid == 0) {
-        int rc = 1;
-        try {
-            growFormUniverse(uarch::UArch::SKL, 9 * saved.records);
-            analysis::saveSnapshot(big, {.generations = 1});
-            rc = 0;
-        } catch (...) {
+            // A fresh process pointed at it starts cold and serves
+            // the suite bit-identically to serial predict.
+            const std::optional<ProbeAnswer> cold = runProbe(
+                "FACILE_SNAPSHOT_PROBE_SNAP='" + path + "' ");
+            ASSERT_TRUE(cold) << "probe child failed";
+            EXPECT_EQ(cold->hits, 0u);
+            EXPECT_EQ(cold->served, cold->serial);
+            EXPECT_EQ(cold->serial, suiteDigest());
         }
-        ::_exit(rc);
+        removeGenerations(path);
     }
-    int status = 0;
-    ASSERT_EQ(::waitpid(pid, &status, 0), pid);
-    ASSERT_TRUE(WIFEXITED(status) && WEXITSTATUS(status) == 0);
-
-    struct Counts
-    {
-        int mode = -1;
-        std::size_t image = 0, insts = 0;
-        unsigned long long published = 0, borrowed = 0, verified = 0;
-    };
-    auto probe = [](const std::string &path, bool eager) {
-        Counts c;
-        const std::string text = runProbe(
-            "FACILE_SNAPSHOT_PROBE_SNAP='" + path + "' " +
-                (eager ? "FACILE_SNAPSHOT_PROBE_EAGER=1 " : ""),
-            "SnapshotProbe.FirstPredictCounts");
-        EXPECT_EQ(std::sscanf(text.c_str(), "%d %zu %llu %llu %zu %llu",
-                              &c.mode, &c.image, &c.published,
-                              &c.borrowed, &c.insts, &c.verified),
-                  6)
-            << "child failed on " << path;
-        return c;
-    };
-    const Counts one = probe(small, false);
-    const Counts ten = probe(big, false);
-    const Counts eager = probe(big, true);
-    std::remove(small.c_str());
-    std::remove(big.c_str());
-
-    EXPECT_EQ(one.image, saved.records);
-    EXPECT_GE(ten.image, 10 * one.image);
-    for (const Counts &c : {one, ten}) {
-        EXPECT_EQ(c.mode,
-                  static_cast<int>(analysis::SnapshotLoadMode::MmapV2));
-        EXPECT_GE(c.published, 1u);
-        EXPECT_LE(c.published, c.insts);
-        EXPECT_EQ(c.borrowed, c.published);
-        EXPECT_EQ(c.verified, 1u);
-    }
-    EXPECT_EQ(eager.mode,
-              static_cast<int>(analysis::SnapshotLoadMode::EagerV2));
-    EXPECT_EQ(eager.published, eager.image);
 }
 
-TEST(SnapshotV2, ModelRoundTripIsByteIdentical)
+TEST(SnapshotImage, ModelRoundTripIsByteIdentical)
 {
     // The contract snaptool merge/compact rely on:
     // buildSnapshotImage(parseSnapshotModel(img)) == img, bit for bit,
-    // and the parsed model carries every record of every arch exactly
-    // as the live interner holds it.
-    populateInterners();
-    const std::vector<std::uint8_t> img = analysis::saveSnapshotToMemory();
+    // and the parsed model carries exactly the engine's cache entries.
+    engine::PredictionEngine &eng = warmEngine();
+    const std::vector<std::uint8_t> img =
+        analysis::saveSnapshotToMemory({&eng});
     const analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
     EXPECT_EQ(analysis::buildSnapshotImage(m), img);
+    EXPECT_EQ(m.predictions, analysis::snapshotModelOf(&eng).predictions);
+    ASSERT_EQ(m.predictions.size(), suiteRequests().size());
 
-    // The save materialized every bound record, so the canonical
-    // arenas now hold exactly what the image holds.
-    ASSERT_EQ(m.arches.size(), uarch::allUArchs().size());
-    std::size_t checked = 0;
-    for (const analysis::SnapshotModel::Arch &a : m.arches) {
-        std::map<std::vector<std::uint8_t>, const analysis::InstRecord *>
-            live;
-        analysis::InstInterner::forArch(static_cast<uarch::UArch>(a.arch))
-            .exportRecords([&](const std::uint8_t *bytes, std::size_t len,
-                               const analysis::InstRecord &rec) {
-                live.emplace(std::vector<std::uint8_t>(bytes, bytes + len),
-                             &rec);
-            });
-        EXPECT_EQ(a.records.size(), live.size()) << "arch " << a.arch;
-        for (const auto &[key, rec] : a.records) {
-            const auto it = live.find(key);
-            ASSERT_NE(it, live.end()) << "arch " << a.arch;
-            EXPECT_TRUE(sameRecord(*it->second, rec)) << "arch " << a.arch;
-            ++checked;
-        }
+    // A payload that is not a PREDICT response cannot be written.
+    analysis::SnapshotModel bad = m;
+    bad.predictions.front().second.resize(8);
+    EXPECT_THROW(analysis::buildSnapshotImage(bad), analysis::SnapshotError);
+}
+
+TEST(SnapshotImage, MergeIsASortedConflictCheckedUnion)
+{
+    analysis::SnapshotModel m = analysis::snapshotModelOf(&warmEngine());
+    ASSERT_GE(m.predictions.size(), 4u);
+    const std::size_t mid = m.predictions.size() / 2;
+    analysis::SnapshotModel a, b;
+    a.predictions.assign(m.predictions.begin(),
+                         m.predictions.begin() +
+                             static_cast<std::ptrdiff_t>(mid + 1));
+    b.predictions.assign(m.predictions.begin() +
+                             static_cast<std::ptrdiff_t>(mid - 1),
+                         m.predictions.end());
+    const analysis::SnapshotModel ab = analysis::mergeSnapshotModels({a, b});
+    EXPECT_EQ(ab.predictions,
+              analysis::mergeSnapshotModels({b, a}).predictions);
+    EXPECT_EQ(ab.predictions, analysis::mergeSnapshotModels({m}).predictions);
+    EXPECT_EQ(ab.predictions.size(), m.predictions.size());
+    EXPECT_TRUE(std::is_sorted(ab.predictions.begin(), ab.predictions.end()));
+
+    // Same key, different payload: a content conflict.
+    b.predictions.front().second[0] ^= 1;
+    try {
+        analysis::mergeSnapshotModels({a, b});
+        ADD_FAILURE() << "conflicting inputs merged";
+    } catch (const analysis::SnapshotError &e) {
+        EXPECT_NE(std::string(e.what()).find("merge conflict"),
+                  std::string::npos);
     }
-    // Each arch saw a few hundred distinct instructions.
-    EXPECT_GT(checked, 1000u);
 }
 
 } // namespace

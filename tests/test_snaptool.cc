@@ -3,23 +3,23 @@
  * End-to-end tests for facile_snaptool (src/tools/facile_snaptool.cc),
  * driving the real binary (FACILE_SNAPTOOL_PATH, injected by CMake)
  * through popen. The contracts: verify is exit-code-truthful on every
- * corruption class and on images of the retired v1 format; merge is a
- * commutative union that rejects content conflicts; merge/compact
- * honour --dry-run by writing nothing.
+ * corruption class and on images of the retired v1 and v2 formats;
+ * merge is a commutative union that rejects content conflicts;
+ * compact is a lossless sorted rewrite; merge/compact honour --dry-run
+ * by writing nothing.
  */
 #include <gtest/gtest.h>
 
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <string>
 #include <vector>
 
-#include "analysis/intern.h"
 #include "analysis/snapshot.h"
-#include "bb/basic_block.h"
 #include "bhive/generator.h"
 #include "engine/engine.h"
 #include "uarch/config.h"
@@ -95,32 +95,32 @@ fileExists(const std::string &p)
     return f != nullptr;
 }
 
-/** Analyze a small suite so the interners have exportable content. */
-void
-populateInterners()
+/** An engine whose prediction cache holds a small suite, all arches. */
+engine::PredictionEngine &
+warmEngine()
 {
-    static const bool done = [] {
-        const std::vector<bhive::Benchmark> suite =
-            bhive::generateSuite(0x700157001ULL, 4);
+    static engine::PredictionEngine *eng = [] {
+        auto *e = new engine::PredictionEngine({.numThreads = 1});
+        std::vector<engine::Request> reqs;
         for (uarch::UArch arch : uarch::allUArchs())
-            for (const auto &b : suite) {
-                bb::analyze(b.bytesU, arch);
-                bb::analyze(b.bytesL, arch);
+            for (const auto &b : bhive::generateSuite(0x700157001ULL, 4)) {
+                reqs.push_back({b.bytesU, arch, false, {}});
+                reqs.push_back({b.bytesL, arch, true, {}});
             }
-        return true;
+        e->predictBatch(reqs);
+        return e;
     }();
-    (void)done;
+    return *eng;
 }
 
-/** Path of a saved snapshot (saved once, then cached). */
+/** Path of a saved snapshot of warmEngine() (saved once, then cached). */
 std::string
 savedSnapshot()
 {
-    populateInterners();
     static std::string path;
     if (path.empty()) {
         path = tmpPath("fixture");
-        analysis::saveSnapshot(path);
+        analysis::saveSnapshot(path, {&warmEngine(), 1});
     }
     return path;
 }
@@ -192,6 +192,15 @@ TEST(Snaptool, VerifyAndCorruption)
         std::remove(old.c_str());
     }
 
+    // So is a real image of the retired record-carrying version 2.
+    {
+        const std::string old = FACILE_SNAPSHOT_V2_IMAGE;
+        const RunResult r = snaptool("verify " + v2 + " " + old);
+        EXPECT_EQ(r.status, 1) << r.out;
+        EXPECT_NE(r.out.find("unsupported version 2"), std::string::npos)
+            << r.out;
+    }
+
     // A missing file is a FAIL, not a crash.
     EXPECT_EQ(snaptool("verify does-not-exist.bin").status, 1);
 }
@@ -201,11 +210,14 @@ TEST(Snaptool, DumpShowsLayout)
     const std::string v2 = savedSnapshot();
     const RunResult r = snaptool("dump " + v2);
     EXPECT_EQ(r.status, 0) << r.out;
-    EXPECT_NE(r.out.find("format:      v2"), std::string::npos) << r.out;
-    EXPECT_NE(r.out.find("records"), std::string::npos);
-    EXPECT_NE(r.out.find("sections:"), std::string::npos);
-    // One records section per arch appears with its abbrev.
-    EXPECT_NE(r.out.find("SKL"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("format:      v3"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("predictions: " +
+                         std::to_string(analysis::snapshotModelOf(&warmEngine())
+                                            .predictions.size())),
+              std::string::npos)
+        << r.out;
+    // The one section is listed.
+    EXPECT_NE(r.out.find("sections:    1"), std::string::npos) << r.out;
 
     const RunResult hex = snaptool("dump --hex " + v2);
     EXPECT_EQ(hex.status, 0);
@@ -237,18 +249,18 @@ splitFixture(const std::string &outA, const std::string &outB,
     const std::vector<std::uint8_t> img = slurpFile(full);
     const analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
-    ASSERT_GE(m.arches.size(), 4u);
+    ASSERT_GE(m.predictions.size(), 4u);
 
-    const std::size_t mid = m.arches.size() / 2;
+    const std::size_t mid = m.predictions.size() / 2;
     analysis::SnapshotModel a, b;
-    for (std::size_t i = 0; i < m.arches.size(); ++i) {
+    for (std::size_t i = 0; i < m.predictions.size(); ++i) {
         // With overlap, a band around the midpoint lands in both.
         const bool inA = i < mid + (overlap ? 1 : 0);
         const bool inB = i >= mid - (overlap ? 1 : 0);
         if (inA)
-            a.arches.push_back(m.arches[i]);
+            a.predictions.push_back(m.predictions[i]);
         if (inB)
-            b.arches.push_back(m.arches[i]);
+            b.predictions.push_back(m.predictions[i]);
     }
     writeFile(outA, analysis::buildSnapshotImage(a));
     writeFile(outB, analysis::buildSnapshotImage(b));
@@ -272,7 +284,7 @@ TEST(Snaptool, MergeIsACommutativeUnion)
         EXPECT_EQ(snaptool("verify " + ab).status, 0);
 
         // And logically identical to the full fixture it was split
-        // from (the split covered every arch).
+        // from (the split covered every entry).
         EXPECT_EQ(
             snaptool("diff " + ab + " " +
                      savedSnapshot())
@@ -291,10 +303,10 @@ TEST(Snaptool, MergeRejectsContentConflicts)
     const std::vector<std::uint8_t> img = slurpFile(full);
     analysis::SnapshotModel m =
         analysis::parseSnapshotModel(img.data(), img.size());
-    ASSERT_FALSE(m.arches.empty());
-    ASSERT_FALSE(m.arches[0].records.empty());
-    // Same key, different analysis: a content conflict.
-    m.arches[0].records[0].second.info.latency += 1;
+    ASSERT_FALSE(m.predictions.empty());
+    // Same key, different prediction (the low byte of its throughput
+    // bits): a content conflict.
+    m.predictions[0].second[0] ^= 1;
     const std::string forged = tmpPath("merge_forged");
     writeFile(forged, analysis::buildSnapshotImage(m));
 
@@ -322,39 +334,33 @@ TEST(Snaptool, DiffReportsDirectionalDifferences)
     std::remove(b.c_str());
 }
 
-TEST(Snaptool, CompactDropsPredictionsAndStaysLoadable)
+TEST(Snaptool, CompactIsALosslessSortedRewrite)
 {
-    populateInterners();
-    // A snapshot with a prediction cache aboard.
-    const std::vector<bhive::Benchmark> suite =
-        bhive::generateSuite(0x700157001ULL, 4);
-    std::vector<engine::Request> batch;
-    for (const auto &bm : suite)
-        batch.push_back({bm.bytesL, uarch::UArch::SKL, true, {}});
-    engine::PredictionEngine::Options eopts;
-    eopts.numThreads = 2;
-    engine::PredictionEngine eng(eopts);
-    eng.predictBatch(batch);
-
-    const std::string snap = tmpPath("compact_full");
-    const analysis::SnapshotStats saved =
-        analysis::saveSnapshot(snap, {&eng});
-    ASSERT_GT(saved.predictions, 0u);
-
-    const std::string lean = tmpPath("compact_lean");
-    const RunResult r = snaptool("compact " + snap +
-                                 " --drop-predictions --out " + lean);
+    // A save writes entries in cache order; compact rewrites them
+    // sorted by key, keeping every entry, and is then a fixed point.
+    const std::string snap = savedSnapshot();
+    const std::string sorted = tmpPath("compact_sorted");
+    const RunResult r = snaptool("compact " + snap + " --out " + sorted);
     EXPECT_EQ(r.status, 0) << r.out;
+    EXPECT_EQ(snaptool("diff " + snap + " " + sorted).status, 0);
 
-    const std::vector<std::uint8_t> img = slurpFile(lean);
-    const analysis::SnapshotStats st =
-        analysis::validateSnapshot(img.data(), img.size());
-    EXPECT_EQ(st.predictions, 0u);
-    EXPECT_EQ(st.records, saved.records);
-    EXPECT_LT(img.size(), slurpFile(snap).size());
+    const std::vector<std::uint8_t> img = slurpFile(sorted);
+    const analysis::SnapshotModel m =
+        analysis::parseSnapshotModel(img.data(), img.size());
+    EXPECT_TRUE(std::is_sorted(m.predictions.begin(), m.predictions.end()));
+    EXPECT_EQ(m.predictions.size(),
+              analysis::snapshotModelOf(&warmEngine()).predictions.size());
+    engine::PredictionEngine fresh({.numThreads = 1});
+    EXPECT_EQ(analysis::loadSnapshot(sorted, {&fresh, 1}).predictions,
+              m.predictions.size());
 
-    std::remove(snap.c_str());
-    std::remove(lean.c_str());
+    EXPECT_EQ(snaptool("compact " + sorted).status, 0);
+    EXPECT_EQ(slurpFile(sorted), img) << "compact is not a fixed point";
+
+    // The flag that dropped the prediction section is gone: dropping
+    // every entry would leave an empty image.
+    EXPECT_EQ(snaptool("compact " + sorted + " --drop-predictions").status, 2);
+    std::remove(sorted.c_str());
 }
 
 TEST(SnaptoolCleanup, RemoveFixtures)
