@@ -108,8 +108,9 @@ main(int argc, char **argv)
 
     // ---- snapshot: a real saved image --------------------------------------
     // The same seed feeds the snaptool harness (model parse + rebuild).
-    // The checked-in two_arch_image_v2 files are images of the retired
-    // version 2 and stay as rejected-input seeds.
+    // The checked-in two_arch_image_v2 and two_arch_predictions_v3
+    // files are images of the retired versions 2 and 3 and stay as
+    // rejected-input seeds.
     {
         // Fill an engine's prediction cache on two arches, both notions.
         engine::PredictionEngine eng({.numThreads = 1});
@@ -121,8 +122,8 @@ main(int argc, char **argv)
         eng.predictBatch(reqs);
         const std::vector<std::uint8_t> img =
             analysis::saveSnapshotToMemory({&eng});
-        writeSeed(out / "snapshot", "two_arch_predictions_v3", img);
-        writeSeed(out / "snaptool", "two_arch_predictions_v3", img);
+        writeSeed(out / "snapshot", "two_arch_predictions_v4", img);
+        writeSeed(out / "snaptool", "two_arch_predictions_v4", img);
     }
 
     // ---- corpus: a closed two-record file ----------------------------------

@@ -540,25 +540,13 @@ InstInterner::internFused(const InstRecord *first, const InstRecord *second)
     }
 
     // Derive both variants exactly as bb::analyze's historical in-place
-    // merge did, so predictions stay bit-identical.
-    InstRecord merged;
-    merged.dec = first->dec;
-    merged.info = first->info;
-    merged.rw = first->rw;
-    // Fusion keeps each instruction's latency and semantics, so the
-    // dependence templates carry over unchanged.
-    merged.depReads = first->depReads;
-    merged.stackOp = first->stackOp;
-    merged.depBreaking = first->depBreaking;
-    merged.nWritesInl = first->nWritesInl;
-    merged.nDepInl = first->nDepInl;
-    std::memcpy(merged.writesInl, first->writesInl,
-                sizeof merged.writesInl);
-    std::memcpy(merged.depInl, first->depInl, sizeof merged.depInl);
-    merged.fuseClass = first->fuseClass;
-    merged.isJcc = first->isJcc;
-    merged.jccReadsCf = first->jccReadsCf;
-    merged.jccTestsSOP = first->jccTestsSOP;
+    // merge did, so predictions stay bit-identical. Each starts as a
+    // copy of its base record — fusion keeps each instruction's latency
+    // and semantics, so the dependence templates carry over unchanged —
+    // and only what fusion changes is patched. Neither is indexed, so
+    // neither carries a key.
+    InstRecord merged = *first;
+    merged.key[0] = merged.key[1] = 0;
     {
         std::vector<uops::Uop> uops;
         for (const auto &u : merged.info.portUops)
@@ -573,22 +561,8 @@ InstInterner::internFused(const InstRecord *first, const InstRecord *second)
         if (u.ports)
             merged.portMasks.push_back(u.ports);
 
-    InstRecord stripped;
-    stripped.dec = second->dec;
-    stripped.info = second->info;
-    stripped.rw = second->rw;
-    stripped.depReads = second->depReads;
-    stripped.stackOp = second->stackOp;
-    stripped.depBreaking = second->depBreaking;
-    stripped.nWritesInl = second->nWritesInl;
-    stripped.nDepInl = second->nDepInl;
-    std::memcpy(stripped.writesInl, second->writesInl,
-                sizeof stripped.writesInl);
-    std::memcpy(stripped.depInl, second->depInl, sizeof stripped.depInl);
-    stripped.fuseClass = second->fuseClass;
-    stripped.isJcc = second->isJcc;
-    stripped.jccReadsCf = second->jccReadsCf;
-    stripped.jccTestsSOP = second->jccTestsSOP;
+    InstRecord stripped = *second;
+    stripped.key[0] = stripped.key[1] = 0;
     stripped.info.fusedUops = 0;
     stripped.info.issueUops = 0;
     stripped.info.portUops.clear();

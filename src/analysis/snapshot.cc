@@ -10,8 +10,8 @@
 
 #include "corpus/sections.h"
 #include "engine/engine.h"
-// The predictions section reuses the wire codec (one Prediction body
-// layout in the repo, not two drifting copies).
+// Snapshot entries reuse the wire codec (one Prediction body layout in
+// the repo, not two drifting copies).
 #include "server/protocol.h"
 #include "testing/fault.h"
 
@@ -20,9 +20,8 @@ namespace facile::analysis {
 namespace {
 
 constexpr char kMagic[8] = {'F', 'A', 'C', 'S', 'N', 'P', '2', '\n'};
-constexpr std::size_t kHeaderSize = 64;
-/** The one section type; 1 (records) and 2 (fused pairs) are retired. */
-constexpr std::uint32_t kPredictionsSection = 3;
+/** The header hash covers every header byte before it. */
+constexpr std::size_t kHashedHeader = kSnapshotHeaderSize - 8;
 
 // ---- append helpers (little-endian; the host is asserted little-
 // endian by the server protocol, and the snapshot shares that
@@ -130,26 +129,21 @@ readFile(const std::string &path)
 }
 
 /**
- * Validate an image of (@p data, @p size) — header, table, section
- * hash, every entry — and call @p visit(key, keyLen, payload, len,
- * pred) for each entry in file order, pred being the decoded payload.
- * @p name labels errors. Callers stage what they visit: an image that
- * throws part-way must not have been imported from.
+ * Validate an image of (@p data, @p size) — header, entries hash,
+ * every entry — and call @p visit(key, keyLen, payload, len, pred) for
+ * each entry in file order, pred being the decoded payload. @p name
+ * labels errors. Callers stage what they visit: an image that throws
+ * part-way must not have been imported from. Returns the entries hash.
  */
 template <class Visit>
-void
+std::uint64_t
 walkImage(const std::uint8_t *data, std::size_t size,
           const std::string &name, Visit &&visit)
 {
-    if (size < kHeaderSize)
+    if (size < kSnapshotHeaderSize)
         throw SnapshotError("truncated header in " + name);
     if (std::memcmp(data, kMagic, sizeof kMagic) != 0)
         throw SnapshotError("bad magic in " + name);
-    std::uint64_t headerHash;
-    std::memcpy(&headerHash, data + 48, 8);
-    if (corpus::xxh64(data, 48) != headerHash)
-        throw SnapshotError("header checksum mismatch in " + name);
-
     Reader hd{data, size, sizeof kMagic};
     const std::uint32_t version = hd.u32();
     if (version != kSnapshotVersion)
@@ -157,58 +151,25 @@ walkImage(const std::uint8_t *data, std::size_t size,
                             std::to_string(version) + " in " + name);
     if (hd.u32() != corpus::kLittleEndianTag)
         throw SnapshotError("foreign-endian image " + name);
-    if (hd.u32() != corpus::kSectionAlign)
-        throw SnapshotError("unsupported page size in " + name);
-    if (hd.u32() != 1)
-        throw SnapshotError("bad section count in " + name);
-    if (hd.u64() != size)
+    const std::uint64_t fileBytes = hd.u64();
+    const std::uint64_t count = hd.u64();
+    const std::uint64_t entriesHash = hd.u64();
+    const std::uint64_t reserved = hd.u64();
+    if (corpus::xxh64(data, kHashedHeader) != hd.u64())
+        throw SnapshotError("header checksum mismatch in " + name);
+    if (fileBytes != size)
         throw SnapshotError("file size mismatch in " + name);
-    if (hd.u64() != kHeaderSize)
-        throw SnapshotError("bad table offset in " + name);
-    const std::uint64_t tableHash = hd.u64();
-    hd.pos = 56; // past the header hash, checked above
-    if (hd.u64() != 0)
+    if (reserved != 0)
         throw SnapshotError("nonzero reserved header field in " + name);
 
-    constexpr std::size_t kTableEnd =
-        kHeaderSize + sizeof(corpus::SectionEntry);
-    if (size < kTableEnd)
-        throw SnapshotError("truncated section table in " + name);
-    if (corpus::xxh64(data + kHeaderSize, sizeof(corpus::SectionEntry)) !=
-        tableHash)
-        throw SnapshotError("table checksum mismatch in " + name);
-    corpus::SectionEntry e;
-    try {
-        e = corpus::decodeSectionTable(data + kHeaderSize,
-                                       size - kHeaderSize, 1, size)
-                .front();
-    } catch (const corpus::SectionError &err) {
-        throw SnapshotError(std::string(err.what()) + " in " + name);
-    }
-    if (e.type != kPredictionsSection || e.tag != 0)
-        throw SnapshotError("unknown section type " +
-                            std::to_string(e.type) + " in " + name);
-    if (e.offset < kTableEnd)
-        throw SnapshotError("overlapping sections in " + name);
-    // No byte escapes a check: the padding up to the section is zero
-    // and the section runs to the end of the file.
-    if (e.offset + e.length != size)
-        throw SnapshotError("trailing bytes in " + name);
-    if (std::any_of(data + kTableEnd, data + e.offset,
-                    [](std::uint8_t b) { return b != 0; }))
-        throw SnapshotError("nonzero padding in " + name);
-    const std::uint8_t *sec = data + e.offset;
-    if (corpus::xxh64(sec, e.length) != e.hash)
-        throw SnapshotError("section checksum mismatch in " + name);
-
-    Reader rd{sec, static_cast<std::size_t>(e.length)};
-    const std::uint32_t count = rd.u32();
+    Reader rd{data + kSnapshotHeaderSize, size - kSnapshotHeaderSize};
+    if (corpus::xxh64(rd.data, rd.size) != entriesHash)
+        throw SnapshotError("entries checksum mismatch in " + name);
     // Every entry holds at least its two lengths, so a forged count
-    // cannot claim more entries than the section has bytes for.
-    if (count != e.itemCount || count > (rd.size - rd.pos) / 8)
-        throw SnapshotError(
-            "prediction count disagrees with section in " + name);
-    for (std::uint32_t i = 0; i < count; ++i) {
+    // cannot claim more entries than the image has bytes for.
+    if (count > rd.size / 8)
+        throw SnapshotError("entry count exceeds image size in " + name);
+    for (std::uint64_t i = 0; i < count; ++i) {
         const std::uint32_t keyLen = rd.u32();
         const std::uint8_t *key = rd.bytes(keyLen);
         const std::uint32_t predLen = rd.u32();
@@ -217,7 +178,8 @@ walkImage(const std::uint8_t *data, std::size_t size,
               decodePrediction(pred, predLen));
     }
     if (rd.pos != rd.size)
-        throw SnapshotError("section length mismatch in " + name);
+        throw SnapshotError("trailing bytes in " + name);
+    return entriesHash;
 }
 
 /** Validate, stage every entry, then import them all into opts.engine. */
@@ -227,17 +189,16 @@ loadImage(const std::uint8_t *data, std::size_t size,
 {
     std::vector<std::pair<std::string, model::Prediction>> staged;
     SnapshotStats st;
-    walkImage(data, size, name,
-              [&](const std::uint8_t *key, std::size_t keyLen,
-                  const std::uint8_t *, std::size_t,
-                  model::Prediction &&pred) {
-                  ++st.predictions;
-                  if (opts.engine)
-                      staged.emplace_back(
-                          std::string(reinterpret_cast<const char *>(key),
-                                      keyLen),
-                          std::move(pred));
-              });
+    st.entriesHash = walkImage(
+        data, size, name,
+        [&](const std::uint8_t *key, std::size_t keyLen,
+            const std::uint8_t *, std::size_t, model::Prediction &&pred) {
+            ++st.predictions;
+            if (opts.engine)
+                staged.emplace_back(
+                    std::string(reinterpret_cast<const char *>(key), keyLen),
+                    std::move(pred));
+        });
     st.bytes = size;
     st.loadMode = SnapshotLoadMode::Loaded;
     if (opts.engine)
@@ -281,37 +242,25 @@ snapshotModelOf(const engine::PredictionEngine *engine)
 std::vector<std::uint8_t>
 buildSnapshotImage(const SnapshotModel &model)
 {
-    std::vector<std::uint8_t> sec;
-    putU32(sec, static_cast<std::uint32_t>(model.predictions.size()));
+    std::vector<std::uint8_t> img(kSnapshotHeaderSize, 0);
     for (const auto &[key, payload] : model.predictions) {
         decodePrediction(payload.data(), payload.size()); // validate
-        putU32(sec, static_cast<std::uint32_t>(key.size()));
-        sec.insert(sec.end(), key.begin(), key.end());
-        putU32(sec, static_cast<std::uint32_t>(payload.size()));
-        sec.insert(sec.end(), payload.begin(), payload.end());
+        putU32(img, static_cast<std::uint32_t>(key.size()));
+        img.insert(img.end(), key.begin(), key.end());
+        putU32(img, static_cast<std::uint32_t>(payload.size()));
+        img.insert(img.end(), payload.begin(), payload.end());
     }
 
-    corpus::SectionEntry e;
-    e.type = kPredictionsSection;
-    e.offset = corpus::kSectionAlign;
-    e.length = sec.size();
-    e.hash = corpus::xxh64(sec.data(), sec.size());
-    e.itemCount = model.predictions.size();
-    const std::vector<std::uint8_t> table = corpus::encodeSectionTable({e});
-
-    std::vector<std::uint8_t> img(kMagic, kMagic + sizeof kMagic);
-    putU32(img, kSnapshotVersion);
-    putU32(img, corpus::kLittleEndianTag);
-    putU32(img, corpus::kSectionAlign);
-    putU32(img, 1); // section count
-    putU64(img, e.offset + e.length);
-    putU64(img, kHeaderSize);
-    putU64(img, corpus::xxh64(table.data(), table.size()));
-    putU64(img, corpus::xxh64(img.data(), 48));
-    putU64(img, 0); // reserved
-    img.insert(img.end(), table.begin(), table.end());
-    img.resize(e.offset, 0);
-    img.insert(img.end(), sec.begin(), sec.end());
+    std::vector<std::uint8_t> hd(kMagic, kMagic + sizeof kMagic);
+    putU32(hd, kSnapshotVersion);
+    putU32(hd, corpus::kLittleEndianTag);
+    putU64(hd, img.size());
+    putU64(hd, model.predictions.size());
+    putU64(hd, corpus::xxh64(img.data() + kSnapshotHeaderSize,
+                             img.size() - kSnapshotHeaderSize));
+    putU64(hd, 0); // reserved
+    putU64(hd, corpus::xxh64(hd.data(), kHashedHeader));
+    std::copy(hd.begin(), hd.end(), img.begin());
     return img;
 }
 

@@ -10,36 +10,29 @@
  * (src/analysis/README.md).
  *
  * One on-disk format, little-endian, crash-safe (temp file → fsync →
- * generation rotation → atomic rename), magic "FACSNP2\n" (layout
- * diagram in src/analysis/README.md):
+ * generation rotation → atomic rename): one fixed header, then the
+ * entries, nothing else (layout diagram in src/analysis/README.md):
  *
  *   offset 0   char[8]  magic       "FACSNP2\n"
- *   offset 8   u32      version     3
+ *   offset 8   u32      version     4
  *   offset 12  u32      endianTag   corpus::kLittleEndianTag — a
  *                                   foreign-endian image is rejected,
  *                                   never misparsed
- *   offset 16  u32      pageSize    corpus::kSectionAlign (4096)
- *   offset 20  u32      sectionCount 1
- *   offset 24  u64      fileBytes   total file size (truncation check)
- *   offset 32  u64      tableOffset 64
- *   offset 40  u64      tableHash   xxh64 over the section table
+ *   offset 16  u64      fileBytes   total file size (truncation check)
+ *   offset 24  u64      count       number of entries
+ *   offset 32  u64      entriesHash xxh64 over bytes [56, fileBytes)
+ *   offset 40  u64      reserved    0
  *   offset 48  u64      headerHash  xxh64 over bytes [0, 48)
- *   offset 56  u64      reserved    0
- *   offset 64  section table: one corpus::SectionEntry (type 3 =
- *              predictions, tag 0) with its payload's xxh64 and a
- *              4 KiB-aligned payload offset. Types 1 and 2 (records
- *              and fused pairs, version 2) are retired.
+ *   offset 56  count entries of (u32 keyLen + opaque engine cache
+ *              key, u32 predLen + PREDICT response payload), to the
+ *              end of the file. Raw IEEE-754 bit patterns throughout.
  *
- *   The predictions payload is u32 count, then count entries of
- *   (u32 keyLen + opaque engine cache key, u32 predLen + PREDICT
- *   response payload). Raw IEEE-754 bit patterns throughout.
- *
- * A load reads the file, verifies header, table and section hash,
+ * A load reads the file, verifies the header and entries hashes,
  * decodes every entry, and only then imports the entries into
  * SnapshotOptions::engine. The fallback ladder, outermost first:
  *   1. the newest generation (`path`);
  *   2. older generations (`path.g1`, ...) — a file that is missing,
- *      not an image of this version (any other magic, version 2
+ *      not an image of this version (any other magic, versions 1–3
  *      included), foreign-endian, or fails validation throws, and the
  *      walk moves on;
  *   3. cold — no generation loads; the caller starts cold.
@@ -48,7 +41,7 @@
  * its live entry.
  *
  * Corruption handling: a bad magic, unsupported version, truncated
- * file, out-of-bounds section, bad entry or checksum mismatch throws
+ * file, forged count, bad entry, trailing byte or checksum mismatch throws
  * SnapshotError; nothing is imported from a file that fails
  * validation.
  *
@@ -76,7 +69,10 @@ class PredictionEngine;
 
 namespace facile::analysis {
 
-inline constexpr std::uint32_t kSnapshotVersion = 3;
+inline constexpr std::uint32_t kSnapshotVersion = 4;
+
+/** Bytes of the fixed header that precedes the entries. */
+inline constexpr std::size_t kSnapshotHeaderSize = 56;
 
 /**
  * Whether a load happened. The values are reported on the wire (STATS
@@ -107,6 +103,8 @@ struct SnapshotStats
 {
     std::size_t predictions = 0; ///< engine prediction-cache entries
     std::size_t bytes = 0;       ///< file size
+    /** The header's xxh64 over the entry bytes (loads and validation). */
+    std::uint64_t entriesHash = 0;
     /**
      * Which generation a load came from: 0 = the primary path, g > 0 =
      * the g-th rotated fallback (`path.gN`) after newer generations
@@ -173,8 +171,8 @@ SnapshotStats loadSnapshotFromMemory(const std::uint8_t *data,
                                      const SnapshotOptions &opts = {});
 
 /**
- * Run the full validation of an in-memory image — header, table,
- * section hash, every entry — and import nothing. Returns what a load
+ * Run the full validation of an in-memory image — header, entries
+ * hash, every entry — and import nothing. Returns what a load
  * would have reported (with loadMode None); throws SnapshotError
  * exactly when a load would. This is the path the fuzz_snapshot
  * harness and `facile_snaptool verify` drive.

@@ -117,36 +117,6 @@ xxh64(const void *data, std::size_t len, std::uint64_t seed)
     return h;
 }
 
-// ---- section table codec ---------------------------------------------------
-
-std::vector<std::uint8_t>
-encodeSectionTable(const std::vector<SectionEntry> &entries)
-{
-    std::vector<std::uint8_t> out(entries.size() * sizeof(SectionEntry));
-    if (!entries.empty())
-        std::memcpy(out.data(), entries.data(), out.size());
-    return out;
-}
-
-std::vector<SectionEntry>
-decodeSectionTable(const std::uint8_t *data, std::size_t size,
-                   std::uint32_t count, std::uint64_t fileBytes)
-{
-    if (size / sizeof(SectionEntry) < count)
-        throw SectionError("truncated section table");
-    std::vector<SectionEntry> entries(count);
-    if (count)
-        std::memcpy(entries.data(), data,
-                    count * sizeof(SectionEntry));
-    for (const SectionEntry &e : entries) {
-        if (e.offset > fileBytes || e.length > fileBytes - e.offset)
-            throw SectionError("section payload out of bounds");
-        if (e.reserved[0] || e.reserved[1] || e.reserved[2])
-            throw SectionError("nonzero reserved section field");
-    }
-    return entries;
-}
-
 // ---- durable buffered writer -----------------------------------------------
 
 std::string

@@ -1,20 +1,14 @@
 /**
  * @file
- * Shared building blocks for sectioned container files (the snapshot
- * image today; sectioned corpora next): a 64-bit xxHash, a fixed
- * 64-byte section-table entry with page-aligned payload offsets and a
- * per-section hash, and a buffered atomic file writer that keeps the
- * crash-safety contract of snapshot saves (temp file → writes → fsync
- * → generation rotation → rename → parent dir fsync).
+ * Building blocks for checksummed binary files written crash-safely
+ * (the snapshot image, facile_snaptool's outputs): a 64-bit xxHash,
+ * the little-endian witness such files stamp, and a buffered atomic
+ * file writer that keeps the crash-safety contract of snapshot saves
+ * (temp file → writes → fsync → generation rotation → rename → parent
+ * dir fsync).
  *
- * Everything here is format-agnostic: the container owner supplies the
- * magic/header layout and the meaning of SectionEntry::type/tag; this
- * layer owns alignment, hashing, the table codec, and durable IO.
- *
- * All multi-byte fields are little-endian (the host is asserted
- * little-endian by the server protocol; sectioned files share that
- * assumption and carry an endian tag so a foreign-endian image is
- * rejected instead of misparsed).
+ * Everything here is format-agnostic: the file's owner supplies its
+ * magic and layout; this layer owns hashing and durable IO.
  */
 #ifndef FACILE_CORPUS_SECTIONS_H
 #define FACILE_CORPUS_SECTIONS_H
@@ -28,7 +22,7 @@
 
 namespace facile::corpus {
 
-/** Thrown on IO failures and malformed section tables. */
+/** Thrown on IO failures. */
 class SectionError : public std::runtime_error
 {
   public:
@@ -37,18 +31,11 @@ class SectionError : public std::runtime_error
     {}
 };
 
-/** Section payloads start on this boundary. */
-inline constexpr std::uint64_t kSectionAlign = 4096;
-
-/** Value all sectioned containers stamp as their endianness witness. */
+/**
+ * Value checksummed files stamp as their endianness witness, so a
+ * foreign-endian file is rejected instead of misparsed.
+ */
 inline constexpr std::uint32_t kLittleEndianTag = 0x0A0B0C0D;
-
-/** @return @p v rounded up to the next multiple of @p align (pow 2). */
-constexpr std::uint64_t
-alignUp(std::uint64_t v, std::uint64_t align)
-{
-    return (v + align - 1) & ~(align - 1);
-}
 
 /**
  * xxHash64 (Yann Collet's XXH64, the standard single-shot variant) —
@@ -57,46 +44,6 @@ alignUp(std::uint64_t v, std::uint64_t align)
  */
 std::uint64_t xxh64(const void *data, std::size_t len,
                     std::uint64_t seed = 0);
-
-/**
- * One section-table entry, exactly 64 bytes on disk and in memory
- * (plain little-endian PODs, memcpy-codec'd):
- *
- *   offset 0   u32  type       container-defined section type
- *   offset 4   u32  tag        container-defined (e.g. uarch value)
- *   offset 8   u64  offset     payload start from file byte 0;
- *                              kSectionAlign-aligned for mappable types
- *   offset 16  u64  length     payload bytes (excludes padding)
- *   offset 24  u64  hash       xxh64 over the payload bytes
- *   offset 32  u64  itemCount  container-defined logical item count
- *   offset 40  u64  reserved[3]  zero; readers ignore
- */
-struct SectionEntry
-{
-    std::uint32_t type = 0;
-    std::uint32_t tag = 0;
-    std::uint64_t offset = 0;
-    std::uint64_t length = 0;
-    std::uint64_t hash = 0;
-    std::uint64_t itemCount = 0;
-    std::uint64_t reserved[3] = {0, 0, 0};
-};
-static_assert(sizeof(SectionEntry) == 64,
-              "SectionEntry is the on-disk layout");
-
-/** Serialize @p entries back to back (64 bytes each). */
-std::vector<std::uint8_t>
-encodeSectionTable(const std::vector<SectionEntry> &entries);
-
-/**
- * Decode a section table of @p count entries from @p data (@p size
- * bytes) and validate every entry against the containing file size:
- * payload in bounds, no overflow, reserved fields zero.
- * @throws SectionError.
- */
-std::vector<SectionEntry>
-decodeSectionTable(const std::uint8_t *data, std::size_t size,
-                   std::uint32_t count, std::uint64_t fileBytes);
 
 /**
  * Buffered durable writer with the snapshot crash-safety contract.

@@ -10,6 +10,13 @@ namespace facile::server {
 
 namespace {
 
+/** Backoff growth cap. */
+constexpr std::int64_t kMaxBackoffMs = 500;
+/** Exponential growth factor of the backoff. */
+constexpr double kBackoffMultiplier = 2.0;
+/** Uniform jitter fraction: each sleep is scaled by 1 +/- kJitter. */
+constexpr double kJitter = 0.5;
+
 std::uint64_t splitmix64(std::uint64_t &state)
 {
     std::uint64_t z = (state += 0x9e3779b97f4a7c15ULL);
@@ -86,14 +93,14 @@ void ResilientClient::backoffSleep(int attempt, Clock::time_point deadline)
 {
     // attempt is 1-based: the sleep before the (attempt+1)-th try.
     double ms = static_cast<double>(policy_.initialBackoff.count());
-    const double cap = static_cast<double>(policy_.maxBackoff.count());
+    const double cap = static_cast<double>(kMaxBackoffMs);
     for (int i = 1; i < attempt && ms < cap; ++i)
-        ms *= policy_.backoffMultiplier;
+        ms *= kBackoffMultiplier;
     if (ms > cap) ms = cap;
     // Deterministic uniform jitter in [1 - j, 1 + j].
     const double u =
         static_cast<double>(nextRandom() >> 11) * 0x1.0p-53; // [0, 1)
-    ms *= 1.0 + policy_.jitter * (2.0 * u - 1.0);
+    ms *= 1.0 + kJitter * (2.0 * u - 1.0);
     if (ms < 0.0) ms = 0.0;
 
     const auto now = Clock::now();

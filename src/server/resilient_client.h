@@ -16,7 +16,7 @@
  *     half-delivered responses with it — no dedup bookkeeping needed.
  *   - **Deadlines + jittered exponential backoff.** Every operation
  *     gets RetryPolicy::opDeadline end to end; between attempts the
- *     client sleeps initialBackoff * multiplier^n, jittered by a
+ *     client sleeps initialBackoff * 2^n (at most 500 ms), jittered by a
  *     deterministic seeded stream so a synchronized fleet de-correlates
  *     (and tests reproduce).
  *   - **Circuit breaker.** breakerThreshold consecutive transport-
@@ -68,14 +68,11 @@ struct RetryPolicy
 {
     /** Attempts per operation, including the first (>= 1). */
     int maxAttempts = 8;
-    /** Backoff before the second attempt. */
+    /**
+     * Backoff before the second attempt; it doubles per attempt up to
+     * 500 ms, jittered by +/- 50%.
+     */
     std::chrono::milliseconds initialBackoff{5};
-    /** Backoff growth cap. */
-    std::chrono::milliseconds maxBackoff{500};
-    /** Exponential growth factor. */
-    double backoffMultiplier = 2.0;
-    /** Uniform jitter fraction in [0, 1]: sleep *= 1 +/- jitter. */
-    double jitter = 0.5;
     /** End-to-end deadline per operation (connect + retries + IO). */
     std::chrono::milliseconds opDeadline{30000};
     /** Consecutive transport failures that open the breaker. */

@@ -586,8 +586,8 @@ struct PredictionServer::Impl : LoopHandler
         if (opts.snapshotLoadPath.empty())
             return;
         try {
-            const analysis::SnapshotStats st = analysis::loadSnapshot(
-                opts.snapshotLoadPath, {engine, opts.snapshotGenerations});
+            const analysis::SnapshotStats st =
+                analysis::loadSnapshot(opts.snapshotLoadPath, {engine});
             snapshotFallbacks.fetch_add(st.generation,
                                         std::memory_order_relaxed);
             snapshotLoadMode.store(
@@ -602,10 +602,8 @@ struct PredictionServer::Impl : LoopHandler
                     .c_str(),
                 st.generation);
         } catch (const std::exception &e) {
-            snapshotFallbacks.fetch_add(
-                static_cast<std::uint64_t>(
-                    std::max(1, opts.snapshotGenerations)),
-                std::memory_order_relaxed);
+            snapshotFallbacks.fetch_add(analysis::kSnapshotGenerations,
+                                        std::memory_order_relaxed);
             std::fprintf(stderr, "warm start unavailable, cold start: %s\n",
                          e.what());
         }
@@ -618,8 +616,7 @@ struct PredictionServer::Impl : LoopHandler
             return false;
         std::lock_guard<std::mutex> lock(snapshotMu);
         try {
-            analysis::saveSnapshot(opts.snapshotPath,
-                                   {engine, opts.snapshotGenerations});
+            analysis::saveSnapshot(opts.snapshotPath, {engine});
             return true;
         } catch (const std::exception &e) {
             std::fprintf(stderr, "snapshot save failed: %s\n", e.what());

@@ -49,7 +49,6 @@
 #include <memory>
 #include <string>
 
-#include "analysis/snapshot.h"
 #include "server/protocol.h"
 
 namespace facile::server {
@@ -164,9 +163,6 @@ struct ServerOptions
      * good save.
      */
     std::string snapshotLoadPath;
-
-    /** Snapshot generations kept/scanned (SnapshotOptions::generations). */
-    int snapshotGenerations = analysis::kSnapshotGenerations;
 };
 
 class PredictionServer

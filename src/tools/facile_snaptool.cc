@@ -8,7 +8,7 @@
  * subcommand rebuilds a deterministic image from the result.
  *
  * Subcommands:
- *   dump <file> [--hex]                    layout + stats
+ *   dump <file> [--hex]                    header facts + stats
  *   verify <file>...                       deep validation, CI-friendly
  *   diff <a> <b>                           set comparison
  *   merge <out> <in>... [--dry-run]        sorted union
@@ -119,21 +119,11 @@ cmdDump(const std::vector<std::string> &args)
     std::printf("format:      v%u\n", facile::analysis::kSnapshotVersion);
     std::printf("bytes:       %zu\n", img.size());
     std::printf("predictions: %zu\n", st.predictions);
-
-    const auto table =
-        facile::corpus::decodeSectionTable(img.data() + 64,
-                                           img.size() - 64, 1, img.size());
-    std::printf("sections:    %zu\n", table.size());
-    for (const facile::corpus::SectionEntry &e : table)
-        std::printf("  predictions offset %-10llu length %-10llu "
-                    "items %-6llu hash %016llx\n",
-                    static_cast<unsigned long long>(e.offset),
-                    static_cast<unsigned long long>(e.length),
-                    static_cast<unsigned long long>(e.itemCount),
-                    static_cast<unsigned long long>(e.hash));
+    std::printf("hash:        %016llx\n",
+                static_cast<unsigned long long>(st.entriesHash));
 
     if (hex) {
-        const std::size_t n = std::min<std::size_t>(img.size(), 64);
+        const std::size_t n = facile::analysis::kSnapshotHeaderSize;
         std::printf("header hex:\n");
         for (std::size_t i = 0; i < n; i += 16) {
             std::printf("  %04zx ", i);
@@ -279,7 +269,7 @@ usage(std::FILE *to)
     std::fprintf(
         to,
         "usage: facile_snaptool <command> [args]\n"
-        "  dump <file> [--hex]            show layout and stats\n"
+        "  dump <file> [--hex]            show header and stats\n"
         "  verify <file>...               validate deeply; exit 0/1\n"
         "  diff <a> <b>                   compare contents; exit 0/1\n"
         "  merge <out> <in>... [--dry-run]\n"

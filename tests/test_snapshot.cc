@@ -23,6 +23,7 @@
 #include <cstring>
 #include <optional>
 #include <string>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -250,43 +251,42 @@ saveWarm(const std::string &path)
     return analysis::saveSnapshot(path, {&warmEngine()});
 }
 
-/** The section table of an image (validated against its size). */
-std::vector<corpus::SectionEntry>
-imageTable(const std::vector<std::uint8_t> &img)
+/** The @p width-byte little-endian field of @p img at @p off. */
+std::uint64_t
+fieldAt(const std::vector<std::uint8_t> &img, std::size_t off,
+        std::size_t width)
 {
-    EXPECT_GE(img.size(), 64u);
-    std::uint32_t count = 0;
-    std::memcpy(&count, img.data() + 20, 4);
-    return corpus::decodeSectionTable(img.data() + 64, img.size() - 64,
-                                      count, img.size());
+    std::uint64_t v = 0;
+    std::memcpy(&v, img.data() + off, width);
+    return v;
+}
+
+/** Overwrite the @p width-byte field of @p img at @p off with @p v. */
+void
+putField(std::vector<std::uint8_t> &img, std::size_t off, std::uint64_t v,
+         std::size_t width)
+{
+    std::memcpy(img.data() + off, &v, width);
 }
 
 /** Re-stamp the header hash after forging header bytes [0, 48). */
 void
 restampHeader(std::vector<std::uint8_t> &img)
 {
-    const std::uint64_t headerHash = corpus::xxh64(img.data(), 48);
-    std::memcpy(img.data() + 48, &headerHash, 8);
+    putField(img, 48, corpus::xxh64(img.data(), 48), 8);
 }
 
 /**
- * Re-stamp the section hash, table, file size, table hash and header
- * hash of @p img after forging bytes of its predictions section, so
- * the forged image passes every checksum.
+ * Re-stamp the file size, entries hash and header hash of @p img after
+ * forging or appending entry bytes, so the forged image passes every
+ * checksum.
  */
 void
 restamp(std::vector<std::uint8_t> &img)
 {
-    std::vector<corpus::SectionEntry> table = imageTable(img);
-    table.front().length = img.size() - table.front().offset;
-    table.front().hash = corpus::xxh64(img.data() + table.front().offset,
-                                       table.front().length);
-    const std::vector<std::uint8_t> tbl = corpus::encodeSectionTable(table);
-    std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
-    const std::uint64_t fileBytes = img.size();
-    std::memcpy(img.data() + 24, &fileBytes, 8);
-    const std::uint64_t tableHash = corpus::xxh64(tbl.data(), tbl.size());
-    std::memcpy(img.data() + 40, &tableHash, 8);
+    const std::size_t h = analysis::kSnapshotHeaderSize;
+    putField(img, 16, img.size(), 8);
+    putField(img, 32, corpus::xxh64(img.data() + h, img.size() - h), 8);
     restampHeader(img);
 }
 
@@ -412,44 +412,31 @@ TEST(Snapshot, ForgedPredictionCountsCannotBloatMemory)
     // anything of that size is allocated.
     const std::vector<std::uint8_t> good =
         analysis::saveSnapshotToMemory({&warmEngine()});
-    const std::size_t sec = imageTable(good).front().offset;
-    const std::uint32_t huge = 0xFFFFFFFFu;
-    std::uint32_t keyLen = 0;
-    std::memcpy(&keyLen, good.data() + sec + 4, 4);
+    const std::size_t h = analysis::kSnapshotHeaderSize;
+    const std::size_t keyLen = fieldAt(good, h, 4);
 
-    // (offset of the forged u32, also forge the table's item count)
-    const std::pair<std::size_t, bool> forgeries[] = {
-        {sec, true},               // item count, table agrees
-        {sec, false},              // item count, table disagrees
-        {sec + 4, false},          // first key length
-        {sec + 8 + keyLen, false}, // first payload length
+    // (offset, width, forged value)
+    const std::tuple<std::size_t, std::size_t, std::uint64_t> forgeries[] = {
+        {24, 8, 0xFFFFFFFFu},             // entry count
+        {24, 8, ~std::uint64_t{0}},       // entry count, all 64 bits
+        {h, 4, 0xFFFFFFFFu},              // first key length
+        {h + 4 + keyLen, 4, 0xFFFFFFFFu}, // first payload length
     };
-    for (const auto &[off, table] : forgeries) {
+    for (const auto &[off, width, value] : forgeries) {
         std::vector<std::uint8_t> img = good;
-        std::memcpy(img.data() + off, &huge, 4);
+        putField(img, off, value, width);
         restamp(img);
-        if (table) {
-            std::vector<corpus::SectionEntry> t = imageTable(img);
-            t.front().itemCount = huge;
-            const std::vector<std::uint8_t> tbl =
-                corpus::encodeSectionTable(t);
-            std::copy(tbl.begin(), tbl.end(), img.begin() + 64);
-            const std::uint64_t tableHash =
-                corpus::xxh64(tbl.data(), tbl.size());
-            std::memcpy(img.data() + 40, &tableHash, 8);
-            restampHeader(img);
-        }
         EXPECT_THROW(analysis::validateSnapshot(img.data(), img.size()),
                      analysis::SnapshotError)
-            << "forged u32 at " << off;
+            << "forged field at " << off;
         EXPECT_THROW(analysis::parseSnapshotModel(img.data(), img.size()),
                      analysis::SnapshotError)
-            << "forged u32 at " << off;
+            << "forged field at " << off;
         engine::PredictionEngine fresh({.numThreads = 1});
         EXPECT_THROW(analysis::loadSnapshotFromMemory(img.data(), img.size(),
                                                       {&fresh}),
                      analysis::SnapshotError)
-            << "forged u32 at " << off;
+            << "forged field at " << off;
     }
 }
 
@@ -702,167 +689,125 @@ TEST(SnapshotCrashSafety, InjectedReadFailureFallsBackAGeneration)
 
 TEST(SnapshotImage, LayoutAndLoadMode)
 {
-    // Header, one section table entry, one page-aligned predictions
-    // section, nothing else.
+    // One fixed header, then the entries, nothing else.
     const std::vector<std::uint8_t> img =
         analysis::saveSnapshotToMemory({&warmEngine()});
-    std::uint32_t version = 0;
-    std::memcpy(&version, img.data() + 8, 4);
-    EXPECT_EQ(version, analysis::kSnapshotVersion);
-    const std::vector<corpus::SectionEntry> table = imageTable(img);
-    ASSERT_EQ(table.size(), 1u);
-    EXPECT_EQ(table.front().type, 3u);
-    EXPECT_EQ(table.front().tag, 0u);
-    EXPECT_EQ(table.front().offset % corpus::kSectionAlign, 0u);
-    EXPECT_EQ(table.front().offset + table.front().length, img.size());
-    EXPECT_EQ(table.front().itemCount, suiteRequests().size());
+    const analysis::SnapshotModel m =
+        analysis::snapshotModelOf(&warmEngine());
+    std::size_t size = analysis::kSnapshotHeaderSize;
+    for (const auto &[key, payload] : m.predictions)
+        size += 8 + key.size() + payload.size();
+    EXPECT_EQ(img.size(), size);
+    EXPECT_EQ(fieldAt(img, 8, 4), analysis::kSnapshotVersion);
+    EXPECT_EQ(fieldAt(img, 16, 8), img.size());
+    EXPECT_EQ(fieldAt(img, 24, 8), suiteRequests().size());
+    EXPECT_EQ(fieldAt(img, 40, 8), 0u) << "reserved";
+    EXPECT_EQ(fieldAt(img, 48, 8), corpus::xxh64(img.data(), 48))
+        << "the header hash covers the reserved word";
 
-    // A load reports Loaded (STATS wire value 2), validation None.
-    EXPECT_EQ(static_cast<int>(analysis::loadSnapshotFromMemory(
-                                   img.data(), img.size())
-                                   .loadMode),
-              2);
+    // A load reports Loaded (STATS wire value 2), validation None; both
+    // report the header's entries hash.
+    const analysis::SnapshotStats loaded =
+        analysis::loadSnapshotFromMemory(img.data(), img.size());
+    EXPECT_EQ(static_cast<int>(loaded.loadMode), 2);
+    EXPECT_EQ(loaded.entriesHash, fieldAt(img, 32, 8));
     EXPECT_EQ(analysis::validateSnapshot(img.data(), img.size()).loadMode,
               analysis::SnapshotLoadMode::None);
 
-    // An engine-less save is a valid image with no entries.
+    // An engine-less save is a valid image of just the header.
     const std::vector<std::uint8_t> empty = analysis::saveSnapshotToMemory();
+    EXPECT_EQ(empty.size(), analysis::kSnapshotHeaderSize);
     EXPECT_EQ(analysis::validateSnapshot(empty.data(), empty.size())
                   .predictions,
               0u);
 }
 
-TEST(SnapshotImage, HeaderTableAndSectionCorruptionRejected)
+TEST(SnapshotImage, CorruptionIsRejectedAndWalkFallsBack)
 {
+    // A flipped byte in any header field (the entry count included) or
+    // in any field of an entry, a cut at any field boundary, a forged
+    // header field behind re-stamped hashes and a trailing byte: every
+    // entry point rejects the image, nothing is imported, and with a
+    // good .g1 behind it the generation walk loads that instead.
     const std::string path = tmpPath("corrupt");
-    removeGenerations(path);
-    saveWarm(path);
-    const std::vector<std::uint8_t> file = slurpFile(path);
-    ASSERT_GT(file.size(), 8192u);
-
-    // Truncations: header, table, first section, mid-image, last byte.
-    for (std::size_t cut :
-         {std::size_t{0}, std::size_t{7}, std::size_t{31},
-          std::size_t{63}, std::size_t{4095}, file.size() / 2,
-          file.size() - 1}) {
-        writeTorn(path, file, cut);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "truncated to " << cut;
-    }
-
-    // Single-byte header damage: magic, version, endian tag, page
-    // size, section count, file size, table offset, table hash,
-    // header hash, reserved tail.
-    for (std::size_t off : {std::size_t{0}, std::size_t{8},
-                            std::size_t{12}, std::size_t{16},
-                            std::size_t{20}, std::size_t{24},
-                            std::size_t{32}, std::size_t{40},
-                            std::size_t{48}, std::size_t{56}}) {
-        std::vector<std::uint8_t> bad = file;
-        bad[off] ^= 0x01;
-        writeFile(path, bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "header flip at " << off;
-        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
-                     analysis::SnapshotError)
-            << "header flip at " << off;
-    }
-
-    // Forged header fields behind a re-stamped header hash: the field
-    // checks themselves must reject an older or newer version, a
-    // foreign endian tag, a foreign page size and a second section.
-    for (const auto &[off, value] :
-         {std::pair<std::size_t, std::uint32_t>{8, 2},
-          std::pair<std::size_t, std::uint32_t>{8, 4},
-          std::pair<std::size_t, std::uint32_t>{12, 0x04030201},
-          std::pair<std::size_t, std::uint32_t>{16, 8192},
-          std::pair<std::size_t, std::uint32_t>{20, 2}}) {
-        std::vector<std::uint8_t> bad = file;
-        std::memcpy(bad.data() + off, &value, 4);
-        restampHeader(bad);
-        writeFile(path, bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "forged field at " << off << " = " << value;
-        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
-                     analysis::SnapshotError)
-            << "forged field at " << off << " = " << value;
-    }
-
-    // Table damage is caught by the table hash wherever it lands.
-    for (std::size_t off = 64; off < 128; off += 13) {
-        std::vector<std::uint8_t> bad = file;
-        bad[off] ^= 0x80;
-        writeFile(path, bad);
-        EXPECT_THROW(analysis::loadSnapshot(path),
-                     analysis::SnapshotError)
-            << "table flip at " << off;
-    }
-
-    // No byte escapes a check: the zero padding between the table and
-    // the section, and bytes appended after the section (behind a
-    // re-stamped file size), are rejected too.
-    for (std::size_t off : {std::size_t{128}, std::size_t{2048},
-                            std::size_t{4095}}) {
-        std::vector<std::uint8_t> bad = file;
-        bad[off] ^= 0x01;
-        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
-                     analysis::SnapshotError)
-            << "padding flip at " << off;
-    }
-    {
-        std::vector<std::uint8_t> bad = file;
-        bad.push_back(0);
-        const std::uint64_t fileBytes = bad.size();
-        std::memcpy(bad.data() + 24, &fileBytes, 8);
-        restampHeader(bad);
-        EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
-                     analysis::SnapshotError)
-            << "trailing byte";
-    }
-
-    // The pristine image still loads (the harness is not lossy).
-    writeFile(path, file);
-    EXPECT_NO_THROW(analysis::loadSnapshot(path));
-    removeGenerations(path);
-}
-
-TEST(SnapshotImage, SectionBitFlipsRejectAndWalkFallsBack)
-{
-    // A flip anywhere in the predictions section — count, a length, a
-    // key, a payload — fails the section hash: every entry point
-    // rejects the image, and with a good .g1 behind it the generation
-    // walk loads that instead.
-    const std::string path = tmpPath("flip");
     removeGenerations(path);
     const analysis::SnapshotStats first = saveWarm(path);
     saveWarm(path); // rotates the first image to .g1
     const std::vector<std::uint8_t> file = slurpFile(path);
-    const corpus::SectionEntry e = imageTable(file).front();
+    const std::size_t h = analysis::kSnapshotHeaderSize;
+    const std::size_t keyLen = fieldAt(file, h, 4);
+    const std::size_t predLen = fieldAt(file, h + 4 + keyLen, 4);
 
-    for (const std::size_t at :
-         {std::size_t{0}, std::size_t{4}, std::size_t{9}, e.length / 3,
-          e.length / 2, e.length - 1}) {
-        std::vector<std::uint8_t> bad = file;
-        bad[e.offset + at] ^= 0x5a;
+    const auto rejected = [&](const std::vector<std::uint8_t> &bad,
+                              const std::string &what) {
         EXPECT_THROW(analysis::validateSnapshot(bad.data(), bad.size()),
                      analysis::SnapshotError)
-            << "section byte " << at;
+            << what;
+        EXPECT_THROW(analysis::parseSnapshotModel(bad.data(), bad.size()),
+                     analysis::SnapshotError)
+            << what;
         engine::PredictionEngine fresh({.numThreads = 1});
         EXPECT_THROW(analysis::loadSnapshotFromMemory(bad.data(),
                                                       bad.size(), {&fresh}),
                      analysis::SnapshotError)
-            << "section byte " << at;
-        EXPECT_EQ(cacheEntries(fresh), 0u);
-
+            << what;
+        EXPECT_EQ(cacheEntries(fresh), 0u) << what;
         writeFile(path, bad);
         const analysis::SnapshotStats st =
             analysis::loadSnapshot(path, {&fresh});
-        EXPECT_EQ(st.generation, 1u) << "section byte " << at;
-        EXPECT_EQ(st.predictions, first.predictions);
+        EXPECT_EQ(st.generation, 1u) << what;
+        EXPECT_EQ(st.predictions, first.predictions) << what;
+    };
+
+    // Header fields (magic, version, endian tag, file size, count,
+    // entries hash, reserved, header hash), the first entry's key
+    // length, key, payload length and payload, the second entry, a
+    // byte mid-image and the last byte.
+    const std::size_t fields[] = {
+        0, 8, 12, 16, 24, 32, 40, 48, h, h + 4, h + 4 + keyLen,
+        h + 8 + keyLen, h + 8 + keyLen + predLen, file.size() / 2,
+        file.size() - 1};
+    for (const std::size_t off : fields) {
+        std::vector<std::uint8_t> bad = file;
+        bad[off] ^= 0x5a;
+        rejected(bad, "flip at " + std::to_string(off));
+        rejected({file.begin(),
+                  file.begin() + static_cast<std::ptrdiff_t>(off)},
+                 "cut at " + std::to_string(off));
     }
+
+    // Forged header fields behind a re-stamped header hash: the field
+    // checks themselves reject an older or newer version, a foreign
+    // endian tag, a wrong file size, an entry count one short or one
+    // over, a wrong entries hash and a nonzero reserved word.
+    const std::uint64_t count = fieldAt(file, 24, 8);
+    const std::tuple<std::size_t, std::size_t, std::uint64_t> forged[] = {
+        {8, 4, 3},
+        {8, 4, 5},
+        {12, 4, 0x04030201},
+        {16, 8, file.size() + 1},
+        {24, 8, count - 1},
+        {24, 8, count + 1},
+        {32, 8, fieldAt(file, 32, 8) ^ 1},
+        {40, 8, 1},
+    };
+    for (const auto &[off, width, value] : forged) {
+        std::vector<std::uint8_t> bad = file;
+        putField(bad, off, value, width);
+        restampHeader(bad);
+        rejected(bad, "forged field at " + std::to_string(off) + " = " +
+                          std::to_string(value));
+    }
+    {
+        std::vector<std::uint8_t> bad = file;
+        bad.push_back(0);
+        restamp(bad);
+        rejected(bad, "trailing byte");
+    }
+
+    // The pristine image still loads (the harness is not lossy).
+    writeFile(path, file);
+    EXPECT_EQ(analysis::loadSnapshot(path).generation, 0u);
     removeGenerations(path);
 }
 
@@ -873,18 +818,20 @@ TEST(SnapshotImage, OldImagesAreRejectedAndWalkFallsBack)
     // a well-formed empty v1 image.
     std::vector<std::uint8_t> v1(32, 0);
     std::memcpy(v1.data(), "FACSNAP\n", 8);
-    const std::uint32_t version = 1;
-    std::memcpy(v1.data() + 8, &version, 4);
-    const std::uint64_t emptyFnv = analysis::fnv1a64(nullptr, 0);
-    std::memcpy(v1.data() + 24, &emptyFnv, 8);
-    // A real image of the retired record-carrying version 2, with
-    // valid hashes throughout.
+    putField(v1, 8, 1, 4);
+    putField(v1, 24, analysis::fnv1a64(nullptr, 0), 8);
+    // Real images of the retired record-carrying version 2 and of the
+    // retired sectioned, page-padded version 3, with valid hashes
+    // throughout.
     const std::vector<std::uint8_t> v2 = slurpFile(FACILE_SNAPSHOT_V2_IMAGE);
+    const std::vector<std::uint8_t> v3 = slurpFile(FACILE_SNAPSHOT_V3_IMAGE);
     ASSERT_GT(v2.size(), 64u);
+    ASSERT_GT(v3.size(), 64u);
 
-    const std::vector<std::uint8_t> *const olds[] = {&v1, &v2};
-    for (const std::vector<std::uint8_t> *old : olds) {
-        const std::string tag = old == &v1 ? "v1" : "v2";
+    const std::pair<int, const std::vector<std::uint8_t> *> olds[] = {
+        {1, &v1}, {2, &v2}, {3, &v3}};
+    for (const auto &[version, old] : olds) {
+        const std::string tag = "v" + std::to_string(version);
         engine::PredictionEngine fresh({.numThreads = 1});
         EXPECT_THROW(analysis::loadSnapshotFromMemory(old->data(),
                                                       old->size(), {&fresh}),
@@ -916,16 +863,19 @@ TEST(SnapshotImage, OldImagesAreRejectedAndWalkFallsBack)
         std::remove((path + ".g2").c_str());
         EXPECT_THROW(analysis::loadSnapshot(path), analysis::SnapshotError)
             << tag;
-        if (old == &v2) {
+        if (version > 1) {
             try {
                 analysis::loadSnapshot(path, {.generations = 1});
-                ADD_FAILURE() << "a v2 image loaded";
+                ADD_FAILURE() << tag << " image loaded";
             } catch (const analysis::SnapshotError &err) {
                 EXPECT_NE(std::string(err.what()).find(
-                              "unsupported version 2"),
+                              "unsupported version " +
+                              std::to_string(version)),
                           std::string::npos)
                     << err.what();
             }
+        }
+        if (version == 3) {
             // A fresh process pointed at it starts cold and serves
             // the suite bit-identically to serial predict.
             const std::optional<ProbeAnswer> cold = runProbe(

@@ -3,7 +3,7 @@
  * End-to-end tests for facile_snaptool (src/tools/facile_snaptool.cc),
  * driving the real binary (FACILE_SNAPTOOL_PATH, injected by CMake)
  * through popen. The contracts: verify is exit-code-truthful on every
- * corruption class and on images of the retired v1 and v2 formats;
+ * corruption class and on images of the retired v1, v2 and v3 formats;
  * merge is a commutative union that rejects content conflicts;
  * compact is a lossless sorted rewrite; merge/compact honour --dry-run
  * by writing nothing.
@@ -135,16 +135,16 @@ TEST(Snaptool, UsageErrorsExitTwo)
 
 TEST(Snaptool, VerifyAndCorruption)
 {
-    const std::string v2 = savedSnapshot();
+    const std::string snap = savedSnapshot();
 
-    const RunResult ok = snaptool("verify " + v2);
+    const RunResult ok = snaptool("verify " + snap);
     EXPECT_EQ(ok.status, 0) << ok.out;
-    EXPECT_NE(ok.out.find("OK   " + v2), std::string::npos) << ok.out;
+    EXPECT_NE(ok.out.find("OK   " + snap), std::string::npos) << ok.out;
 
     // Every corruption class must flip the exit code: truncation,
-    // header damage, table damage, payload bit flip.
+    // header damage, entry bit flip.
     {
-        const std::vector<std::uint8_t> img = slurpFile(v2);
+        const std::vector<std::uint8_t> img = slurpFile(snap);
         const std::string bad = tmpPath("verify_bad");
         struct Case {
             const char *what;
@@ -186,18 +186,21 @@ TEST(Snaptool, VerifyAndCorruption)
         std::memcpy(v1.data() + 24, &emptyFnv, 8);
         const std::string old = tmpPath("verify_v1");
         writeFile(old, v1);
-        const RunResult r = snaptool("verify " + v2 + " " + old);
+        const RunResult r = snaptool("verify " + snap + " " + old);
         EXPECT_EQ(r.status, 1) << r.out;
         EXPECT_NE(r.out.find("FAIL " + old), std::string::npos) << r.out;
         std::remove(old.c_str());
     }
 
-    // So is a real image of the retired record-carrying version 2.
-    {
-        const std::string old = FACILE_SNAPSHOT_V2_IMAGE;
-        const RunResult r = snaptool("verify " + v2 + " " + old);
+    // So are real images of the retired record-carrying version 2 and
+    // the retired sectioned version 3.
+    for (const auto &[old, version] :
+         {std::pair{FACILE_SNAPSHOT_V2_IMAGE, "2"},
+          std::pair{FACILE_SNAPSHOT_V3_IMAGE, "3"}}) {
+        const RunResult r = snaptool("verify " + snap + " " + old);
         EXPECT_EQ(r.status, 1) << r.out;
-        EXPECT_NE(r.out.find("unsupported version 2"), std::string::npos)
+        EXPECT_NE(r.out.find("unsupported version " + std::string(version)),
+                  std::string::npos)
             << r.out;
     }
 
@@ -207,37 +210,48 @@ TEST(Snaptool, VerifyAndCorruption)
 
 TEST(Snaptool, DumpShowsLayout)
 {
-    const std::string v2 = savedSnapshot();
-    const RunResult r = snaptool("dump " + v2);
+    const std::string snap = savedSnapshot();
+    const std::vector<std::uint8_t> img = slurpFile(snap);
+    const RunResult r = snaptool("dump " + snap);
     EXPECT_EQ(r.status, 0) << r.out;
-    EXPECT_NE(r.out.find("format:      v3"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("format:      v4"), std::string::npos) << r.out;
+    EXPECT_NE(r.out.find("bytes:       " + std::to_string(img.size())),
+              std::string::npos)
+        << r.out;
     EXPECT_NE(r.out.find("predictions: " +
                          std::to_string(analysis::snapshotModelOf(&warmEngine())
                                             .predictions.size())),
               std::string::npos)
         << r.out;
-    // The one section is listed.
-    EXPECT_NE(r.out.find("sections:    1"), std::string::npos) << r.out;
+    // The header's entries hash (bytes [32, 40)).
+    std::uint64_t hash = 0;
+    std::memcpy(&hash, img.data() + 32, 8);
+    char hashHex[17];
+    std::snprintf(hashHex, sizeof hashHex, "%016llx",
+                  static_cast<unsigned long long>(hash));
+    EXPECT_NE(r.out.find("hash:        " + std::string(hashHex)),
+              std::string::npos)
+        << r.out;
 
-    const RunResult hex = snaptool("dump --hex " + v2);
+    const RunResult hex = snaptool("dump --hex " + snap);
     EXPECT_EQ(hex.status, 0);
     EXPECT_NE(hex.out.find("header hex:"), std::string::npos);
 }
 
 TEST(Snaptool, DryRunWritesNothing)
 {
-    const std::string v2 = savedSnapshot();
+    const std::string snap = savedSnapshot();
     const std::string out = tmpPath("dryrun_out");
     std::remove(out.c_str());
 
-    const RunResult r = snaptool("merge " + out + " " + v2 + " --dry-run");
+    const RunResult r = snaptool("merge " + out + " " + snap + " --dry-run");
     EXPECT_EQ(r.status, 0) << r.out;
     EXPECT_NE(r.out.find("would write"), std::string::npos) << r.out;
     EXPECT_FALSE(fileExists(out));
 
-    const std::vector<std::uint8_t> before = slurpFile(v2);
-    EXPECT_EQ(snaptool("compact " + v2 + " --dry-run").status, 0);
-    EXPECT_EQ(slurpFile(v2), before) << "in-place dry run mutated input";
+    const std::vector<std::uint8_t> before = slurpFile(snap);
+    EXPECT_EQ(snaptool("compact " + snap + " --dry-run").status, 0);
+    EXPECT_EQ(slurpFile(snap), before) << "in-place dry run mutated input";
 }
 
 /** Split the fixture into two overlapping-or-disjoint partial images. */
