@@ -92,9 +92,10 @@ LLVMFuzzerTestOneInput(const std::uint8_t *data, std::size_t size)
         while (parser.next(f)) {
             if (f.header.len > 0 && f.payload == nullptr)
                 __builtin_trap();
-            volatile std::uint8_t acc = 0;
+            std::uint8_t sum = 0;
             for (std::size_t i = 0; i < f.header.len; ++i)
-                acc ^= f.payload[i];
+                sum ^= f.payload[i];
+            volatile std::uint8_t acc = sum; // every byte is read
             (void)acc;
         }
         if (parser.buffered() > opts.maxBuffered)

@@ -80,25 +80,16 @@ struct Reader
 // ---- Prediction codec ------------------------------------------------------
 //
 // Snapshot entries carry exactly the wire protocol's PREDICT response
-// payload: appendPredictResponse minus its frame header on the way
-// out, decodePredictInto (which validates lengths and component
-// ranges) on the way in.
+// payload, which is also what the engine's cache holds: saves copy the
+// cache's bytes, and loads check each payload with decodePredictInto
+// (which validates lengths and component ranges) before importing it.
 
-std::vector<std::uint8_t>
-encodePrediction(const model::Prediction &p)
-{
-    std::vector<std::uint8_t> frame;
-    server::appendPredictResponse(frame, 0, p);
-    return {frame.begin() + server::kResponseHeaderSize, frame.end()};
-}
-
-model::Prediction
-decodePrediction(const std::uint8_t *data, std::size_t len)
+void
+validatePrediction(const std::uint8_t *data, std::size_t len)
 {
     model::Prediction p;
     if (!server::decodePredictInto(data, len, p))
         throw SnapshotError("bad prediction entry");
-    return p;
 }
 
 std::vector<std::uint8_t>
@@ -130,8 +121,8 @@ readFile(const std::string &path)
 
 /**
  * Validate an image of (@p data, @p size) — header, entries hash,
- * every entry — and call @p visit(key, keyLen, payload, len, pred) for
- * each entry in file order, pred being the decoded payload. @p name
+ * every entry — and call @p visit(key, keyLen, payload, len) for each
+ * entry in file order. @p name
  * labels errors. Callers stage what they visit: an image that throws
  * part-way must not have been imported from. Returns the entries hash.
  */
@@ -174,37 +165,41 @@ walkImage(const std::uint8_t *data, std::size_t size,
         const std::uint8_t *key = rd.bytes(keyLen);
         const std::uint32_t predLen = rd.u32();
         const std::uint8_t *pred = rd.bytes(predLen);
-        visit(key, keyLen, pred, predLen,
-              decodePrediction(pred, predLen));
+        validatePrediction(pred, predLen);
+        visit(key, keyLen, pred, predLen);
     }
     if (rd.pos != rd.size)
         throw SnapshotError("trailing bytes in " + name);
     return entriesHash;
 }
 
-/** Validate, stage every entry, then import them all into opts.engine. */
+/** Validate every entry, then import them all into opts.engine. */
 SnapshotStats
 loadImage(const std::uint8_t *data, std::size_t size,
           const SnapshotOptions &opts, const std::string &name)
 {
-    std::vector<std::pair<std::string, model::Prediction>> staged;
+    struct Staged
+    {
+        const std::uint8_t *key;
+        std::size_t keyLen;
+        const std::uint8_t *payload;
+        std::size_t len;
+    };
+    std::vector<Staged> staged;
     SnapshotStats st;
     st.entriesHash = walkImage(
         data, size, name,
         [&](const std::uint8_t *key, std::size_t keyLen,
-            const std::uint8_t *, std::size_t, model::Prediction &&pred) {
+            const std::uint8_t *payload, std::size_t len) {
             ++st.predictions;
             if (opts.engine)
-                staged.emplace_back(
-                    std::string(reinterpret_cast<const char *>(key), keyLen),
-                    std::move(pred));
+                staged.push_back({key, keyLen, payload, len});
         });
     st.bytes = size;
     st.loadMode = SnapshotLoadMode::Loaded;
-    if (opts.engine)
-        for (auto &[key, pred] : staged)
-            opts.engine->importPredictionCacheEntry(std::move(key),
-                                                    std::move(pred));
+    for (const Staged &e : staged)
+        opts.engine->importPredictionCacheEntry(e.key, e.keyLen, e.payload,
+                                                e.len);
     return st;
 }
 
@@ -233,8 +228,11 @@ snapshotModelOf(const engine::PredictionEngine *engine)
     SnapshotModel m;
     if (engine)
         engine->exportPredictionCache(
-            [&](const std::string &key, const model::Prediction &p) {
-                m.predictions.emplace_back(key, encodePrediction(p));
+            [&](const std::uint8_t *key, std::size_t keyLen,
+                const std::uint8_t *payload, std::size_t len) {
+                m.predictions.emplace_back(
+                    std::string(reinterpret_cast<const char *>(key), keyLen),
+                    std::vector<std::uint8_t>(payload, payload + len));
             });
     return m;
 }
@@ -244,7 +242,7 @@ buildSnapshotImage(const SnapshotModel &model)
 {
     std::vector<std::uint8_t> img(kSnapshotHeaderSize, 0);
     for (const auto &[key, payload] : model.predictions) {
-        decodePrediction(payload.data(), payload.size()); // validate
+        validatePrediction(payload.data(), payload.size());
         putU32(img, static_cast<std::uint32_t>(key.size()));
         img.insert(img.end(), key.begin(), key.end());
         putU32(img, static_cast<std::uint32_t>(payload.size()));
@@ -336,8 +334,7 @@ parseSnapshotModel(const std::uint8_t *data, std::size_t size)
     SnapshotModel m;
     walkImage(data, size, "<memory>",
               [&](const std::uint8_t *key, std::size_t keyLen,
-                  const std::uint8_t *payload, std::size_t len,
-                  model::Prediction &&) {
+                  const std::uint8_t *payload, std::size_t len) {
                   m.predictions.emplace_back(
                       std::string(reinterpret_cast<const char *>(key),
                                   keyLen),

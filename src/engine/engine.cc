@@ -2,119 +2,587 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
+#include <cstring>
 #include <mutex>
-#include <string>
 #include <thread>
-#include <unordered_map>
 
 #include "bb/basic_block.h"
+#include "corpus/sections.h"
 #include "engine/thread_pool.h"
 #include "facile/component.h"
+#include "server/protocol.h"
 
 namespace facile::engine {
 
 namespace {
 
-/** Prediction-cache key: notion + payload depth + config + arch + bytes. */
-std::string
-predictionKey(const Request &r)
+using Word = std::uint64_t;
+using AtomicWord = std::atomic<Word>;
+static_assert(AtomicWord::is_always_lock_free);
+
+constexpr std::size_t
+wordsFor(std::size_t bytes)
 {
-    const std::uint16_t cfg = r.config.packBits();
-    std::string key;
-    key.reserve(r.bytes.size() + 4);
-    key.push_back(static_cast<char>(
-        (r.loop ? 1 : 0) |
-        (r.payload == model::Payload::Full ? 2 : 0)));
-    key.push_back(static_cast<char>(cfg & 0xff));
-    key.push_back(static_cast<char>(cfg >> 8));
-    key.push_back(static_cast<char>(r.arch));
-    if (!r.bytes.empty())
-        key.append(reinterpret_cast<const char *>(r.bytes.data()),
-                   r.bytes.size());
-    return key;
+    return (bytes + sizeof(Word) - 1) / sizeof(Word);
 }
 
-constexpr std::size_t kShards = 16;
+/** Key bytes before the block: flags, config (2 bytes), arch. */
+constexpr std::size_t kKeyPrefix = 4;
+
+/** Largest arena chunk; entries never straddle two. */
+constexpr std::size_t kChunkWords = (std::size_t{64} << 10) / sizeof(Word);
+
+/** First index table: 64 slots, at most half of them used. */
+constexpr std::size_t kInitialSlots = 64;
+
+/** Moves to the front one insertion may make before it just evicts. */
+constexpr int kSecondChances = 8;
+
+/** Lookups that raced an eviction of the entry they read try again. */
+constexpr int kReadAttempts = 3;
+
+// ---- entry header: keyLen | payLen << 16 | hash32 << 32 ------------------
+//
+// A header of 0 marks the skipped end of a chunk (a "pad"): an entry
+// has a payload, so its header is never 0.
+
+constexpr Word kPad = 0;
+constexpr Word kLenMask = 0xffff;
+constexpr std::size_t kMaxLen = kLenMask;
+
+std::size_t keyLenOf(Word h) { return h & kLenMask; }
+std::size_t payLenOf(Word h) { return (h >> 16) & kLenMask; }
+std::uint32_t hashOf(Word h) { return static_cast<std::uint32_t>(h >> 32); }
+
+/** Header minus the payload length: what a lookup knows of an entry. */
+constexpr Word kLookupMask = ~(kLenMask << 16);
 
 std::size_t
-shardOf(const std::string &key)
+entryWords(Word h)
 {
-    return std::hash<std::string>{}(key) % kShards;
+    return 1 + wordsFor(keyLenOf(h)) + wordsFor(payLenOf(h));
 }
 
-} // namespace
+// ---- index slot: ref << 63 | tag << 56 | (pos + 1) ------------------------
+//
+// pos is the entry's logical word position in the ring: it only grows
+// (2^56 words is 512 PiB of insertions), so a slot never names a
+// position twice. 0 is an empty slot. The tag is 7 hash bits that do
+// not choose the home slot below 2^25 slots, so most probes that pass
+// a foreign slot skip it without touching the arena. The ref bit is
+// CLOCK's: set by a hit, cleared when the hand moves the entry.
+
+constexpr Word kRef = Word{1} << 63;
+constexpr Word kPosMask = (Word{1} << 56) - 1;
+
+Word tagOf(std::uint32_t hash) { return Word{hash >> 25} << 56; }
+Word slotPos(Word s) { return (s & kPosMask) - 1; }
+Word slotTag(Word s) { return s & (Word{0x7f} << 56); }
+
+Word
+makeSlot(Word pos, std::uint32_t hash)
+{
+    return tagOf(hash) | (pos + 1);
+}
+
+/** Open-addressed slots; never freed while the cache lives. */
+struct SlotTable
+{
+    explicit SlotTable(std::size_t capacity)
+        : mask(capacity - 1), slots(new AtomicWord[capacity]())
+    {}
+
+    const std::size_t mask;
+    const std::unique_ptr<AtomicWord[]> slots;
+};
 
 /**
- * One prediction-cache shard with two-generation (old/new) eviction.
- *
- * Inserts and promotions go to the new generation; when it reaches the
- * per-generation bound the old generation is dropped and the new one
- * takes its place. A lookup that hits the old generation promotes the
- * entry, so the hot working set keeps circulating between generations
- * and steady-state traffic at capacity keeps its hit rate — unlike the
- * previous epoch eviction (clear() on overflow), which discarded the
- * entire hot set the moment a shard filled up. Entries untouched for a
- * full generation age out; a shard never holds more than 2x the bound.
+ * One lane's request image, built where the engine needs it: the
+ * header word, the key padded to whole words, then the payload padded
+ * to whole words. A lookup fills the header and key; a hit copies the
+ * payload in after them, a miss encodes it there.
  */
-struct PredictionShard
+struct Entry
 {
-    std::mutex mu;
-    std::unordered_map<std::string, model::Prediction> newGen, oldGen;
+    std::vector<Word> words;
+    std::size_t keyLen = 0;
+    std::size_t payLen = 0;
+    std::uint32_t hash = 0;
 
-    /** Lookup with promotion; caller must hold mu. */
-    model::Prediction *
-    find(const std::string &key, std::size_t maxPerGen)
+    Word
+    header() const
     {
-        auto it = newGen.find(key);
-        if (it != newGen.end())
-            return &it->second;
-        auto itOld = oldGen.find(key);
-        if (itOld == oldGen.end())
-            return nullptr;
-        model::Prediction value = std::move(itOld->second);
-        oldGen.erase(itOld);
-        return &insert(key, std::move(value), maxPerGen);
+        return keyLen | Word{payLen} << 16 | Word{hash} << 32;
+    }
+
+    std::uint8_t *
+    key()
+    {
+        return reinterpret_cast<std::uint8_t *>(words.data() + 1);
+    }
+
+    std::uint8_t *
+    payload()
+    {
+        return reinterpret_cast<std::uint8_t *>(words.data() + 1 +
+                                                wordsFor(keyLen));
+    }
+
+    /** Size the image for a @p len-byte payload, zeroing its padding. */
+    std::uint8_t *
+    reservePayload(std::size_t len)
+    {
+        payLen = len;
+        words.resize(1 + wordsFor(keyLen) + wordsFor(len));
+        if (len)
+            words.back() = 0;
+        return payload();
+    }
+
+    /** Set the key of @p req (zero-padded) and hash it. */
+    void
+    setKey(const Request &req)
+    {
+        const std::uint16_t cfg = req.config.packBits();
+        keyLen = kKeyPrefix + req.bytes.size();
+        payLen = 0;
+        words.resize(1 + wordsFor(keyLen));
+        words.back() = 0;
+        std::uint8_t *k = key();
+        k[0] = static_cast<std::uint8_t>(
+            (req.loop ? 1 : 0) |
+            (req.payload == model::Payload::Full ? 2 : 0));
+        k[1] = static_cast<std::uint8_t>(cfg & 0xff);
+        k[2] = static_cast<std::uint8_t>(cfg >> 8);
+        k[3] = static_cast<std::uint8_t>(req.arch);
+        if (!req.bytes.empty())
+            std::memcpy(k + kKeyPrefix, req.bytes.data(), req.bytes.size());
+        hash = static_cast<std::uint32_t>(corpus::xxh64(k, keyLen));
+    }
+
+    /** Set an exported key and its payload verbatim. */
+    void
+    set(const std::uint8_t *k, std::size_t kLen, const std::uint8_t *p,
+        std::size_t len)
+    {
+        keyLen = kLen;
+        words.resize(1 + wordsFor(keyLen));
+        words.back() = 0;
+        if (kLen)
+            std::memcpy(key(), k, kLen);
+        hash = static_cast<std::uint32_t>(corpus::xxh64(k, kLen));
+        std::memcpy(reservePayload(len), p, len);
+    }
+};
+
+/**
+ * The prediction cache: one open-addressed index over a ring of
+ * entries, each entry stored as its header, key and PREDICT response
+ * payload in whole atomic words.
+ *
+ * Readers take no lock. A lookup probes the index with acquire loads,
+ * reads a candidate entry word by word with acquire loads, and then
+ * checks that the entry was not evicted meanwhile: writers move
+ * `evictedTo_` past an entry before they overwrite any of its words,
+ * and store every word with release, so a reader that saw one
+ * overwritten word also sees the eviction and tries again. A slot is
+ * accepted only on an exact key match; the hash only chooses where to
+ * look.
+ *
+ * Writers hold `mu_`. An insert appends at the ring's head; when the
+ * ring is full, the CLOCK hand at its tail evicts the oldest entry, or
+ * moves it to the head if a hit set its slot's ref bit since the hand
+ * last passed (at most kSecondChances moves per insert). Evicted slots
+ * are removed by backward shift, and the index doubles past half full;
+ * superseded index tables and the arena's chunks stay allocated until
+ * the cache dies, so a reader never touches freed memory. A reader
+ * that races a writer may miss an entry that is present, which only
+ * costs it a recomputation.
+ */
+class PredictionCache
+{
+  public:
+    explicit PredictionCache(std::size_t budgetBytes)
+    {
+        const std::size_t words = budgetBytes / sizeof(Word);
+        chunkWords_ = std::min(kChunkWords, std::bit_floor(words));
+        nChunks_ = chunkWords_ ? words / chunkWords_ : 0;
+        ringWords_ = nChunks_ * chunkWords_;
+        chunks_.resize(nChunks_);
+        tables_.push_back(std::make_unique<SlotTable>(kInitialSlots));
+        table_.store(tables_.back().get(), std::memory_order_relaxed);
     }
 
     /**
-     * Insert into the new generation, rotating when full; caller must
-     * hold mu and have checked find() under the same lock, so the key
-     * is in neither generation.
+     * Look @p e's key up; on a hit copy the payload into @p e and
+     * return true. Takes no lock.
      */
-    model::Prediction &
-    insert(std::string key, model::Prediction value, std::size_t maxPerGen)
+    bool
+    find(Entry &e) const
     {
-        if (newGen.size() >= maxPerGen) {
-            std::swap(oldGen, newGen);
-            newGen.clear();
+        if (e.keyLen > kMaxLen)
+            return false;
+        const Word want = e.header();
+        const Word tag = tagOf(e.hash);
+        for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
+            const SlotTable &t = *table_.load(std::memory_order_acquire);
+            bool raced = false;
+            std::size_t i = e.hash & t.mask;
+            for (std::size_t n = 0; n <= t.mask && !raced;
+                 ++n, i = (i + 1) & t.mask) {
+                Word s = t.slots[i].load(std::memory_order_acquire);
+                if (s == 0)
+                    return false;
+                if (slotTag(s) != tag)
+                    continue;
+                switch (read(slotPos(s), want, e)) {
+                case Read::Hit:
+                    if (!(s & kRef))
+                        t.slots[i].compare_exchange_strong(
+                            s, s | kRef, std::memory_order_relaxed);
+                    return true;
+                case Read::Other:
+                    break;
+                case Read::Raced:
+                    raced = true;
+                    break;
+                }
+            }
+            if (!raced)
+                return false;
         }
-        return newGen.emplace(std::move(key), std::move(value))
-            .first->second;
+        return false;
     }
 
+    /**
+     * Insert @p e (key and payload set) unless its key is present or
+     * it does not fit a chunk.
+     */
+    void
+    insert(Entry &e)
+    {
+        if (e.keyLen > kMaxLen || e.payLen > kMaxLen || e.payLen == 0)
+            return;
+        e.words[0] = e.header();
+        const std::size_t n = e.words.size();
+        if (n > chunkWords_)
+            return;
+        std::lock_guard<std::mutex> lock(mu_);
+        if (locate(e.words.data()) != nullptr)
+            return;
+        const Word pos = reserve(n);
+        write(pos, e.words.data(), n);
+        growIfNeeded();
+        place(*tables_.back(), e.hash, makeSlot(pos, e.hash));
+        ++count_;
+    }
+
+    /** Drop every entry; memory stays allocated. */
     void
     clear()
     {
-        newGen.clear();
-        oldGen.clear();
+        std::lock_guard<std::mutex> lock(mu_);
+        tail_ = head_;
+        evictedTo_.store(tail_, std::memory_order_release);
+        const SlotTable &t = *tables_.back();
+        for (std::size_t i = 0; i <= t.mask; ++i)
+            t.slots[i].store(0, std::memory_order_release);
+        count_ = 0;
     }
+
+    /** Call @p visit(entry words) for every entry, oldest first. */
+    template <class Visit>
+    std::size_t
+    forEach(const Visit &visit) const
+    {
+        std::lock_guard<std::mutex> lock(mu_);
+        std::vector<Word> buf;
+        std::size_t n = 0;
+        for (Word pos = tail_; pos < head_;) {
+            const AtomicWord *w = at(pos);
+            const Word h = w[0].load(std::memory_order_relaxed);
+            if (h == kPad) {
+                pos = nextChunk(pos);
+                continue;
+            }
+            buf.resize(entryWords(h));
+            for (std::size_t k = 0; k < buf.size(); ++k)
+                buf[k] = w[k].load(std::memory_order_relaxed);
+            visit(buf.data());
+            pos += buf.size();
+            ++n;
+        }
+        return n;
+    }
+
+  private:
+    enum class Read { Hit, Other, Raced };
+
+    /** Read the entry at @p pos into @p e if its key is @p e's. */
+    Read
+    read(Word pos, Word want, Entry &e) const
+    {
+        const AtomicWord *w = at(pos);
+        const Word h = w[0].load(std::memory_order_acquire);
+        if ((h & kLookupMask) != want)
+            return Read::Other;
+        const std::size_t n = entryWords(h);
+        if (pos % chunkWords_ + n > chunkWords_)
+            return Read::Raced; // a torn header: the words were reused
+        const std::size_t keyWords = wordsFor(e.keyLen);
+        for (std::size_t k = 1; k <= keyWords; ++k)
+            if (w[k].load(std::memory_order_acquire) != e.words[k])
+                return Read::Other;
+        e.reservePayload(payLenOf(h));
+        for (std::size_t k = 1 + keyWords; k < n; ++k)
+            e.words[k] = w[k].load(std::memory_order_acquire);
+        // Every word above was loaded with acquire, so if any of them
+        // was overwritten, the eviction that preceded it is visible.
+        if (evictedTo_.load(std::memory_order_acquire) > pos)
+            return Read::Raced;
+        return Read::Hit;
+    }
+
+    AtomicWord *
+    at(Word pos) const
+    {
+        return chunks_[(pos / chunkWords_) % nChunks_].get() +
+               pos % chunkWords_;
+    }
+
+    Word
+    nextChunk(Word pos) const
+    {
+        return pos - pos % chunkWords_ + chunkWords_;
+    }
+
+    /** Where an @p n-word entry goes: the head, or the next chunk. */
+    Word
+    placement(std::size_t n) const
+    {
+        return head_ % chunkWords_ + n > chunkWords_ ? nextChunk(head_)
+                                                     : head_;
+    }
+
+    /** The current table's slot naming @p pos (mu_ held; it exists). */
+    AtomicWord &
+    slotOf(Word pos, std::uint32_t hash)
+    {
+        const SlotTable &t = *tables_.back();
+        for (std::size_t i = hash & t.mask;; i = (i + 1) & t.mask) {
+            const Word s = t.slots[i].load(std::memory_order_relaxed);
+            if (s != 0 && slotPos(s) == pos)
+                return t.slots[i];
+        }
+    }
+
+    /** The slot holding an entry with @p e's header and key (mu_ held). */
+    AtomicWord *
+    locate(const Word *e) const
+    {
+        const std::uint32_t hash = hashOf(e[0]);
+        const std::size_t keyWords = wordsFor(keyLenOf(e[0]));
+        const SlotTable &t = *tables_.back();
+        for (std::size_t i = hash & t.mask;; i = (i + 1) & t.mask) {
+            const Word s = t.slots[i].load(std::memory_order_relaxed);
+            if (s == 0)
+                return nullptr;
+            const AtomicWord *w = at(slotPos(s));
+            if (((w[0].load(std::memory_order_relaxed) ^ e[0]) &
+                 kLookupMask) != 0)
+                continue;
+            std::size_t k = 1;
+            while (k <= keyWords &&
+                   w[k].load(std::memory_order_relaxed) == e[k])
+                ++k;
+            if (k > keyWords)
+                return &t.slots[i];
+        }
+    }
+
+    /**
+     * Make room for @p n words and return where they go (mu_ held):
+     * the CLOCK hand frees the ring's tail until they fit.
+     */
+    Word
+    reserve(std::size_t n)
+    {
+        int chances = kSecondChances;
+        while (placement(n) + n - tail_ > ringWords_) {
+            if (tail_ == head_) { // empty: start at the next chunk
+                head_ = tail_ = nextChunk(head_);
+                evictedTo_.store(tail_, std::memory_order_release);
+            } else {
+                advanceHand(chances);
+            }
+        }
+        return claim(n);
+    }
+
+    /** Take @p n words at placement(n), known to fit (mu_ held). */
+    Word
+    claim(std::size_t n)
+    {
+        const Word pos = placement(n);
+        if (pos != head_)
+            at(head_)->store(kPad, std::memory_order_release);
+        auto &chunk = chunks_[(pos / chunkWords_) % nChunks_];
+        if (!chunk)
+            chunk.reset(new AtomicWord[chunkWords_]());
+        head_ = pos + n;
+        return pos;
+    }
+
+    /**
+     * Free the entry (or pad) at the tail; an entry that was hit since
+     * the hand last passed moves to the head instead, while @p chances
+     * last and it fits there once its own words are free (the end of
+     * a chunk may not leave room).
+     */
+    void
+    advanceHand(int &chances)
+    {
+        const AtomicWord *w = at(tail_);
+        const Word h = w[0].load(std::memory_order_relaxed);
+        if (h == kPad) {
+            tail_ = nextChunk(tail_);
+            evictedTo_.store(tail_, std::memory_order_release);
+            return;
+        }
+        const std::size_t n = entryWords(h);
+        AtomicWord &slot = slotOf(tail_, hashOf(h));
+        const bool move = chances > 0 &&
+                          (slot.load(std::memory_order_relaxed) & kRef) &&
+                          placement(n) - tail_ <= ringWords_;
+        if (move)
+            moving_.assign(w, w + n);
+        tail_ += n;
+        evictedTo_.store(tail_, std::memory_order_release);
+        if (!move) {
+            remove(slot);
+            --count_;
+            return;
+        }
+        --chances;
+        const Word to = claim(n);
+        write(to, moving_.data(), n);
+        slot.store(makeSlot(to, hashOf(h)), std::memory_order_release);
+    }
+
+    void
+    write(Word pos, const Word *src, std::size_t n)
+    {
+        AtomicWord *w = at(pos);
+        for (std::size_t k = 0; k < n; ++k)
+            w[k].store(src[k], std::memory_order_release);
+    }
+
+    /** Home slot of the entry a slot names (mu_ held). */
+    std::size_t
+    homeOf(Word s, std::size_t mask) const
+    {
+        return hashOf(at(slotPos(s))->load(std::memory_order_relaxed)) &
+               mask;
+    }
+
+    /**
+     * Empty @p slot of the current table by backward shift: later
+     * slots of its cluster that may live there move up, so probes
+     * still stop only at a true gap. Each move overwrites before it
+     * clears, so a racing reader at worst misses.
+     */
+    void
+    remove(AtomicWord &slot)
+    {
+        const SlotTable &t = *tables_.back();
+        std::size_t i = static_cast<std::size_t>(&slot - t.slots.get());
+        for (std::size_t j = (i + 1) & t.mask;; j = (j + 1) & t.mask) {
+            const Word s = t.slots[j].load(std::memory_order_relaxed);
+            if (s == 0)
+                break;
+            const std::size_t home = homeOf(s, t.mask);
+            // Move s to i unless its home lies cyclically in (i, j].
+            if (((j - home) & t.mask) >= ((j - i) & t.mask)) {
+                t.slots[i].store(s, std::memory_order_release);
+                i = j;
+            }
+        }
+        t.slots[i].store(0, std::memory_order_release);
+    }
+
+    /** Fill the first free slot from @p hash's home (mu_ held). */
+    static void
+    place(const SlotTable &t, std::uint32_t hash, Word s)
+    {
+        std::size_t i = hash & t.mask;
+        while (t.slots[i].load(std::memory_order_relaxed) != 0)
+            i = (i + 1) & t.mask;
+        t.slots[i].store(s, std::memory_order_release);
+    }
+
+    /** Publish a doubled table before the next insert passes half. */
+    void
+    growIfNeeded()
+    {
+        const SlotTable &t = *tables_.back();
+        if (2 * (count_ + 1) <= t.mask + 1)
+            return;
+        auto grown = std::make_unique<SlotTable>(2 * (t.mask + 1));
+        for (std::size_t i = 0; i <= t.mask; ++i) {
+            const Word s = t.slots[i].load(std::memory_order_relaxed);
+            if (s != 0)
+                place(*grown, hashOf(at(slotPos(s))->load(
+                                  std::memory_order_relaxed)),
+                      s);
+        }
+        tables_.push_back(std::move(grown));
+        table_.store(tables_.back().get(), std::memory_order_release);
+    }
+
+    std::size_t chunkWords_ = 0, nChunks_ = 0, ringWords_ = 0;
+    /** Readers' view of the live table: tables_.back(). */
+    std::atomic<const SlotTable *> table_;
+    /** Entries that start below this position may be overwritten. */
+    alignas(64) std::atomic<Word> evictedTo_{0};
+
+    alignas(64) mutable std::mutex mu_; ///< writers
+    /**
+     * The ring's chunks, allocated as the head first reaches them.
+     * Written under mu_ before any slot names a word in them, and read
+     * by readers only through such a slot.
+     */
+    std::vector<std::unique_ptr<AtomicWord[]>> chunks_;
+    std::vector<std::unique_ptr<SlotTable>> tables_; ///< [back] live
+    Word head_ = 0;         ///< next free logical word
+    Word tail_ = 0;         ///< oldest live entry (the CLOCK hand)
+    std::size_t count_ = 0; ///< entries in the ring
+    std::vector<Word> moving_; ///< an entry the hand moves
 };
+
+} // namespace
 
 struct PredictionEngine::Impl
 {
     Options opts;
     ThreadPool pool;
-
-    PredictionShard predictionShards[kShards];
+    PredictionCache cache;
 
     /**
-     * One component-pipeline scratch per pool lane: scratch ownership
-     * is explicit (a lane's index selects its scratch), not
-     * thread_local-scattered, and a lane's buffers stay warm across
-     * batches. Lane 0's scratch belongs to whichever thread is running
-     * a region; the pool runs one region at a time.
+     * What one lane owns: the component-pipeline scratch, the request
+     * image the cache reads and writes, and the prediction a hit
+     * decodes into. A lane's index selects its state, so nothing is
+     * thread_local-scattered and the buffers stay warm across
+     * batches. Lane 0's state belongs to whichever thread is running a
+     * region; the pool runs one region at a time.
      */
-    std::vector<std::unique_ptr<model::PredictScratch>> workerScratch;
+    struct Lane
+    {
+        model::PredictScratch scratch;
+        Entry entry;
+        model::Prediction pred;
+    };
+    std::vector<std::unique_ptr<Lane>> lanes;
 
     /** numThreads lanes: the calling thread plus numThreads - 1. */
     explicit Impl(Options o)
@@ -122,68 +590,86 @@ struct PredictionEngine::Impl
           pool(o.numThreads > 0
                    ? o.numThreads
                    : static_cast<int>(
-                         std::max(1u, std::thread::hardware_concurrency())))
+                         std::max(1u, std::thread::hardware_concurrency()))),
+          cache(o.cacheEnabled ? o.cacheBytes : 0)
     {
-        workerScratch.reserve(static_cast<std::size_t>(pool.size()));
+        lanes.reserve(static_cast<std::size_t>(pool.size()));
         for (int i = 0; i < pool.size(); ++i)
-            workerScratch.push_back(
-                std::make_unique<model::PredictScratch>());
+            lanes.push_back(std::make_unique<Lane>());
     }
 
     /**
-     * Core lookup-or-compute. The visitor sees the prediction without
-     * a copy: on cache hits it runs under the owning shard lock with a
-     * reference to the cached entry (the zero-copy serving path).
+     * Answer @p req on @p lane. Returns true on a hit, with the payload
+     * in lane.entry; on a miss lane.pred holds the prediction and, when
+     * the cache is on or @p wantPayload, lane.entry its payload.
      */
-    void
-    predictCachedVisit(const Request &req, BatchStats *stats, int worker,
-                       std::size_t index, model::PredictScratch &scratch,
-                       const PredictionEngine::PredictionVisitor &visit)
+    bool
+    answer(const Request &req, BatchStats *stats, Lane &lane,
+           bool wantPayload)
     {
-        std::string key;
+        Entry &e = lane.entry;
         if (opts.cacheEnabled) {
-            key = predictionKey(req);
-            PredictionShard &shard = predictionShards[shardOf(key)];
-            std::lock_guard<std::mutex> lock(shard.mu);
-            if (auto *hit = shard.find(key, opts.maxEntriesPerShard)) {
+            e.setKey(req);
+            if (cache.find(e)) {
                 if (stats)
                     ++stats->predictionCacheHits;
-                visit(worker, index, *hit);
-                return;
+                return true;
             }
+        } else {
+            e.keyLen = 0;
         }
 
-        model::Prediction p;
         try {
             const bb::BasicBlock blk = bb::analyze(req.bytes, req.arch);
             if (stats)
                 ++stats->analyzed;
-            p = model::predict(blk, req.loop, req.config, scratch,
-                               req.payload);
+            lane.pred = model::predict(blk, req.loop, req.config,
+                                       lane.scratch, req.payload);
         } catch (const std::exception &) {
-            p = model::Prediction{}; // malformed block: throughput 0
+            lane.pred = model::Prediction{}; // malformed: throughput 0
         }
-
-        if (opts.cacheEnabled) {
-            PredictionShard &shard = predictionShards[shardOf(key)];
-            std::lock_guard<std::mutex> lock(shard.mu);
-            // A concurrent miss on the same key may have inserted an
-            // identical prediction already; find() keeps it hot.
-            if (!shard.find(key, opts.maxEntriesPerShard))
-                shard.insert(std::move(key), p, opts.maxEntriesPerShard);
-        }
-        visit(worker, index, p);
+        if (opts.cacheEnabled || wantPayload)
+            server::encodePredictPayload(
+                e.reservePayload(server::predictPayloadSize(lane.pred)),
+                lane.pred);
+        if (opts.cacheEnabled)
+            cache.insert(e);
+        return false;
     }
 
-    /** Calling-thread path (predictOne): uses the thread's scratch. */
-    model::Prediction
-    predictCached(const Request &req, BatchStats *stats)
+    /** answer() for a Prediction visitor: a hit decodes into lane.pred. */
+    const model::Prediction &
+    predictInto(const Request &req, BatchStats *stats, Lane &lane)
     {
-        model::Prediction out;
-        predictCachedVisit(req, stats, 0, 0, model::tlsPredictScratch(),
-                           [&out](int, std::size_t,
-                                  const model::Prediction &p) { out = p; });
-        return out;
+        if (answer(req, stats, lane, false))
+            server::decodePredictInto(lane.entry.payload(),
+                                      lane.entry.payLen, lane.pred);
+        return lane.pred;
+    }
+
+    template <class Body>
+    void
+    runBatch(const std::vector<Request> &batch, BatchStats *stats,
+             const Body &body)
+    {
+        if (batch.empty())
+            return;
+        std::atomic<std::size_t> predictionHits{0}, analyzed{0};
+        pool.parallelForWorker(batch.size(), [&](int worker,
+                                                 std::size_t i) {
+            BatchStats local;
+            body(worker, i, *lanes[static_cast<std::size_t>(worker)],
+                 stats ? &local : nullptr);
+            if (stats) {
+                predictionHits += local.predictionCacheHits;
+                analyzed += local.analyzed;
+            }
+        });
+        if (stats) {
+            stats->requests += batch.size();
+            stats->predictionCacheHits += predictionHits;
+            stats->analyzed += analyzed;
+        }
     }
 };
 
@@ -218,37 +704,37 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
                                     const PredictionVisitor &visit,
                                     BatchStats *stats)
 {
-    if (batch.empty())
-        return;
+    impl_->runBatch(batch, stats,
+                    [&](int worker, std::size_t i, Impl::Lane &lane,
+                        BatchStats *st) {
+                        visit(worker, i,
+                              impl_->predictInto(batch[i], st, lane));
+                    });
+}
 
-    std::atomic<std::size_t> predictionHits{0}, analyzed{0};
-
-    impl_->pool.parallelForWorker(
-        batch.size(), [&](int worker, std::size_t i) {
-            BatchStats local;
-            impl_->predictCachedVisit(
-                batch[i], stats ? &local : nullptr, worker, i,
-                *impl_->workerScratch[static_cast<std::size_t>(worker)],
-                visit);
-            if (stats) {
-                predictionHits += local.predictionCacheHits;
-                analyzed += local.analyzed;
-            }
-        });
-
-    if (stats) {
-        stats->requests += batch.size();
-        stats->predictionCacheHits += predictionHits;
-        stats->analyzed += analyzed;
-    }
+void
+PredictionEngine::predictBatchVisitPayload(const std::vector<Request> &batch,
+                                           const PayloadVisitor &visit,
+                                           BatchStats *stats)
+{
+    impl_->runBatch(batch, stats,
+                    [&](int worker, std::size_t i, Impl::Lane &lane,
+                        BatchStats *st) {
+                        impl_->answer(batch[i], st, lane, true);
+                        visit(worker, i, lane.entry.payload(),
+                              lane.entry.payLen);
+                    });
 }
 
 model::Prediction
 PredictionEngine::predictOne(const Request &req, BatchStats *stats)
 {
+    // The calling thread's own lane state: predictOne may run beside
+    // a batch, whose lane 0 belongs to another thread.
+    thread_local Impl::Lane lane;
     if (stats)
         ++stats->requests;
-    return impl_->predictCached(req, stats);
+    return impl_->predictInto(req, stats, lane);
 }
 
 void
@@ -269,42 +755,34 @@ PredictionEngine::parallelForWorker(
 void
 PredictionEngine::clearCaches()
 {
-    for (PredictionShard &shard : impl_->predictionShards) {
-        std::lock_guard<std::mutex> lock(shard.mu);
-        shard.clear();
-    }
+    impl_->cache.clear();
 }
 
 std::size_t
 PredictionEngine::exportPredictionCache(
-    const std::function<void(const std::string &key,
-                             const model::Prediction &)> &visit) const
+    const std::function<void(const std::uint8_t *, std::size_t,
+                             const std::uint8_t *, std::size_t)> &visit)
+    const
 {
-    std::size_t n = 0;
-    for (std::size_t s = 0; s < kShards; ++s) {
-        PredictionShard &shard = impl_->predictionShards[s];
-        std::lock_guard<std::mutex> lock(shard.mu);
-        for (const auto &[key, pred] : shard.newGen) {
-            visit(key, pred);
-            ++n;
-        }
-        for (const auto &[key, pred] : shard.oldGen) {
-            visit(key, pred);
-            ++n;
-        }
-    }
-    return n;
+    return impl_->cache.forEach([&](const Word *w) {
+        const std::size_t keyLen = keyLenOf(w[0]);
+        const auto *key = reinterpret_cast<const std::uint8_t *>(w + 1);
+        visit(key, keyLen, key + wordsFor(keyLen) * sizeof(Word),
+              payLenOf(w[0]));
+    });
 }
 
 void
-PredictionEngine::importPredictionCacheEntry(std::string key,
-                                             model::Prediction pred)
+PredictionEngine::importPredictionCacheEntry(const std::uint8_t *key,
+                                             std::size_t keyLen,
+                                             const std::uint8_t *payload,
+                                             std::size_t len)
 {
-    PredictionShard &shard = impl_->predictionShards[shardOf(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.find(key, impl_->opts.maxEntriesPerShard))
-        shard.insert(std::move(key), std::move(pred),
-                     impl_->opts.maxEntriesPerShard);
+    if (!impl_->opts.cacheEnabled)
+        return;
+    Entry e;
+    e.set(key, keyLen, payload, len);
+    impl_->cache.insert(e);
 }
 
 PredictionEngine &

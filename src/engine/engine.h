@@ -10,13 +10,17 @@
  *     over a fork-join pool whose lane 0 is the calling thread (lanes
  *     claim contiguous chunks of a shared work index, so uneven block
  *     cost load-balances);
- *   - one sharded prediction cache keyed on the throughput notion,
- *     the payload depth, the ablation config, the arch and the raw
- *     block bytes short-circuits fully repeated requests. It is the
- *     only cache above instruction interning (analysis/intern.h): a
- *     miss re-runs bb::analyze into a local block, which costs a few
- *     microseconds on interned instructions, so caching analysed
- *     blocks as well would save almost nothing;
+ *   - one prediction cache keyed on the throughput notion, the
+ *     payload depth, the ablation config, the arch and the raw block
+ *     bytes short-circuits fully repeated requests. It is one flat,
+ *     open-addressed table over a byte-budgeted ring of entries, and
+ *     an entry is the PREDICT response payload (server/protocol.h):
+ *     a hit takes no lock and a miss allocates nothing, and the
+ *     server and snapshots copy entry bytes instead of re-encoding.
+ *     It is the only cache above instruction interning
+ *     (analysis/intern.h): a miss re-runs bb::analyze into a local
+ *     block, which costs a few microseconds on interned instructions,
+ *     so caching analysed blocks as well would save almost nothing;
  *   - one model::PredictScratch per pool lane (see
  *     facile/component.h) makes the whole component pipeline
  *     allocation-free in steady state, with scratch ownership explicit
@@ -36,7 +40,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "facile/predictor.h"
@@ -73,6 +76,9 @@ struct BatchStats
     std::size_t analyzed = 0;            ///< blocks decoded this batch
 };
 
+/** Default EngineOptions::cacheBytes: 64 MiB, about 600k entries. */
+inline constexpr std::size_t kDefaultCacheBytes = std::size_t{64} << 20;
+
 struct EngineOptions
 {
     /**
@@ -86,15 +92,18 @@ struct EngineOptions
     bool cacheEnabled = true;
 
     /**
-     * Bound on entries per cache-shard generation. Shards use
-     * two-generation (old/new) eviction: inserts and old-generation
-     * hits go to the new generation; when it fills, the old generation
-     * is dropped and the new one ages into its place. The hot working
-     * set survives overflow (a hostile request stream still cannot
-     * exhaust memory — a shard holds at most 2x this many entries),
-     * and steady-state traffic at capacity keeps its hit rate.
+     * Byte budget of the prediction cache: its entries (key and
+     * payload bytes, an 8-byte header each, padding to 8 bytes) live
+     * in a ring of at most this many bytes, allocated in 64 KiB chunks
+     * as it first fills. When the ring is full, CLOCK (second-chance)
+     * eviction frees its oldest entries: one hit since the hand last
+     * passed moves an entry to the front instead, so a hot working set
+     * survives a stream of one-shot blocks. The index over the ring
+     * adds 16 to 32 bytes per entry, and its superseded tables at most
+     * as much again. An entry larger than 64 KiB (or than the budget)
+     * is not cached.
      */
-    std::size_t maxEntriesPerShard = 1 << 16;
+    std::size_t cacheBytes = kDefaultCacheBytes;
 };
 
 class PredictionEngine
@@ -133,17 +142,36 @@ class PredictionEngine
 
     /**
      * As predictBatch, but instead of materializing a result vector
-     * the engine calls visit(worker, i, prediction) once per request —
-     * on prediction-cache hits with a reference to the cached entry,
-     * so the serving hot path copies nothing. Calls happen on the
-     * calling thread and the pool threads, concurrently for distinct
-     * i; the reference is valid only for the duration of the call (on
-     * hits it is made under the owning shard lock, so visitors must be
-     * brief and must not re-enter the engine).
+     * the engine calls visit(worker, i, prediction) once per request,
+     * with a prediction owned by the worker's lane: a hit decodes the
+     * cached entry into it, a miss hands over what it computed. Calls
+     * happen on the calling thread and the pool threads, concurrently
+     * for distinct i; the reference is valid only for the duration of
+     * the call, and visitors must not re-enter the engine.
      */
     void predictBatchVisit(const std::vector<Request> &batch,
                            const PredictionVisitor &visit,
                            BatchStats *stats = nullptr);
+
+    /**
+     * Visitor over one encoded prediction: (worker, requestIndex,
+     * payload, len), the payload being the PREDICT response payload
+     * of server/protocol.h.
+     */
+    using PayloadVisitor = std::function<void(
+        int, std::size_t, const std::uint8_t *, std::size_t)>;
+
+    /**
+     * As predictBatchVisit, but the visitor sees each prediction as
+     * its PREDICT response payload — on a hit the cached bytes, on a
+     * miss the bytes just encoded for the cache — so a server answers
+     * a hit with a header and a copy. The bytes are those
+     * server::appendPredictResponse would write for the prediction,
+     * and are valid for the duration of the call.
+     */
+    void predictBatchVisitPayload(const std::vector<Request> &batch,
+                                  const PayloadVisitor &visit,
+                                  BatchStats *stats = nullptr);
 
     /** Single-request convenience; same cache, calling thread only. */
     model::Prediction predictOne(const Request &req,
@@ -172,23 +200,29 @@ class PredictionEngine
     // ---- snapshot support (src/analysis/snapshot.h) -----------------------
 
     /**
-     * Visit every prediction-cache entry as (opaque key, prediction).
-     * The key encodes (notion, payload depth, config, arch, block
-     * bytes) deterministically, so entries exported by one process hit
-     * in another. Shard locks are held during each shard's visits;
-     * visitors must be brief and must not re-enter the engine. Returns
-     * the number of entries visited.
+     * Visit every prediction-cache entry as (opaque key, keyLen,
+     * PREDICT response payload, len), oldest first. The key encodes
+     * (notion, payload depth, config, arch, block bytes)
+     * deterministically, so entries exported by one process hit in
+     * another. Inserts wait while this runs; visitors must not
+     * re-enter the engine. Returns the number of entries visited.
      */
     std::size_t exportPredictionCache(
-        const std::function<void(const std::string &key,
-                                 const model::Prediction &)> &visit) const;
+        const std::function<void(const std::uint8_t *key,
+                                 std::size_t keyLen,
+                                 const std::uint8_t *payload,
+                                 std::size_t len)> &visit) const;
 
     /**
-     * Insert one exported entry back into the prediction cache (normal
-     * two-generation capacity rules apply; an existing key wins).
+     * Insert one exported entry back into the prediction cache (an
+     * existing key wins; the budget's eviction rules apply). The
+     * payload must be a valid PREDICT response payload: hits decode
+     * it without checking.
      */
-    void importPredictionCacheEntry(std::string key,
-                                    model::Prediction pred);
+    void importPredictionCacheEntry(const std::uint8_t *key,
+                                    std::size_t keyLen,
+                                    const std::uint8_t *payload,
+                                    std::size_t len);
 
     /** Process-wide shared engine (hardware-concurrency threads). */
     static PredictionEngine &shared();

@@ -9,8 +9,7 @@
  * thread that finished a region spins up to kSpin on the region
  * generation before it sleeps on a condition variable, and the caller
  * counts joined lanes out on an atomic. Threads spin only while
- * regions come back to back, and not at all when the pool is as wide
- * as the machine. See src/engine/README.md.
+ * regions come back to back. See src/engine/README.md.
  */
 #ifndef FACILE_ENGINE_THREAD_POOL_H
 #define FACILE_ENGINE_THREAD_POOL_H
@@ -44,9 +43,7 @@ class ThreadPool
 
     /** @p lanes lanes (at least one): the caller plus lanes - 1 threads. */
     explicit ThreadPool(int lanes)
-        : lanes_(std::max(lanes, 1)),
-          spins_(lanes_ <
-                 static_cast<int>(std::thread::hardware_concurrency()))
+        : lanes_(std::max(lanes, 1))
     {
         for (int lane = 1; lane < lanes_; ++lane)
             threads_.emplace_back([this, lane] { workerLoop(lane); });
@@ -196,7 +193,7 @@ class ThreadPool
     void
     awaitJoinedLanes()
     {
-        if (spins_ && spinUntil([this] { return joined_.load() == 0; }))
+        if (spinUntil([this] { return joined_.load() == 0; }))
             return;
         std::unique_lock<std::mutex> lock(mu_);
         callerWaiting_.store(true);
@@ -231,7 +228,7 @@ class ThreadPool
             const std::uint64_t state = state_.load();
             seen = state >> 1;
             const auto woke = std::chrono::steady_clock::now();
-            spin = spins_ && woke - idleSince <= kSpin;
+            spin = woke - idleSince <= kSpin;
             if (!(state & 1)) {
                 idleSince = woke;
                 continue; // that region closed before we saw it
@@ -252,14 +249,6 @@ class ThreadPool
     }
 
     const int lanes_;
-    /**
-     * Whether anyone spins: only while the pool leaves a CPU free. A
-     * pool as wide as the machine would spin on CPUs its own lanes,
-     * the caller's other threads or other processes need, and a lane
-     * preempted mid-chunk stalls the whole region's join (measured: a
-     * 4-lane pool on 4 vCPUs served cache hits a third slower).
-     */
-    const bool spins_;
     std::mutex regionMu_; ///< one region at a time
     std::uint64_t generation_ = 0; ///< regions opened; under regionMu_
     // The current region: written by the caller while no lane is in

@@ -92,20 +92,16 @@ parseResponseHeader(const std::uint8_t *p)
     return h;
 }
 
-void
-appendPredictResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
-                      const model::Prediction &pred)
+std::size_t
+predictPayloadSize(const model::Prediction &pred)
 {
-    const std::size_t payload =
-        72 + pred.bottlenecks.size() + 4 * pred.criticalChain.size() +
-        4 * pred.contendingInsts.size();
-    std::uint8_t *p = growBuf(buf, kResponseHeaderSize + payload);
+    return 72 + pred.bottlenecks.size() + 4 * pred.criticalChain.size() +
+           4 * pred.contendingInsts.size();
+}
 
-    putU64(p, id);
-    *p++ = static_cast<std::uint8_t>(Status::Ok);
-    *p++ = static_cast<std::uint8_t>(Op::Predict);
-    putU16(p, static_cast<std::uint16_t>(payload));
-
+void
+encodePredictPayload(std::uint8_t *p, const model::Prediction &pred)
+{
     putU64(p, doubleBits(pred.throughput));
     for (double v : pred.componentValue)
         putU64(p, doubleBits(v));
@@ -120,6 +116,31 @@ appendPredictResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
         putU32(p, static_cast<std::uint32_t>(i));
     for (int i : pred.contendingInsts)
         putU32(p, static_cast<std::uint32_t>(i));
+}
+
+void
+appendPredictResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
+                      const model::Prediction &pred)
+{
+    const std::size_t payload = predictPayloadSize(pred);
+    std::uint8_t *p = growBuf(buf, kResponseHeaderSize + payload);
+    putU64(p, id);
+    *p++ = static_cast<std::uint8_t>(Status::Ok);
+    *p++ = static_cast<std::uint8_t>(Op::Predict);
+    putU16(p, static_cast<std::uint16_t>(payload));
+    encodePredictPayload(p, pred);
+}
+
+void
+appendPredictResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
+                      const std::uint8_t *payload, std::size_t len)
+{
+    std::uint8_t *p = growBuf(buf, kResponseHeaderSize + len);
+    putU64(p, id);
+    *p++ = static_cast<std::uint8_t>(Status::Ok);
+    *p++ = static_cast<std::uint8_t>(Op::Predict);
+    putU16(p, static_cast<std::uint16_t>(len));
+    std::memcpy(p, payload, len);
 }
 
 void

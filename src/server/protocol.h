@@ -424,6 +424,23 @@ ResponseHeader parseResponseHeader(const std::uint8_t *p);
 void appendPredictResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
                            const model::Prediction &pred);
 
+/**
+ * As above, from an already encoded PREDICT response payload (the
+ * engine's cache entries are exactly that): the header, then a copy
+ * of the @p len payload bytes.
+ */
+void appendPredictResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
+                           const std::uint8_t *payload, std::size_t len);
+
+/** Bytes of @p pred's PREDICT response payload. */
+std::size_t predictPayloadSize(const model::Prediction &pred);
+
+/**
+ * Write @p pred's PREDICT response payload, predictPayloadSize(pred)
+ * bytes, to @p out.
+ */
+void encodePredictPayload(std::uint8_t *out, const model::Prediction &pred);
+
 /** Append an error / control-op response frame. */
 void appendStatusResponse(std::vector<std::uint8_t> &buf, std::uint64_t id,
                           Op op, Status status);

@@ -467,7 +467,7 @@ struct PredictionServer::Impl : LoopHandler
                 std::vector<FlushEntry> &flushes)
     {
         // Group requests per arch (stable counting sort) so one engine
-        // fan-out walks each arch's cache shards and uop tables
+        // fan-out walks each arch's intern shards and uop tables
         // contiguously. Single-arch batches — the common production
         // shape — skip the permutation entirely.
         constexpr std::size_t kArches = 256; // arch is a wire byte
@@ -496,11 +496,12 @@ struct PredictionServer::Impl : LoopHandler
         for (std::size_t i : order)
             reqs.push_back(std::move(batch[i].req));
 
-        // Zero-copy serving: each engine worker serializes predictions
-        // straight from the cache into its own per-connection staging
-        // buffer (no Prediction copies, no locks between workers).
-        // Responses are matched by id, so the worker interleaving is
-        // invisible to clients.
+        // Each engine worker appends responses to its own
+        // per-connection staging buffer: a cache hit is the response
+        // header plus a copy of the cached payload bytes, a miss the
+        // payload the engine just encoded (no Prediction copies, no
+        // locks between workers). Responses are matched by id, so the
+        // worker interleaving is invisible to clients.
         for (auto &bufs : workerBufs) {
             for (auto it = bufs.begin(); it != bufs.end();) {
                 it->buf.clear(); // keep capacity across batches
@@ -511,10 +512,10 @@ struct PredictionServer::Impl : LoopHandler
             }
         }
         engine::BatchStats bs;
-        engine->predictBatchVisit(
+        engine->predictBatchVisitPayload(
             reqs,
-            [&](int worker, std::size_t k,
-                const model::Prediction &pred) {
+            [&](int worker, std::size_t k, const std::uint8_t *payload,
+                std::size_t len) {
                 Pending &p = batch[order[k]];
                 p.conn->inflight.fetch_sub(1,
                                            std::memory_order_relaxed);
@@ -529,7 +530,7 @@ struct PredictionServer::Impl : LoopHandler
                     bufs.push_back({p.conn, {}});
                     cb = &bufs.back();
                 }
-                appendPredictResponse(cb->buf, p.id, pred);
+                appendPredictResponse(cb->buf, p.id, payload, len);
             },
             &bs);
         {

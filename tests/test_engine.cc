@@ -24,6 +24,7 @@
 #include "engine/thread_pool.h"
 #include "facile/component.h"
 #include "facile/predictor.h"
+#include "server/protocol.h"
 
 namespace facile::engine {
 namespace {
@@ -258,60 +259,208 @@ TEST(Engine, ClearCachesForcesReanalysis)
     EXPECT_TRUE(bitIdentical(cold, recold));
 }
 
+/** @p n requests with pairwise distinct cache keys (SKL/HSW/ICL, TPU/TPL). */
+std::vector<Request>
+distinctRequests(std::uint64_t seed, std::size_t n)
+{
+    std::vector<Request> out;
+    std::set<std::vector<std::uint8_t>> seen;
+    for (std::uint64_t s = seed; out.size() < n; ++s)
+        for (const auto &b : bhive::generateSuite(s, 4))
+            for (auto arch : {uarch::UArch::SKL, uarch::UArch::HSW,
+                              uarch::UArch::ICL})
+                for (bool loop : {false, true}) {
+                    const auto &bytes = loop ? b.bytesL : b.bytesU;
+                    auto key = bytes;
+                    key.push_back(static_cast<std::uint8_t>(arch));
+                    key.push_back(loop);
+                    if (out.size() < n && seen.insert(key).second)
+                        out.push_back({bytes, arch, loop, {}});
+                }
+    return out;
+}
+
+/** Key and payload bytes of every entry of @p eng's prediction cache. */
+std::size_t
+cachedBytes(const PredictionEngine &eng)
+{
+    std::size_t bytes = 0;
+    eng.exportPredictionCache([&](const std::uint8_t *, std::size_t keyLen,
+                                  const std::uint8_t *, std::size_t len) {
+        bytes += keyLen + len;
+    });
+    return bytes;
+}
+
+TEST(Engine, DefaultCacheBudgetIs64MiB)
+{
+    EXPECT_EQ(kDefaultCacheBytes, std::size_t{64} << 20);
+    EXPECT_EQ(PredictionEngine::Options{}.cacheBytes, kDefaultCacheBytes);
+}
+
 TEST(Engine, EvictionKeepsSteadyStateHitRateAtCapacity)
 {
-    // A working set ~1.5x one generation's aggregate capacity, replayed
-    // repeatedly. Under the old epoch eviction (clear() on overflow) a
-    // shard past its bound dropped its entire hot set every cycle, so
-    // steady-state hits collapsed; two-generation eviction keeps the
-    // working set circulating between generations.
+    // A hot set of about a quarter of the budget is replayed every
+    // round, and each round also brings one-shot blocks worth about
+    // half the budget. The ring turns over every two rounds or so, so
+    // clearing the cache when it is full, or evicting in plain FIFO
+    // order, loses the hot set about every other round; CLOCK moves a
+    // hit entry to the front when the hand reaches it, so the hot set
+    // survives.
     PredictionEngine::Options opts;
     opts.numThreads = 1;
-    opts.maxEntriesPerShard = 12; // 16 shards -> one generation ~192
+    opts.cacheBytes = 64 << 10;
     PredictionEngine eng(opts);
 
-    // Distinct blocks from a private suite (both notions' bytes).
-    std::vector<Request> batch;
-    {
-        auto blocks = bhive::generateSuite(123, 16);
-        std::set<std::vector<std::uint8_t>> seen;
-        for (const auto &b : blocks) {
-            for (const auto *bytes : {&b.bytesU, &b.bytesL}) {
-                if (batch.size() >= 192)
-                    break;
-                if (seen.insert(*bytes).second)
-                    batch.push_back(
-                        {*bytes, uarch::UArch::SKL, false, {}});
-            }
-        }
-    }
-    ASSERT_GE(batch.size(), 160u);
+    const auto all = distinctRequests(123, 128 + 10 * 256);
+    const std::vector<Request> hot(all.begin(), all.begin() + 128);
+    std::size_t hotBytes = 0;
+    eng.predictBatch(hot);
+    hotBytes = cachedBytes(eng);
+    ASSERT_GT(hotBytes, opts.cacheBytes / 6);
+    ASSERT_LT(hotBytes, opts.cacheBytes / 3);
 
-    eng.predictBatch(batch); // cold fill
-    eng.predictBatch(batch); // reach steady state
-    eng.predictBatch(batch);
-    BatchStats warm;
-    eng.predictBatch(batch, &warm);
-    // Measured on this suite: 28% with the old epoch eviction, 94%
-    // with two-generation eviction.
-    EXPECT_GE(warm.predictionCacheHits, batch.size() * 6 / 10)
-        << "steady-state hit rate collapsed after cache overflow";
+    std::size_t hits = 0, replayed = 0;
+    for (int round = 0; round < 10; ++round) {
+        BatchStats st;
+        eng.predictBatch(hot, &st);
+        if (round >= 4) {
+            hits += st.predictionCacheHits;
+            replayed += hot.size();
+        }
+        const std::vector<Request> oneShot(
+            all.begin() + 128 + round * 256,
+            all.begin() + 128 + (round + 1) * 256);
+        eng.predictBatch(oneShot);
+    }
+    EXPECT_GE(hits, replayed * 9 / 10)
+        << "the hot set did not survive the one-shot stream";
 }
 
 TEST(Engine, EvictionStillBoundsCacheGrowth)
 {
-    // A one-shot scan much larger than capacity must still be answered
-    // correctly (eviction never corrupts results, only forgets).
+    // A one-shot stream many times the budget is answered correctly
+    // (eviction never corrupts results, only forgets), and the cache
+    // never holds more entry bytes than its budget.
     PredictionEngine::Options opts;
     opts.numThreads = 2;
-    opts.maxEntriesPerShard = 4;
+    opts.cacheBytes = 16 << 10;
     PredictionEngine eng(opts);
 
-    auto batch = makeBatch();
-    auto out = eng.predictBatch(batch);
-    for (std::size_t i = 0; i < batch.size(); ++i)
-        EXPECT_TRUE(bitIdentical(out[i], serialPredict(batch[i])))
-            << "request " << i;
+    const auto batch = distinctRequests(7, 1500);
+    std::size_t streamed = 0;
+    for (std::size_t i = 0; i < batch.size(); i += 100) {
+        const std::vector<Request> part(
+            batch.begin() + i,
+            batch.begin() + std::min(i + 100, batch.size()));
+        const auto out = eng.predictBatch(part);
+        for (std::size_t k = 0; k < part.size(); ++k)
+            EXPECT_TRUE(bitIdentical(out[k], serialPredict(part[k])))
+                << "request " << i + k;
+        streamed += part.size();
+        EXPECT_LE(cachedBytes(eng), opts.cacheBytes);
+    }
+    PredictionEngine unbounded;
+    unbounded.predictBatch(batch);
+    EXPECT_GT(cachedBytes(unbounded), 5 * opts.cacheBytes)
+        << "the stream must be many times the budget";
+    EXPECT_GT(cachedBytes(eng), 0u);
+}
+
+TEST(Engine, ConcurrentHitsInsertsAndEvictionsMatchSerial)
+{
+    // Lanes of one engine hit a hot set while other lanes and other
+    // threads insert never-seen blocks, grow the index and evict: every
+    // answer, as a Prediction or as payload bytes, matches serial
+    // model::predict bit for bit.
+    PredictionEngine::Options opts;
+    opts.numThreads = 3;
+    opts.cacheBytes = 64 << 10;
+    PredictionEngine eng(opts);
+
+    const auto all = distinctRequests(31, 96 + 1200);
+    const std::vector<Request> hot(all.begin(), all.begin() + 96);
+    std::vector<Prediction> expected;
+    std::vector<std::vector<std::uint8_t>> expectedBytes;
+    for (const auto &r : all) {
+        expected.push_back(serialPredict(r));
+        std::vector<std::uint8_t> frame;
+        server::appendPredictResponse(frame, 0, expected.back());
+        expectedBytes.emplace_back(frame.begin() +
+                                       server::kResponseHeaderSize,
+                                   frame.end());
+    }
+    eng.predictBatch(hot);
+
+    std::atomic<int> wrong{0};
+    std::vector<std::thread> threads;
+    // Batches mixing hot and fresh requests: hits and inserts on the
+    // lanes of one region.
+    threads.emplace_back([&] {
+        for (std::size_t f = 96; f < all.size(); f += 48) {
+            std::vector<Request> batch;
+            std::vector<std::size_t> idx;
+            for (std::size_t k = 0; k < 48 && f + k < all.size(); ++k) {
+                batch.push_back(all[k % 96]);
+                idx.push_back(k % 96);
+                batch.push_back(all[f + k]);
+                idx.push_back(f + k);
+            }
+            eng.predictBatchVisitPayload(
+                batch, [&](int, std::size_t i, const std::uint8_t *p,
+                           std::size_t len) {
+                    const auto &want = expectedBytes[idx[i]];
+                    if (len != want.size() ||
+                        std::memcmp(p, want.data(), len) != 0)
+                        ++wrong;
+                });
+        }
+    });
+    // Callers outside the pool: hot and fresh predictOne calls.
+    for (int t = 0; t < 2; ++t)
+        threads.emplace_back([&, t] {
+            for (std::size_t i = 96 + t; i < all.size(); i += 2) {
+                const std::size_t h = (i * 7) % 96;
+                if (!bitIdentical(eng.predictOne(all[h]), expected[h]))
+                    ++wrong;
+                if (!bitIdentical(eng.predictOne(all[i]), expected[i]))
+                    ++wrong;
+            }
+        });
+    for (auto &t : threads)
+        t.join();
+    EXPECT_EQ(wrong.load(), 0);
+    EXPECT_LE(cachedBytes(eng), opts.cacheBytes);
+}
+
+TEST(Engine, PayloadVisitorBytesAreTheWireEncoding)
+{
+    // Misses and hits, cache on and off: the payload bytes are what
+    // server::appendPredictResponse writes for the serial prediction.
+    const auto batch = makeBatch(true);
+    for (bool cache : {true, false}) {
+        SCOPED_TRACE(cache ? "cache on" : "cache off");
+        PredictionEngine::Options opts;
+        opts.numThreads = 2;
+        opts.cacheEnabled = cache;
+        PredictionEngine eng(opts);
+        for (int pass = 0; pass < 2; ++pass) {
+            std::vector<std::vector<std::uint8_t>> got(batch.size());
+            eng.predictBatchVisitPayload(
+                batch, [&](int, std::size_t i, const std::uint8_t *p,
+                           std::size_t len) { got[i].assign(p, p + len); });
+            for (std::size_t i = 0; i < batch.size(); ++i) {
+                std::vector<std::uint8_t> frame;
+                server::appendPredictResponse(frame, 0,
+                                              serialPredict(batch[i]));
+                EXPECT_EQ(got[i],
+                          std::vector<std::uint8_t>(
+                              frame.begin() + server::kResponseHeaderSize,
+                              frame.end()))
+                    << "pass " << pass << " request " << i;
+            }
+        }
+    }
 }
 
 TEST(Engine, ParallelForPropagatesExceptions)

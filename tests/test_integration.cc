@@ -144,10 +144,12 @@ TEST_P(Integration, LoopPredictionsHonorFrontEndSelection)
             p.componentValue[static_cast<int>(model::Component::Predec)]);
         EXPECT_EQ(lsdUsed + dsbUsed + legacyUsed, 1)
             << "exactly one front-end path";
-        if (jcc)
+        if (jcc) {
             EXPECT_TRUE(legacyUsed);
-        if (!cfg.lsdEnabled)
+        }
+        if (!cfg.lsdEnabled) {
             EXPECT_FALSE(lsdUsed);
+        }
     }
 }
 

@@ -295,7 +295,8 @@ std::size_t
 cacheEntries(const engine::PredictionEngine &eng)
 {
     return eng.exportPredictionCache(
-        [](const std::string &, const model::Prediction &) {});
+        [](const std::uint8_t *, std::size_t, const std::uint8_t *,
+           std::size_t) {});
 }
 
 TEST(Snapshot, SaveLoadSameProcessIsAppendOnlyNoOp)

@@ -104,8 +104,9 @@ TEST_P(AllArchs, DatabaseInvariants)
                 << "µop uses a port the µarch does not have";
         }
         EXPECT_EQ(info.needsComplexDecoder, info.fusedUops > 1);
-        if (info.needsComplexDecoder)
+        if (info.needsComplexDecoder) {
             EXPECT_LE(info.nAvailableSimpleDecoders, cfg.nDecoders - 1);
+        }
     }
 }
 
