@@ -39,9 +39,6 @@ constexpr std::size_t kInitialSlots = 64;
 /** Moves to the front one insertion may make before it just evicts. */
 constexpr int kSecondChances = 8;
 
-/** Lookups that raced an eviction of the entry they read try again. */
-constexpr int kReadAttempts = 3;
-
 // ---- entry header: keyLen | payLen << 16 | hash32 << 32 ------------------
 //
 // A header of 0 marks the skipped end of a chunk (a "pad"): an entry
@@ -186,7 +183,7 @@ struct Entry
  * checks that the entry was not evicted meanwhile: writers move
  * `evictedTo_` past an entry before they overwrite any of its words,
  * and store every word with release, so a reader that saw one
- * overwritten word also sees the eviction and tries again. A slot is
+ * overwritten word also sees the eviction and counts a miss. A slot is
  * accepted only on an exact key match; the hash only chooses where to
  * look.
  *
@@ -225,32 +222,18 @@ class PredictionCache
             return false;
         const Word want = e.header();
         const Word tag = tagOf(e.hash);
-        for (int attempt = 0; attempt < kReadAttempts; ++attempt) {
-            const SlotTable &t = *table_.load(std::memory_order_acquire);
-            bool raced = false;
-            std::size_t i = e.hash & t.mask;
-            for (std::size_t n = 0; n <= t.mask && !raced;
-                 ++n, i = (i + 1) & t.mask) {
-                Word s = t.slots[i].load(std::memory_order_acquire);
-                if (s == 0)
-                    return false;
-                if (slotTag(s) != tag)
-                    continue;
-                switch (read(slotPos(s), want, e)) {
-                case Read::Hit:
-                    if (!(s & kRef))
-                        t.slots[i].compare_exchange_strong(
-                            s, s | kRef, std::memory_order_relaxed);
-                    return true;
-                case Read::Other:
-                    break;
-                case Read::Raced:
-                    raced = true;
-                    break;
-                }
-            }
-            if (!raced)
+        const SlotTable &t = *table_.load(std::memory_order_acquire);
+        for (std::size_t n = 0, i = e.hash & t.mask; n <= t.mask;
+             ++n, i = (i + 1) & t.mask) {
+            Word s = t.slots[i].load(std::memory_order_acquire);
+            if (s == 0)
                 return false;
+            if (slotTag(s) == tag && read(slotPos(s), want, e)) {
+                if (!(s & kRef))
+                    t.slots[i].compare_exchange_strong(
+                        s, s | kRef, std::memory_order_relaxed);
+                return true;
+            }
         }
         return false;
     }
@@ -317,31 +300,30 @@ class PredictionCache
     }
 
   private:
-    enum class Read { Hit, Other, Raced };
-
-    /** Read the entry at @p pos into @p e if its key is @p e's. */
-    Read
+    /**
+     * Read the entry at @p pos into @p e if its key is @p e's and no
+     * writer evicted it meanwhile; a read that raced one is a miss.
+     */
+    bool
     read(Word pos, Word want, Entry &e) const
     {
         const AtomicWord *w = at(pos);
         const Word h = w[0].load(std::memory_order_acquire);
         if ((h & kLookupMask) != want)
-            return Read::Other;
+            return false;
         const std::size_t n = entryWords(h);
         if (pos % chunkWords_ + n > chunkWords_)
-            return Read::Raced; // a torn header: the words were reused
+            return false; // a torn header: the words were reused
         const std::size_t keyWords = wordsFor(e.keyLen);
         for (std::size_t k = 1; k <= keyWords; ++k)
             if (w[k].load(std::memory_order_acquire) != e.words[k])
-                return Read::Other;
+                return false;
         e.reservePayload(payLenOf(h));
         for (std::size_t k = 1 + keyWords; k < n; ++k)
             e.words[k] = w[k].load(std::memory_order_acquire);
         // Every word above was loaded with acquire, so if any of them
         // was overwritten, the eviction that preceded it is visible.
-        if (evictedTo_.load(std::memory_order_acquire) > pos)
-            return Read::Raced;
-        return Read::Hit;
+        return evictedTo_.load(std::memory_order_acquire) <= pos;
     }
 
     AtomicWord *
@@ -568,21 +550,26 @@ struct PredictionEngine::Impl
     ThreadPool pool;
     PredictionCache cache;
 
+    /** The request image the cache reads and writes, and the
+     *  prediction a hit decodes into. */
+    struct Lane
+    {
+        Entry entry;
+        model::Prediction pred;
+    };
+
     /**
-     * What one lane owns: the component-pipeline scratch, the request
-     * image the cache reads and writes, and the prediction a hit
-     * decodes into. A lane's index selects its state, so nothing is
+     * What one pool lane owns: a Lane and the component-pipeline
+     * scratch. A lane's index selects its state, so nothing is
      * thread_local-scattered and the buffers stay warm across
      * batches. Lane 0's state belongs to whichever thread is running a
      * region; the pool runs one region at a time.
      */
-    struct Lane
+    struct PoolLane : Lane
     {
         model::PredictScratch scratch;
-        Entry entry;
-        model::Prediction pred;
     };
-    std::vector<std::unique_ptr<Lane>> lanes;
+    std::vector<std::unique_ptr<PoolLane>> lanes;
 
     /** numThreads lanes: the calling thread plus numThreads - 1. */
     explicit Impl(Options o)
@@ -595,17 +582,18 @@ struct PredictionEngine::Impl
     {
         lanes.reserve(static_cast<std::size_t>(pool.size()));
         for (int i = 0; i < pool.size(); ++i)
-            lanes.push_back(std::make_unique<Lane>());
+            lanes.push_back(std::make_unique<PoolLane>());
     }
 
     /**
-     * Answer @p req on @p lane. Returns true on a hit, with the payload
-     * in lane.entry; on a miss lane.pred holds the prediction and, when
-     * the cache is on or @p wantPayload, lane.entry its payload.
+     * Answer @p req on @p lane, computing a miss in @p scratch. Returns
+     * true on a hit, with the payload in lane.entry; on a miss lane.pred
+     * holds the prediction and, when the cache is on or @p wantPayload,
+     * lane.entry its payload.
      */
     bool
     answer(const Request &req, BatchStats *stats, Lane &lane,
-           bool wantPayload)
+           model::PredictScratch &scratch, bool wantPayload)
     {
         Entry &e = lane.entry;
         if (opts.cacheEnabled) {
@@ -624,7 +612,7 @@ struct PredictionEngine::Impl
             if (stats)
                 ++stats->analyzed;
             lane.pred = model::predict(blk, req.loop, req.config,
-                                       lane.scratch, req.payload);
+                                       scratch, req.payload);
         } catch (const std::exception &) {
             lane.pred = model::Prediction{}; // malformed: throughput 0
         }
@@ -639,9 +627,10 @@ struct PredictionEngine::Impl
 
     /** answer() for a Prediction visitor: a hit decodes into lane.pred. */
     const model::Prediction &
-    predictInto(const Request &req, BatchStats *stats, Lane &lane)
+    predictInto(const Request &req, BatchStats *stats, Lane &lane,
+                model::PredictScratch &scratch)
     {
-        if (answer(req, stats, lane, false))
+        if (answer(req, stats, lane, scratch, false))
             server::decodePredictInto(lane.entry.payload(),
                                       lane.entry.payLen, lane.pred);
         return lane.pred;
@@ -705,10 +694,11 @@ PredictionEngine::predictBatchVisit(const std::vector<Request> &batch,
                                     BatchStats *stats)
 {
     impl_->runBatch(batch, stats,
-                    [&](int worker, std::size_t i, Impl::Lane &lane,
+                    [&](int worker, std::size_t i, Impl::PoolLane &lane,
                         BatchStats *st) {
                         visit(worker, i,
-                              impl_->predictInto(batch[i], st, lane));
+                              impl_->predictInto(batch[i], st, lane,
+                                                 lane.scratch));
                     });
 }
 
@@ -718,9 +708,10 @@ PredictionEngine::predictBatchVisitPayload(const std::vector<Request> &batch,
                                            BatchStats *stats)
 {
     impl_->runBatch(batch, stats,
-                    [&](int worker, std::size_t i, Impl::Lane &lane,
+                    [&](int worker, std::size_t i, Impl::PoolLane &lane,
                         BatchStats *st) {
-                        impl_->answer(batch[i], st, lane, true);
+                        impl_->answer(batch[i], st, lane, lane.scratch,
+                                      true);
                         visit(worker, i, lane.entry.payload(),
                               lane.entry.payLen);
                     });
@@ -734,7 +725,7 @@ PredictionEngine::predictOne(const Request &req, BatchStats *stats)
     thread_local Impl::Lane lane;
     if (stats)
         ++stats->requests;
-    return impl_->predictInto(req, stats, lane);
+    return impl_->predictInto(req, stats, lane, model::tlsPredictScratch());
 }
 
 void
