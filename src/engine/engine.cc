@@ -370,6 +370,8 @@ class PredictionCache
             const Word s = t.slots[i].load(std::memory_order_relaxed);
             if (s == 0)
                 return nullptr;
+            if (slotTag(s) != tagOf(hash))
+                continue;
             const AtomicWord *w = at(slotPos(s));
             if (((w[0].load(std::memory_order_relaxed) ^ e[0]) &
                  kLookupMask) != 0)

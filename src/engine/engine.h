@@ -173,7 +173,10 @@ class PredictionEngine
                                   const PayloadVisitor &visit,
                                   BatchStats *stats = nullptr);
 
-    /** Single-request convenience; same cache, calling thread only. */
+    /**
+     * Single-request convenience; same cache, calling thread only. A
+     * miss is computed in model::tlsPredictScratch().
+     */
     model::Prediction predictOne(const Request &req,
                                  BatchStats *stats = nullptr);
 
