@@ -552,8 +552,10 @@ struct PredictionEngine::Impl
     ThreadPool pool;
     PredictionCache cache;
 
-    /** The request image the cache reads and writes, and the
-     *  prediction a hit decodes into. */
+    /**
+     * The request image the cache reads and writes, and the prediction
+     * a hit decodes into.
+     */
     struct Lane
     {
         Entry entry;
