@@ -19,6 +19,8 @@
 #include "bhive/generator.h"
 #include "corpus/corpus.h"
 #include "engine/engine.h"
+#include "isa/builder.h"
+#include "isa/encoder.h"
 #include "server/protocol.h"
 #include "uarch/config.h"
 
@@ -72,6 +74,26 @@ main(int argc, char **argv)
         }
         // A single NOP — the smallest decodable block.
         writeSeed(out / "decoder", "nop", {0, 0x90});
+
+        // Forms whose layout the layout pass must get right: a 16-bit
+        // immediate behind a 66 prefix (an LCP), VEX encodings with
+        // and without a displacement, and multi-byte NOPs.
+        using namespace isa;
+        auto blockSeed = [&](const std::string &name, std::uint8_t arch,
+                             const std::vector<Inst> &insts) {
+            std::vector<std::uint8_t> seed{arch};
+            const std::vector<std::uint8_t> b = encodeBlock(insts);
+            seed.insert(seed.end(), b.begin(), b.end());
+            writeSeed(out / "decoder", name, seed);
+        };
+        blockSeed("lcp_imm16", 4,
+                  {make(Mnemonic::ADD, {R(AX), I(0x1234, 2)}),
+                   make(Mnemonic::MOV, {M(mem(RBX, 8, 2)), I(-2, 2)})});
+        blockSeed("vex", 6,
+                  {make(Mnemonic::VADDPS, {R(ymm(0)), R(ymm(1)), R(ymm(2))}),
+                   make(Mnemonic::VFMADD231PD,
+                        {R(XMM0), R(xmm(9)), M(mem(R13, 0x40, 16))})});
+        blockSeed("nop_multibyte", 2, {nop(4), nop(9), nop(15)});
     }
 
     // ---- protocol: request frame streams (mode byte first) -----------------

@@ -100,17 +100,28 @@ constexpr std::size_t kInternShards = 16;
 constexpr std::size_t kNumArchs = 9;
 
 /**
- * Per-thread direct-mapped window cache in front of the canonical
- * index: keyed on the ≤15-byte decode lookahead, so the common case
- * (window seen before by *this thread*) costs a key compare instead of
- * a decode plus an index probe. Bounded by construction — a
- * collision overwrites the slot; record pointers are immortal, so
- * stale entries are merely misses, never dangling. Unlike the
- * canonical level, distinct *windows* (instruction + successor-byte
- * prefix) can outnumber distinct instructions; eviction keeps that
- * from turning into unbounded memory.
+ * Per-thread window cache in front of the canonical index: keyed on
+ * the ≤15-byte decode lookahead, so the common case (window seen
+ * before by *this thread*) costs a key compare instead of a layout
+ * pass plus an index probe. Bounded by construction — a collision
+ * overwrites the slot; record pointers are immortal, so stale entries
+ * are merely misses, never dangling. Unlike the canonical level,
+ * distinct *windows* (instruction + successor-byte prefix) can
+ * outnumber distinct instructions; eviction keeps that from turning
+ * into unbounded memory.
+ *
+ * The canonical index is the durable level, so the window only has to
+ * catch short-range reuse: a block's unrolled and loop requests run on
+ * one engine lane, back to back. 64 sets (4 KiB per arch) keep most of
+ * those hits and stay in L1/L2 next to the index. Chosen from an
+ * in-process sweep over perfbench's inproc_cold stream (2 lanes,
+ * 16k-request segments of each size alternated, 60 rounds; CHANGES.md
+ * has the table): the 64-set row ran 1.12x (seed 1) and 1.10x (seed
+ * 9001) as fast as 8192 sets, in paired medians, the only row whose
+ * lower quartile stayed above 1.05x on both seeds, with 4.54 window
+ * hits per request against 4.82.
  */
-constexpr std::size_t kWindowSets = 8192; // power of two, 2 ways/set
+constexpr std::size_t kWindowSets = 64; // power of two, 2 ways/set
 
 /** Key and record pointer packed into one cache line's worth. */
 struct alignas(32) WindowEntry
@@ -122,8 +133,8 @@ struct alignas(32) WindowEntry
 /**
  * One 2-way set per 64-byte cache line: way 0 is most recent (hits in
  * way 1 swap forward, inserts demote way 0). Two ways cut the conflict
- * rate by an order of magnitude versus direct mapping at the same
- * footprint — conflicts fall through to a decode + index probe.
+ * rate versus direct mapping at the same footprint — conflicts fall
+ * through to a layout pass + index probe.
  */
 struct alignas(64) WindowSet
 {
@@ -131,11 +142,10 @@ struct alignas(64) WindowSet
 };
 
 /**
- * Per-thread, per-arch window tables, heap-allocated on first touch:
- * a static TLS array of all nine arches would commit ~4.7 MB of
- * zero-initialized TLS for every thread in the process (connection
- * readers, test threads, ...), so each thread instead pays only for
- * the arches it actually analyzes (~512 KB each, faulted lazily).
+ * Per-thread, per-arch window tables, heap-allocated on first touch,
+ * so a thread pays only for the arches it actually analyzes (4 KiB
+ * each) and threads that never analyze (connection readers, ...) pay
+ * nothing.
  */
 struct WindowCache
 {
@@ -375,35 +385,47 @@ InstInterner::internAt(const std::uint8_t *data, std::size_t size,
         return ws.way[0].rec;
     }
 
-    // Decode (may throw DecodeError — nothing is cached then), then
-    // intern on the instruction's form: its canonical instance, with
-    // the immediate zeroed and the displacement reduced to 0 or 1.
-    isa::DecodedInst dec = isa::decodeOne(data, size, pos);
+    // Layout pass (may throw DecodeError — nothing is cached then):
+    // enough of a decode to find the instruction's form, its canonical
+    // instance with the immediate zeroed and the displacement reduced
+    // to 0 or 1, and no operand list.
+    isa::DecodedInst dec = isa::decodeLayout(data, size, pos);
     std::uint8_t canon[15];
     isa::canonicalForm(data + pos, dec, canon);
-    const InstKey key = makeKey(canon, dec.length);
-    const std::size_t hash = InstKeyHash{}(key);
-    Impl::Shard &shard = impl_->shards[hash % kInternShards];
+    InstKey key = makeKey(canon, dec.length);
+    std::size_t hash = InstKeyHash{}(key);
+    Impl::Shard *shard = &impl_->shards[hash % kInternShards];
 
     const InstRecord *rec =
-        probe(*shard.index.load(std::memory_order_acquire), hash, key);
-    if (rec) {
+        probe(*shard->index.load(std::memory_order_acquire), hash, key);
+    // The record is the analysis of the canonical bytes, which decode
+    // with the layout of every instance of the form; anything else
+    // takes the full path below.
+    if (rec && rec->dec.length == dec.length &&
+        rec->dec.dispWidth == dec.dispWidth &&
+        rec->dec.immWidth == dec.immWidth) {
         HitCounters::add(2 * arch);
     } else {
-        // The record is the analysis of the canonical instance, so it
-        // is a pure function of the key whichever instance of the form
-        // arrived first.
+        // Full path: the key comes from a full decode, so what is
+        // published never depends on the layout pass. The record is the
+        // analysis of the canonical instance, so it is a pure function
+        // of the key whichever instance of the form arrived first.
+        dec = isa::decodeOne(data, size, pos);
+        isa::canonicalForm(data + pos, dec, canon);
+        key = makeKey(canon, dec.length);
+        hash = InstKeyHash{}(key);
+        shard = &impl_->shards[hash % kInternShards];
         if (std::memcmp(canon, data + pos, dec.length) != 0)
             dec = isa::decodeOne(canon, dec.length);
         InstRecord fresh;
         analyzeCold(dec, fresh);
         impl_->misses.fetch_add(1, std::memory_order_relaxed);
 
-        std::lock_guard<std::mutex> lock(shard.mu);
-        rec = shard.find(hash, key);
+        std::lock_guard<std::mutex> lock(shard->mu);
+        rec = shard->find(hash, key);
         // (On a lost race: use the already-published record.)
         if (!rec) {
-            rec = shard.publish(hash, key, std::move(fresh));
+            rec = shard->publish(hash, key, std::move(fresh));
             impl_->records.fetch_add(1, std::memory_order_relaxed);
         }
     }

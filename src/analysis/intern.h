@@ -29,13 +29,19 @@
  * bytes and is the independent reference that proves this audit.
  *
  * Two levels:
- *   - a *bounded*, thread-local, direct-mapped window cache keyed on
- *     the ≤15-byte decode lookahead (x86 instructions cannot exceed 15
- *     bytes and the decoder is position-independent, so equal windows
- *     decode equally). A hit skips even the decode; collisions simply
- *     overwrite — it is a pure accelerator;
+ *   - a *bounded*, thread-local window cache (64 two-way sets, 4 KiB
+ *     per arch and thread) keyed on the ≤15-byte decode lookahead (x86
+ *     instructions cannot exceed 15 bytes and the decoder is
+ *     position-independent, so equal windows decode equally). A hit
+ *     skips even the decode; collisions simply overwrite — it is a pure
+ *     accelerator that catches a lane's short-range reuse;
  *   - the canonical sharded index keyed on the form's canonical bytes
- *     (≤ 15 B) + µarch, one interner per µarch. A shard is a flat
+ *     (≤ 15 B) + µarch, one interner per µarch. A window miss finds the
+ *     key with isa::decodeLayout, which builds no operand list, and
+ *     takes an index hit only if the record's length, displacement
+ *     width and immediate width equal the layout's; a full decode runs
+ *     only on the way to the cold path, so a window miss on a known
+ *     form allocates nothing. A shard is a flat
  *     open-addressed table of record pointers, a mutex and a
  *     std::deque arena (pointer-stable growth). Readers probe the
  *     table with acquire loads and take no lock: each slot is null or

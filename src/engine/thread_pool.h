@@ -71,7 +71,9 @@ class ThreadPool
      * runs lane 0. Lanes claim contiguous chunks of
      * max(1, n / (4 * size())) indices: enough to balance uneven
      * costs, while neighbours (a block's unrolled and loop variants)
-     * share one lane's thread-local intern window cache. A one-chunk
+     * share one lane's thread-local intern window cache. That reuse is
+     * a few requests apart, which is why a 64-set window table per
+     * arch (src/analysis/intern.cc) keeps most window hits. A one-chunk
      * batch wakes no one. Allocates nothing. One region runs at a
      * time (concurrent callers would share lane 0); a call from inside
      * a region of this pool runs inline on the current lane. If @p

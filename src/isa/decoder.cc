@@ -1,6 +1,8 @@
 #include "isa/decoder.h"
 
 #include <cstring>
+#include <initializer_list>
+#include <utility>
 
 namespace facile::isa {
 
@@ -179,14 +181,17 @@ const Mnemonic aluByBase[8] = {Mnemonic::ADD, Mnemonic::OR,  Mnemonic::ADC,
 class InstDecoder
 {
   public:
-    InstDecoder(const std::uint8_t *data, std::size_t size, std::size_t pos)
-        : cur_(data, size, pos)
+    /** With @p layoutOnly, run() builds no operand list. */
+    InstDecoder(const std::uint8_t *data, std::size_t size, std::size_t pos,
+                bool layoutOnly)
+        : cur_(data, size, pos), layoutOnly_(layoutOnly)
     {}
 
     DecodedInst run();
 
   private:
     Cursor cur_;
+    const bool layoutOnly_;
     Prefixes pfx_;
     DecodedInst out_;
 
@@ -202,12 +207,18 @@ class InstDecoder
         throw DecodeError(msg);
     }
 
+    /**
+     * Record the instruction. The operands are built on the stack and
+     * copied into one exactly sized vector, unless this is a layout
+     * pass, which keeps none of them.
+     */
     void
-    set(Mnemonic m, std::vector<Operand> ops, Cond cc = Cond::None)
+    set(Mnemonic m, std::initializer_list<Operand> ops, Cond cc = Cond::None)
     {
         out_.inst.mnem = m;
         out_.inst.cc = cc;
-        out_.inst.ops = std::move(ops);
+        if (!layoutOnly_)
+            out_.inst.ops.assign(ops);
     }
 
     /** Parse the ModRM (+SIB, +displacement) and note its layout. */
@@ -231,9 +242,6 @@ class InstDecoder
     }
 
     bool sawImm16_ = false;
-
-    friend DecodedInst decodeOneImpl(const std::uint8_t *, std::size_t,
-                                     std::size_t);
 };
 
 void
@@ -876,7 +884,7 @@ InstDecoder::run()
         out_.inst.nopLen = out_.length;
     // Length-changing prefix: 66 operand-size prefix + 16-bit immediate.
     out_.lcp = pfx_.has66 && sawImm16_;
-    return out_;
+    return std::move(out_);
 }
 
 } // namespace
@@ -884,8 +892,13 @@ InstDecoder::run()
 DecodedInst
 decodeOne(const std::uint8_t *data, std::size_t size, std::size_t pos)
 {
-    InstDecoder dec(data, size, pos);
-    return dec.run();
+    return InstDecoder(data, size, pos, false).run();
+}
+
+DecodedInst
+decodeLayout(const std::uint8_t *data, std::size_t size, std::size_t pos)
+{
+    return InstDecoder(data, size, pos, true).run();
 }
 
 void

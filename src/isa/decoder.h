@@ -48,8 +48,7 @@ struct DecodedInst
      * Immediate bytes, always the trailing immWidth bytes of the
      * encoding. Relative branch targets count; the implicit 1 of the
      * D0/D1 shift-by-one forms has no bytes and does not. Both widths
-     * locate the bytes isa::canonicalForm masks; snapshot images do not
-     * store them, so records served from an image carry 0.
+     * locate the bytes isa::canonicalForm masks.
      */
     std::uint8_t immWidth = 0;
 };
@@ -60,6 +59,20 @@ struct DecodedInst
  */
 DecodedInst decodeOne(const std::uint8_t *data, std::size_t size,
                       std::size_t pos = 0);
+
+/**
+ * The layout pass: decodeOne's code with no operand list built. The
+ * result has decodeOne's length, opcodeOffset, lcp, dispWidth,
+ * immWidth, mnemonic and condition code, and an empty inst.ops; it
+ * allocates nothing. It throws DecodeError exactly where decodeOne
+ * does (the same code reads the same bytes). The decoder never branches
+ * on displacement or immediate values, so every instance of a form has
+ * the same layout, which is what lets the interner look a form up
+ * before a full decode.
+ * @throws DecodeError on malformed input.
+ */
+DecodedInst decodeLayout(const std::uint8_t *data, std::size_t size,
+                         std::size_t pos = 0);
 
 /**
  * Write the canonical instance of @p d's *form* to @p out

@@ -116,10 +116,12 @@ TEST(EventLoopConn, ResumeAfterTheReaderDrainsDisarms)
 {
     Rig rig;
     const auto payload = pattern(256 * 1024);
+    // The reader starts after the write blocked: started before it, it
+    // can drain the socket fast enough for the write to complete.
+    ASSERT_EQ(rig.conn->write(payload), WriteQueue::Result::Blocked);
     std::vector<std::uint8_t> got;
     std::thread reader([&] { got = readExactly(rig.peer, payload.size()); });
 
-    ASSERT_EQ(rig.conn->write(payload), WriteQueue::Result::Blocked);
     int resumes = 0;
     while (!rig.conn->outq.empty()) {
         ASSERT_TRUE(rig.ready(5000) & EPOLLOUT) << "armed but never ready";

@@ -10,7 +10,9 @@
  * engine worker pool (the concurrency tests run under TSan in CI).
  * Records are keyed on instruction forms, so a sweep over immediate and
  * displacement values must publish one record per form and still
- * predict exactly what the real bytes predict.
+ * predict exactly what the real bytes predict. The file replaces the
+ * global operator new to count allocations per thread: a window miss
+ * on a known form must allocate nothing.
  */
 #include <gtest/gtest.h>
 
@@ -21,9 +23,11 @@
 #include <atomic>
 #include <climits>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iterator>
+#include <new>
 #include <set>
 #include <string>
 #include <thread>
@@ -36,6 +40,53 @@
 #include "eval/harness.h"
 #include "facile/component.h"
 #include "facile/predictor.h"
+
+namespace {
+
+/** operator new calls made by the calling thread (all of them). */
+thread_local std::size_t tlsNews = 0;
+
+} // namespace
+
+// Counting replacements of the global allocation functions; the array
+// and nothrow forms forward to these.
+void *
+operator new(std::size_t n)
+{
+    ++tlsNews;
+    if (void *p = std::malloc(n ? n : 1))
+        return p;
+    throw std::bad_alloc();
+}
+
+void *
+operator new(std::size_t n, std::align_val_t al)
+{
+    ++tlsNews;
+    const auto a = static_cast<std::size_t>(al);
+    if (void *p = std::aligned_alloc(a, (n + a - 1) / a * a))
+        return p;
+    throw std::bad_alloc();
+}
+
+// Not inlined, so the compiler does not pair a new-expression with the
+// free() inside (-Wmismatched-new-delete).
+[[gnu::noinline]] void operator delete(void *p) noexcept { std::free(p); }
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete(void *p, std::align_val_t) noexcept
+{
+    std::free(p);
+}
+[[gnu::noinline]] void
+operator delete(void *p, std::size_t, std::align_val_t) noexcept
+{
+    std::free(p);
+}
 
 namespace facile {
 namespace {
@@ -672,16 +723,23 @@ memoryForms(std::size_t count)
 }
 
 /**
- * internAt on form @p f followed by filler bytes derived from @p salt:
- * a different salt is a different decode window, so the call misses
- * the thread's window cache and probes the canonical index.
+ * Form @p f followed by filler bytes derived from @p salt: a different
+ * salt is a different decode window, so interning it misses the
+ * thread's window cache and probes the canonical index.
  */
-const analysis::InstRecord *
-internSalted(analysis::InstInterner &in, const Bytes &f, std::uint32_t salt)
+Bytes
+salted(const Bytes &f, std::uint32_t salt)
 {
     Bytes buf = f;
     for (int k = 0; k < 15; ++k)
         buf.push_back(static_cast<std::uint8_t>(salt >> (8 * (k % 4)) ^ k));
+    return buf;
+}
+
+const analysis::InstRecord *
+internSalted(analysis::InstInterner &in, const Bytes &f, std::uint32_t salt)
+{
+    const Bytes buf = salted(f, salt);
     return in.internAt(buf.data(), buf.size(), 0);
 }
 
@@ -810,6 +868,84 @@ TEST(InternIndex, HitsPlusMissesCountEveryCallAcrossThreads)
     EXPECT_EQ((after.fusedHits + after.fusedMisses) -
                   (before.fusedHits + before.fusedMisses),
               static_cast<std::uint64_t>(kThreads * kFused));
+}
+
+/**
+ * A window miss on a known form is a layout pass and an index probe:
+ * every instance of every swept form (any immediate, any displacement
+ * of its class), behind never-seen filler, returns the form's record
+ * and allocates nothing on the calling thread.
+ */
+TEST(InternIndex, WindowMissOnAKnownFormAllocatesNothing)
+{
+    analysis::InstInterner &in =
+        analysis::InstInterner::forArch(uarch::UArch::BDW);
+    std::vector<Form> forms = sweepForms();
+    forms.push_back({"vaddps xmm0, xmm1, xmm2", {{0xC5, 0xF0, 0x58, 0xC2}}});
+    forms.push_back({"nopw [rax+rax+0]",
+                     {{0x66, 0x0F, 0x1F, 0x44, 0x00, 0x00}}});
+    std::vector<const analysis::InstRecord *> recs;
+    for (const Form &f : forms)
+        recs.push_back(internSalted(in, f.instances[0], 1));
+
+    std::uint32_t salt = 0x5eed0000u;
+    for (std::size_t i = 0; i < forms.size(); ++i)
+        for (const Bytes &inst : forms[i].instances) {
+            const Bytes buf = salted(inst, ++salt);
+            const analysis::InternStats before = in.stats();
+            const std::size_t news0 = tlsNews;
+            const analysis::InstRecord *rec =
+                in.internAt(buf.data(), buf.size(), 0);
+            const std::size_t news = tlsNews - news0;
+            const analysis::InternStats after = in.stats();
+            EXPECT_EQ(rec, recs[i]) << forms[i].name;
+            EXPECT_EQ(news, 0u) << forms[i].name;
+            EXPECT_EQ(after.hits - before.hits, 1u) << forms[i].name;
+            EXPECT_EQ(after.misses, before.misses) << forms[i].name;
+        }
+}
+
+/**
+ * A never-seen block whose forms are all interned: bb::analyze
+ * allocates the block's instruction vector and nothing per instruction
+ * (a growth step of that vector at most). The blocks are the random
+ * suite's with their instructions in reverse order, so most decode
+ * windows are new.
+ */
+TEST(InternIndex, AnalyzeOfANeverSeenBlockOfKnownFormsAllocatesOnlyItsVector)
+{
+    const uarch::UArch arch = uarch::UArch::CLX;
+    const analysis::InstInterner &in = analysis::InstInterner::forArch(arch);
+    std::vector<Bytes> reversed;
+    for (const auto &b : randomSuite()) {
+        bb::analyze(b.bytesU, arch);
+        const auto insts = isa::decodeBlock(b.bytesU);
+        Bytes r;
+        for (std::size_t end = b.bytesU.size(), i = insts.size(); i-- > 0;) {
+            r.insert(r.end(), b.bytesU.begin() + (end - insts[i].length),
+                     b.bytesU.begin() + end);
+            end -= insts[i].length;
+        }
+        reversed.push_back(std::move(r));
+    }
+
+    std::size_t counted = 0;
+    for (Bytes &r : reversed) {
+        const analysis::InternStats before = in.stats();
+        const std::size_t news0 = tlsNews;
+        {
+            const bb::BasicBlock blk = bb::analyze(std::move(r), arch);
+        }
+        const std::size_t news = tlsNews - news0;
+        const analysis::InternStats after = in.stats();
+        // A new fused pair is interned (and allocated) once.
+        if (after.misses != before.misses ||
+            after.fusedMisses != before.fusedMisses)
+            continue;
+        ++counted;
+        EXPECT_LE(news, 2u);
+    }
+    EXPECT_GT(counted, randomSuite().size() / 2);
 }
 
 } // namespace

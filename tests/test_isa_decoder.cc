@@ -1,10 +1,14 @@
 /**
  * @file
  * Decoder unit tests: known byte sequences, layout facts (length,
- * nominal opcode position, LCP detection), and error handling.
+ * nominal opcode position, LCP detection), error handling, and the
+ * layout pass (decodeLayout) agreeing with the full decode.
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "bhive/generator.h"
 #include "isa/builder.h"
 #include "isa/decoder.h"
 #include "isa/encoder.h"
@@ -155,6 +159,96 @@ TEST(Decoder, ShiftByOneOpcodeD1)
     DecodedInst d = dec1({0x48, 0xD1, 0xE0});
     EXPECT_EQ(d.inst.mnem, Mnemonic::SHL);
     EXPECT_EQ(d.inst.ops[1].imm, 1);
+}
+
+/**
+ * decodeLayout and decodeOne on data[pos]: the same layout facts and
+ * mnemonic, or the same DecodeError. Returns the length (0 on error).
+ */
+std::size_t
+expectSameLayout(const std::uint8_t *data, std::size_t size, std::size_t pos)
+{
+    std::string fullErr, layoutErr;
+    DecodedInst d, l;
+    try {
+        d = decodeOne(data, size, pos);
+    } catch (const DecodeError &e) {
+        fullErr = e.what();
+    }
+    try {
+        l = decodeLayout(data, size, pos);
+    } catch (const DecodeError &e) {
+        layoutErr = e.what();
+    }
+    EXPECT_EQ(layoutErr, fullErr);
+    if (!fullErr.empty() || !layoutErr.empty())
+        return 0;
+    EXPECT_EQ(l.length, d.length);
+    EXPECT_EQ(l.opcodeOffset, d.opcodeOffset);
+    EXPECT_EQ(l.dispWidth, d.dispWidth);
+    EXPECT_EQ(l.immWidth, d.immWidth);
+    EXPECT_EQ(l.lcp, d.lcp);
+    EXPECT_EQ(l.inst.mnem, d.inst.mnem);
+    EXPECT_EQ(l.inst.cc, d.inst.cc);
+    EXPECT_TRUE(l.inst.ops.empty());
+    return d.length;
+}
+
+TEST(DecodeLayout, AgreesWithDecodeOneOnGeneratedSuites)
+{
+    std::size_t insts = 0;
+    for (std::uint64_t seed : {1ULL, 7ULL, 9001ULL, 20231020ULL})
+        for (const auto &b : bhive::generateSuite(seed, 4))
+            for (const auto *bytes : {&b.bytesU, &b.bytesL})
+                for (std::size_t pos = 0; pos < bytes->size(); ++insts) {
+                    const std::size_t len =
+                        expectSameLayout(bytes->data(), bytes->size(), pos);
+                    ASSERT_GT(len, 0u) << b.id << " at " << pos;
+                    pos += len;
+                }
+    EXPECT_GT(insts, 1000u);
+}
+
+TEST(DecodeLayout, ThrowsWhereDecodeOneThrows)
+{
+    using Bytes = std::vector<std::uint8_t>;
+    const std::vector<Bytes> valid = {
+        {0x48, 0x01, 0xD8},                               // add rax, rbx
+        {0x66, 0x81, 0xC0, 0x34, 0x12},                   // add ax, imm16
+        {0x48, 0xC7, 0x84, 0x8B, 0, 0x10, 0, 0, 1, 2, 3, 4}, // SIB+disp32+imm32
+        {0xC4, 0xE2, 0xF1, 0xB8, 0xC2},                   // vfmadd231pd
+        {0x66, 0x0F, 0x1F, 0x44, 0x00, 0x00},             // 6-byte nop
+        {0x0F, 0x85, 0x10, 0x00, 0x00, 0x00},             // jne rel32
+    };
+    // A cut at every byte throws in both; the whole instruction decodes
+    // in both.
+    for (const Bytes &inst : valid)
+        for (std::size_t cut = 0; cut <= inst.size(); ++cut)
+            EXPECT_EQ(expectSameLayout(inst.data(), cut, 0),
+                      cut == inst.size() ? inst.size() : 0u)
+                << "cut at " << cut;
+
+    const std::vector<Bytes> malformed = {
+        {0x06},                                     // invalid in 64-bit
+        {0x0F, 0x0B},                               // unsupported 0F
+        {0xC5, 0xF0, 0x12, 0xC2},                   // unsupported VEX op
+        {0x48, 0x8B, 0x05, 0, 0, 0, 0},             // RIP-relative
+        {0x48, 0x8B, 0x04, 0x25, 0, 0, 0, 0},       // base-less SIB
+        {0x8D, 0xC0},                               // lea without memory
+        {0xB4, 0x01},                               // mov ah, imm8
+    };
+    for (const Bytes &b : malformed)
+        EXPECT_EQ(expectSameLayout(b.data(), b.size(), 0), 0u);
+
+    // 15 bytes is the limit: 12 segment prefixes + add rax, rbx decodes,
+    // one more prefix (16 bytes) throws in both.
+    Bytes longest(15, 0x2E);
+    longest[12] = 0x48;
+    longest[13] = 0x01;
+    longest[14] = 0xD8;
+    EXPECT_EQ(expectSameLayout(longest.data(), longest.size(), 0), 15u);
+    longest.insert(longest.begin(), 0x2E);
+    EXPECT_EQ(expectSameLayout(longest.data(), longest.size(), 0), 0u);
 }
 
 } // namespace

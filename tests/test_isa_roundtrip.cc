@@ -2,7 +2,8 @@
  * @file
  * Property tests: decode(encode(inst)) == inst over a systematically
  * enumerated and randomized slice of the supported instruction space,
- * and byte-level idempotence encode(decode(bytes)) == bytes.
+ * byte-level idempotence encode(decode(bytes)) == bytes, and the layout
+ * pass (decodeLayout) agreeing with the full decode on every instance.
  */
 #include <gtest/gtest.h>
 
@@ -29,6 +30,18 @@ expectRoundTrip(const Inst &inst)
         EXPECT_EQ(d.inst.ops[i], inst.ops[i])
             << toString(inst) << " operand " << i;
     EXPECT_EQ(static_cast<std::size_t>(d.length), bytes.size());
+
+    // The layout pass reads the same bytes to the same layout.
+    DecodedInst l;
+    ASSERT_NO_THROW(l = decodeLayout(bytes.data(), bytes.size()))
+        << toString(inst);
+    EXPECT_EQ(l.length, d.length) << toString(inst);
+    EXPECT_EQ(l.opcodeOffset, d.opcodeOffset) << toString(inst);
+    EXPECT_EQ(l.dispWidth, d.dispWidth) << toString(inst);
+    EXPECT_EQ(l.immWidth, d.immWidth) << toString(inst);
+    EXPECT_EQ(l.lcp, d.lcp) << toString(inst);
+    EXPECT_EQ(l.inst.mnem, d.inst.mnem) << toString(inst);
+    EXPECT_TRUE(l.inst.ops.empty()) << toString(inst);
 
     // Byte-level idempotence: re-encoding the decoded instruction must
     // reproduce the canonical encoding exactly.
